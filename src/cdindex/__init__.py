@@ -38,8 +38,6 @@ from .intervals import (
     enumerate_paths,
     export_dot,
     label_string,
-    lex_compare,
-    restrict_first_reflection,
 )
 from .ncpoly import (
     ADPolynomial,

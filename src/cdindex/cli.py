@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .complete import complete_cd_index
-from .errors import FlipUndefinedError, NotInSubringError
+from .errors import CdIndexError, FlipUndefinedError, NotInSubringError
 from .flips import TSetTable
 from .intervals import build_interval, export_dot, label_string, path_json
 from .ncpoly import ad_form, parse_cd_monomial
@@ -164,17 +164,16 @@ def _scan_one(job) -> str:
     """Worker: one interval -> one JSON line.
 
     Jobs arrive grouped by sink, so keeping exactly one sink's memoized
-    table per process gives full reuse with bounded memory.
+    table per process gives full reuse with bounded memory.  The order is
+    resolved once by the caller and travels in the job.
     """
-    u, v, order_spec = job
+    u, v, order, order_spec = job
     key = (v, order_spec)
-    entry = _WORKER_TABLES.get(key)
-    if entry is None:
-        order = resolve_order(order_spec, len(v))
+    table = _WORKER_TABLES.get(key)
+    if table is None:
         _WORKER_TABLES.clear()
-        entry = (order, TSetTable(v, order))
-        _WORKER_TABLES[key] = entry
-    order, table = entry
+        table = TSetTable(v, order)
+        _WORKER_TABLES[key] = table
     record = scan_interval(u, v, order, order_spec, table)
     return json.dumps(record, sort_keys=True)
 
@@ -182,6 +181,7 @@ def _scan_one(job) -> str:
 def cmd_scan(args) -> int:
     if not 2 <= args.n <= 6:
         raise UserError("scan supports 2 <= n <= 6")
+    order = resolve_order(args.order, args.n)
     done: set[tuple[str, str, str]] = set()
     existing_lines: list[str] = []
     if args.resume and args.out and os.path.exists(args.out):
@@ -202,9 +202,10 @@ def cmd_scan(args) -> int:
     for u, v in iter_intervals(args.n, args.max_length):
         if (format_perm(u), format_perm(v), args.order) in done:
             continue
-        merge_keys[(u, v, args.order)] = (length(v) - length(u), u, v)
+        merge_keys[(u, v)] = (length(v) - length(u), u, v)
     # process grouped by sink for table reuse; emit in merge order
-    jobs = sorted(merge_keys, key=lambda job: (job[1], merge_keys[job]))
+    pairs = sorted(merge_keys, key=lambda uv: (uv[1], merge_keys[uv]))
+    jobs = [(u, v, order, args.order) for u, v in pairs]
 
     violations = 0
     produced = []
@@ -214,7 +215,7 @@ def cmd_scan(args) -> int:
                 lines = list(executor.map(_scan_one, jobs, chunksize=4))
         else:
             lines = [_scan_one(job) for job in jobs]
-        produced = sorted(zip(jobs, lines), key=lambda jl: merge_keys[jl[0]])
+        produced = sorted(zip(pairs, lines), key=lambda pl: merge_keys[pl[0]])
         for _, line in produced:
             if not json.loads(line)["clean"]:
                 violations += 1
@@ -296,7 +297,7 @@ def main(argv=None) -> int:
     except FlipUndefinedError as exc:
         print(f"flip undefined: {exc}", file=sys.stderr)
         code = EXIT_FLIP_UNDEFINED
-    except NotInSubringError as exc:
+    except CdIndexError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         code = EXIT_INTERNAL
     if argv is None:

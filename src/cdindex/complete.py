@@ -29,7 +29,6 @@ from .ncpoly import (
     ad_to_cd,
     cd_degree,
     decompose_left_a,
-    expand_cd,
 )
 from .orders import ReflectionOrder, lex_order
 from .perms import Perm, Reflection, bruhat_leq, format_perm, length
@@ -144,16 +143,6 @@ def shelling_decomposition(
         p = restricted_ad_polynomial(iv, n, t, order)
         parts[n] = decompose_left_a(p, n)
     return ShellingDecomposition(t, parts)
-
-
-def check_decomposition(iv, decomposition, order) -> bool:
-    """Recombine f + A*g per degree and compare with the restricted sum."""
-    a = ADPolynomial({"A": 1})
-    for n, (f, g) in decomposition.by_degree.items():
-        p = restricted_ad_polynomial(iv, n, decomposition.t, order)
-        if expand_cd(f) + a * expand_cd(g) != p:
-            return False
-    return True
 
 
 def flag_cd_index(iv: BruhatInterval) -> CDPolynomial:

@@ -15,10 +15,12 @@ primal order, i-th matched with i-th.  The two sets are conjectured always
 to have equal size; a mismatch raises FlipUndefinedError and is surfaced,
 never patched.
 
-`path_contribution` evaluates the signed contribution (+1, 0 or -1) of a
-path to the coefficient of M, multiplying per-position factors from right
-to left with an early exit on zero.  Under the flip condition no -1
-survives to the final product, which is what makes |T_M| the coefficient.
+`position_factor` is the one definition of the per-position factor
+(+1, 0 or -1): the T-set splice test, `path_contribution` (the product of
+the factors from right to left, with an early exit on zero) and the flip
+condition (no factor -1 where the tail lies in its suffix T-set) all read
+it.  Under the flip condition no -1 survives to the final product, which
+is what makes |T_M| the coefficient.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from .errors import FlipUndefinedError
 from .intervals import (
     BruhatInterval,
     BruhatPath,
+    ad_word,
     build_interval,
     iter_paths,
     label_string,
+    rank_sequence,
 )
 from .ncpoly import ad_form, cd_degree
 from .orders import ReflectionOrder
@@ -76,7 +80,6 @@ class TSetTable:
             }
             self._twin = _twin
         self._paths: dict[tuple[Perm, int], tuple[BruhatPath, ...]] = {}
-        self._words: dict[BruhatPath, str] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
         self._members: dict[tuple[Perm, str], frozenset[BruhatPath]] = {}
         self._flips: dict[tuple[Perm, str], dict[BruhatPath, BruhatPath]] = {}
@@ -94,20 +97,11 @@ class TSetTable:
         return hit
 
     def word(self, path: BruhatPath) -> str:
-        """Ascent-descent word of a path under this table's order, cached."""
-        w = self._words.get(path)
-        if w is None:
-            rank = self.order.rank
-            ranks = [rank(t) for t in path.labels]
-            w = "".join(
-                "A" if ranks[i - 1] < ranks[i] else "D" for i in range(1, len(ranks))
-            )
-            self._words[path] = w
-        return w
+        """Ascent-descent word of a path under this table's order."""
+        return ad_word(path, self.order)
 
     def lex_key(self, path: BruhatPath) -> tuple[int, ...]:
-        rank = self.order.rank
-        return tuple(rank(t) for t in path.labels)
+        return rank_sequence(path, self.order)
 
     def t_set(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
         """T-set of the AD-word gamma on [w, sink], lex-sorted."""
@@ -121,14 +115,10 @@ class TSetTable:
             if self.word(path) != gamma:
                 continue
             if n > 0:
-                tail = path.tail()
-                x1 = path.vertices[1]
-                if tail not in self.members(x1, gamma[1:]):
+                if path.tail() not in self.members(path.vertices[1], gamma[1:]):
                     continue
-                if gamma[0] == "D":
-                    image = self.flip(x1, gamma[1:])[tail]
-                    if self.order.rank(path.labels[0]) > self.order.rank(image.labels[0]):
-                        continue  # spliced letter reads D, position factor is not +1
+                if position_factor(path, 1, gamma, self) != 1:
+                    continue
             out.append(path)
         result = tuple(out)
         self._tsets[key] = result
@@ -185,35 +175,34 @@ def flip_pairing(
 
 
 def position_factor(
-    path: BruhatPath, m: int, letter: str, table: TSetTable
+    path: BruhatPath, m: int, gamma: str, table: TSetTable
 ) -> int:
     """The factor in {-1, 0, +1} contributed by position m (1-based).
 
-    For letter A: 1 when the m-th word letter is A, else 0.  For letter D
-    the tail from x_m is flipped and the spliced letter alpha compared with
-    the original beta: (D, A) gives +1, (A, D) gives -1, anything else 0.
-    The flip is only defined when the tail lies in the suffix T-set; callers
-    evaluate right to left so that this holds whenever the factor matters.
+    gamma is the whole AD-word and beta the path's m-th word letter.  Where
+    gamma reads A the factor is 1 when beta is A, else 0.  Where gamma reads
+    D the tail from x_m is flipped within T_{gamma[m:]} and the letter alpha
+    read across the splice is compared with beta: (D, A) gives +1, (A, D)
+    gives -1, anything else 0.  Raises FlipUndefinedError when the tail lies
+    outside that T-set; callers evaluate right to left so that this cannot
+    happen unless a later factor was -1.
     """
     rank = table.order.rank
-    beta = "A" if rank(path.labels[m - 1]) < rank(path.labels[m]) else "D"
-    if letter == "A":
-        return 1 if beta == "A" else 0
-    tail = path.tail_from(m)
-    gamma_suffix = table.word(tail)
+    before = rank(path.labels[m - 1])
+    ascent = before < rank(path.labels[m])
+    if gamma[m - 1] == "A":
+        return 1 if ascent else 0
     x_m = path.vertices[m]
-    if tail not in table.members(x_m, gamma_suffix):
+    image = table.flip(x_m, gamma[m:]).get(path.tail_from(m))
+    if image is None:
         raise FlipUndefinedError(
-            x_m, gamma_suffix, table.sink,
+            x_m, gamma[m:], table.sink,
             reason="tail is outside the T-set the flip is defined on",
         )
-    image = table.flip(x_m, gamma_suffix)[tail]
-    alpha = "A" if rank(path.labels[m - 1]) < rank(image.labels[0]) else "D"
-    if beta == "D" and alpha == "A":
-        return 1
-    if beta == "A" and alpha == "D":
-        return -1
-    return 0
+    spliced_ascent = before < rank(image.labels[0])
+    if spliced_ascent == ascent:
+        return 0
+    return 1 if spliced_ascent else -1
 
 
 def path_contribution(path: BruhatPath, monomial: str, table: TSetTable) -> int:
@@ -228,33 +217,12 @@ def path_contribution(path: BruhatPath, monomial: str, table: TSetTable) -> int:
     n = len(gamma)
     if path.n != n:
         raise ValueError(f"path length {path.n} does not match degree {n}")
-    rank = table.order.rank
-    ranks = [rank(t) for t in path.labels]
     sign = 1
     for m in range(n, 0, -1):
-        beta = "A" if ranks[m - 1] < ranks[m] else "D"
-        if gamma[m - 1] == "A":
-            if beta != "A":
-                return 0
-            continue
-        suffix = gamma[m:]
-        tail = path.tail_from(m)
-        x_m = path.vertices[m]
-        if tail in table.members(x_m, suffix):
-            image = table.flip(x_m, suffix)[tail]
-            alpha = "A" if ranks[m - 1] < rank(image.labels[0]) else "D"
-            if beta == "D" and alpha == "A":
-                continue
-            if beta == "A" and alpha == "D":
-                sign = -sign
-                continue
+        factor = position_factor(path, m, gamma, table)
+        if not factor:
             return 0
-        # The tail fails the suffix membership even though no later factor
-        # was 0, so a later factor was -1 and this flip has no defined value.
-        raise FlipUndefinedError(
-            x_m, suffix, table.sink,
-            reason="a later -1 factor put the tail outside its suffix T-set",
-        )
+        sign *= factor
     return sign
 
 
@@ -304,26 +272,20 @@ def check_flip_condition(
     """Scan B_n(u, v) for a violation; None means the condition holds.
 
     A violation at position m needs the tail from x_m inside the suffix
-    T-set while the position-m factor is -1: original letter A, spliced
-    letter D.  Monomials whose AD-form has no D hold vacuously.
+    T-set while the position-m factor is -1.  Monomials whose AD-form has
+    no D hold vacuously.
     """
     gamma = ad_form(monomial)
     n = len(gamma)
     d_positions = [m for m in range(1, n + 1) if gamma[m - 1] == "D"]
     if not d_positions:
         return None
-    rank = table.order.rank
     try:
         for path in table.paths(iv.u, n):
-            ranks = [rank(t) for t in path.labels]
             for m in d_positions:
-                tail = path.tail_from(m)
-                if tail not in table.members(path.vertices[m], gamma[m:]):
+                if path.tail_from(m) not in table.members(path.vertices[m], gamma[m:]):
                     continue
-                if ranks[m - 1] > ranks[m]:
-                    continue  # original letter is D, factor is 0 or +1
-                image = table.flip(path.vertices[m], gamma[m:])[tail]
-                if ranks[m - 1] > rank(image.labels[0]):
+                if position_factor(path, m, gamma, table) == -1:
                     return FlipWitness(
                         kind="minus-one-at-m",
                         monomial=monomial,

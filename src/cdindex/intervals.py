@@ -16,7 +16,7 @@ in the active reflection order and D where they decrease.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .orders import ReflectionOrder
 from .perms import (
@@ -178,7 +178,10 @@ def enumerate_paths(iv: BruhatInterval, n: int) -> list[BruhatPath]:
 
 
 def rank_sequence(path: BruhatPath, order: ReflectionOrder) -> tuple[int, ...]:
-    """Label ranks of the path under the given order."""
+    """Label ranks of the path under the given order.
+
+    As a sort key this is the lexicographic order on paths.
+    """
     return tuple(order.rank(t) for t in path.labels)
 
 
@@ -192,25 +195,6 @@ def ad_word(path: BruhatPath, order: ReflectionOrder) -> str:
     return "".join(
         "A" if ranks[i - 1] < ranks[i] else "D" for i in range(1, len(ranks))
     )
-
-
-def lex_key(path: BruhatPath, order: ReflectionOrder) -> tuple[int, ...]:
-    """Sort key realizing the lexicographic order on label-rank sequences."""
-    return rank_sequence(path, order)
-
-
-def lex_compare(x: BruhatPath, y: BruhatPath, order: ReflectionOrder) -> int:
-    """-1, 0 or +1 comparing label-rank sequences lexicographically."""
-    kx, ky = lex_key(x, order), lex_key(y, order)
-    return (kx > ky) - (kx < ky)
-
-
-def restrict_first_reflection(
-    paths: Iterable[BruhatPath], t: Reflection, order: ReflectionOrder
-) -> list[BruhatPath]:
-    """Keep only paths whose first label is <= t in the given order."""
-    bound = order.rank(t)
-    return [p for p in paths if order.rank(p.labels[0]) <= bound]
 
 
 def label_string(path: BruhatPath, order: ReflectionOrder) -> str:

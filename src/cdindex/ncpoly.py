@@ -4,21 +4,21 @@ Exact integer polynomials in the noncommuting variables A, D and c, d.
 Monomials are plain strings over the alphabet {A, D} or {c, d}; the empty
 string is the constant monomial (printed and parsed as "1").  Grading gives
 A, D and c degree 1 and d degree 2.  Substituting c = A + D, d = AD + DA
-embeds the cd-polynomials into the AD-polynomials; the image is exactly the
-polynomials fixed by the bar involution that swaps A and D, and on that
-image the substitution is inverted by `ad_to_cd`.
+embeds the cd-polynomials into the AD-polynomials.  Every polynomial in
+the image is fixed by the bar involution that swaps A and D, but not
+conversely: AAA + DDD is fixed by bar and is not in the image.  On the
+image the substitution is inverted by `ad_to_cd`, which peels leading
+letters and raises NotInSubringError on anything else.
 
 The number of cd-monomials of degree n is the Fibonacci number F(n+1)
-(1, 1, 2, 3, 5, 8, ...), which sizes the linear systems the conversions
-solve.
+(1, 1, 2, 3, 5, 8, ...), the dimension of the image in degree n.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InconsistentExpansionError, NotDecomposableError, NotInSubringError
-from .linalg import solve_int_columns
 
 _BAR = str.maketrans("AD", "DA")
 
@@ -242,103 +242,81 @@ def bar(p: ADPolynomial) -> ADPolynomial:
 def ad_to_cd(p: ADPolynomial) -> CDPolynomial:
     """Inverse of expand_cd on its image, degree by degree.
 
-    Each homogeneous part is solved exactly as an integer linear system over
-    the cd-monomial basis of its degree; a nonzero residual raises
-    NotInSubringError.
+    Each homogeneous part is peeled from the front (see `_peel`); a part
+    outside the image raises NotInSubringError.
 
     >>> ad_to_cd(ADPolynomial({"A": 1, "D": 1}))
     c
     """
+    parts: dict[int, dict[str, int]] = {}
+    for w, c in p.items():
+        parts.setdefault(len(w), {})[w] = c
     result: dict[str, int] = {}
-    for n in sorted(p.degrees()):
-        part = p.homogeneous_part(n)
-        basis = cd_monomials(n)
-        columns = [dict(expand_cd(CDPolynomial({m: 1})).items()) for m in basis]
-        solution = solve_int_columns(columns, dict(part.items()))
-        if solution is None:
+    for n, terms in sorted(parts.items()):
+        cd = _peel(terms, n)
+        if cd is None:
             raise NotInSubringError(
-                f"degree-{n} part is not a polynomial in c and d: {part!r}"
+                f"degree-{n} part is not a polynomial in c and d: {ADPolynomial(terms)!r}"
             )
-        for m, coeff in zip(basis, solution):
-            if coeff:
-                result[m] = coeff
+        result.update(cd)
     return CDPolynomial(result)
 
 
-def _strip_last(p: ADPolynomial, letter: str) -> ADPolynomial:
-    """Sum of monomials of p ending in `letter`, with that letter removed."""
-    return ADPolynomial(
-        {w[:-1]: c for w, c in p.items() if w.endswith(letter)}
-    )
+def _sub(p: dict[str, int], q: dict[str, int]) -> dict[str, int]:
+    """p - q on word -> coefficient dicts, zero coefficients dropped."""
+    out = dict(p)
+    for w, c in q.items():
+        out[w] = out.get(w, 0) - c
+    return {w: c for w, c in out.items() if c}
 
 
-def _strip_first(p: ADPolynomial, letter: str) -> ADPolynomial:
-    return ADPolynomial(
-        {w[1:]: c for w, c in p.items() if w.startswith(letter)}
-    )
+def _front_split(diff: dict[str, int]) -> Optional[dict[str, int]]:
+    """Y with diff = D*Y - A*Y exactly, or None when diff has another shape."""
+    y = {w[1:]: c for w, c in diff.items() if w[:1] == "D"}
+    if len(diff) != 2 * len(y) or any(diff.get("A" + w) != -c for w, c in y.items()):
+        return None
+    return y
 
 
-def _append(p: ADPolynomial, word: str) -> ADPolynomial:
-    return ADPolynomial({w + word: c for w, c in p.items()})
+def _peel(terms: dict[str, int], n: int) -> Optional[dict[str, int]]:
+    """cd-coefficients of a degree-n AD part, or None outside the image.
 
-
-def _prepend(word: str, p: ADPolynomial) -> ADPolynomial:
-    return ADPolynomial({word + w: c for w, c in p.items()})
-
-
-def _recover_two_term(p: ADPolynomial) -> tuple[ADPolynomial, ADPolynomial]:
-    """Split p = F + G*D with F, G expansions of cd-polynomials.
-
-    G is recovered from p - bar(p) = G*(D - A); what remains must be
-    bar-invariant.  Returns the *expanded* (F, G); raises
-    InconsistentExpansionError if the split does not exist.
+    Writing the part as P = c*X + d*Y (X, Y expanded) gives
+    A^-1 P = X + D*Y and D^-1 P = X + A*Y, so A^-1 P - D^-1 P = (D - A)*Y
+    yields Y, then X = D^-1 P - A*Y; both recurse on lower degrees.  When
+    the split exists the reconstruction A*(X + D*Y) + D*(X + A*Y) is P
+    itself, so no further residue check is needed.
     """
-    diff = p - bar(p)
-    g = _strip_last(diff, "D")
-    if _strip_last(diff, "A") + g:  # the A-ending half must be exactly -G*A
-        raise InconsistentExpansionError("no two-term split: G*(D-A) shape fails")
-    f = p - _append(g, "D")
-    if f != bar(f):
-        raise InconsistentExpansionError("no two-term split: remainder not bar-invariant")
-    return f, g
-
-
-def _expanded_to_cd(p: ADPolynomial) -> CDPolynomial:
-    """Convert an expanded cd-polynomial back to c, d by peeling last letters.
-
-    Splitting the claimed expansion of Q*c + R*d by final letter gives
-    strip_A(p) = Q + R*D, a two-term shape from which R and Q are recovered;
-    recursion on their (strictly smaller) degrees finishes the job.  Used by
-    the D-power expansion, which needs a solver-free route.
-    """
-    if not p:
-        return CDPolynomial()
-    n = p.degree()
+    if not terms:
+        return {}
     if n == 0:
-        return CDPolynomial({"": p.coefficient("")})
-    u = _strip_last(p, "A")
-    f, g = _recover_two_term(u)
-    q_cd = _expanded_to_cd(f)
-    r_cd = _expanded_to_cd(g)
-    rebuilt = ADPolynomial()
-    for part, letters in ((f, ("A", "D")), (g, ("AD", "DA"))):
-        for suffix in letters:
-            rebuilt = rebuilt + _append(part, suffix)
-    if rebuilt != p:
-        raise InconsistentExpansionError("not the expansion of a cd-polynomial")
-    return CDPolynomial(
-        {m + "c": c for m, c in q_cd.items()}
-    ) + CDPolynomial({m + "d": c for m, c in r_cd.items()})
+        return dict(terms)
+    after_a: dict[str, int] = {}
+    after_d: dict[str, int] = {}
+    for w, c in terms.items():
+        (after_a if w[0] == "A" else after_d)[w[1:]] = c
+    y = _front_split(_sub(after_a, after_d))
+    if y is None:
+        return None
+    cx = _peel(_sub(after_d, {"A" + w: c for w, c in y.items()}), n - 1)
+    cy = _peel(y, n - 2)
+    if cx is None or cy is None:
+        return None
+    out = {"c" + m: c for m, c in cx.items()}
+    out.update({"d" + m: c for m, c in cy.items()})
+    return out
 
 
 def d_power_expansion(p: ADPolynomial, n: int) -> tuple[CDPolynomial, ...]:
     """Expansion p = f_n + f_{n-1} D + f_{n-2} D^2 + ... + f_0 D^n.
 
     p must be homogeneous of degree n.  The f_i are cd-polynomials of degree
-    i and the expansion, when it exists, is unique; each level is peeled off
-    with the two-term bar recovery.  Not every AD-polynomial admits one
-    (already in degree 3 the candidate monomials span a proper subspace), in
-    which case InconsistentExpansionError is raised.
+    i and the expansion, when it exists, is unique.  Only f_m contributes
+    words ending in A to the degree-m remainder; if those are u*A with
+    u = Q + R*D, then f_m = Q*c + R*d expands to u*A + bar(u)*D, which goes
+    through `ad_to_cd`.  Not every AD-polynomial admits an expansion
+    (already in degree 3 the candidate monomials span a proper subspace),
+    in which case InconsistentExpansionError is raised.
 
     >>> d_power_expansion(ADPolynomial({"D": 1}), 1)
     (0, 1)
@@ -346,48 +324,26 @@ def d_power_expansion(p: ADPolynomial, n: int) -> tuple[CDPolynomial, ...]:
     if p and (not p.is_homogeneous() or p.degree() != n):
         raise ValueError(f"polynomial is not homogeneous of degree {n}")
     fs: list[CDPolynomial] = []
-    rest = p
-    for m in range(n, -1, -1):
-        if not rest:
-            fs.append(CDPolynomial())
-            continue
-        if m == 0:
-            fs.append(CDPolynomial({"": rest.coefficient("")}))
-            rest = rest - ADPolynomial({"": rest.coefficient("")})
-            break
-        u = _strip_last(rest, "A")
-        f_exp, g_exp = _recover_two_term(u)
-        f_m_expanded = (
-            _append(f_exp, "A")
-            + _append(f_exp, "D")
-            + _append(g_exp, "AD")
-            + _append(g_exp, "DA")
-        )
-        fs.append(_expanded_to_cd(f_m_expanded))
-        rest = rest - f_m_expanded
-        if _strip_last(rest, "A"):
-            raise InconsistentExpansionError(
-                "no D-power expansion: residue has monomials not ending in D"
-            )
-        rest = _strip_last(rest, "D")
-    if rest:
-        raise InconsistentExpansionError("no D-power expansion: nonzero residue")
+    rest = dict(p.items())
+    for _ in range(n):
+        u = {w[:-1]: c for w, c in rest.items() if w[-1] == "A"}
+        level = {w + "A": c for w, c in u.items()}
+        level.update({w.translate(_BAR) + "D": c for w, c in u.items()})
+        try:
+            fs.append(ad_to_cd(ADPolynomial(level)))
+        except NotInSubringError as exc:
+            raise InconsistentExpansionError(f"no D-power expansion: {exc}") from exc
+        # the words ending in A cancel, so every word left ends in D
+        rest = {w[:-1]: c for w, c in _sub(rest, level).items()}
+    fs.append(CDPolynomial({"": rest.get("", 0)}))
     return tuple(fs)
-
-
-def assemble_d_power(fs: Iterable[CDPolynomial]) -> ADPolynomial:
-    """Inverse of d_power_expansion: sum of expand_cd(f_i) * D^k."""
-    acc = ADPolynomial()
-    for k, f in enumerate(fs):
-        acc = acc + _append(expand_cd(f), "D" * k)
-    return acc
 
 
 def decompose_left_a(p: ADPolynomial, n: int) -> tuple[CDPolynomial, CDPolynomial]:
     """Split p = f + A*g with f, g cd-polynomials of degrees n, n-1.
 
-    g is recovered from p - bar(p) = A*g' - D*g' by stripping first letters;
-    both halves then go through the exact cd conversion.  Raises
+    Both f and g are bar-invariant, so bar(p) - p = (D - A)*g recovers g;
+    f = p - A*g and g then go through the exact cd conversion.  Raises
     NotDecomposableError when no such split exists; when it exists it is
     unique.
 
@@ -396,20 +352,14 @@ def decompose_left_a(p: ADPolynomial, n: int) -> tuple[CDPolynomial, CDPolynomia
     """
     if p and (not p.is_homogeneous() or p.degree() != n):
         raise ValueError(f"polynomial is not homogeneous of degree {n}")
-    diff = p - bar(p)
-    g_exp = _strip_first(diff, "A")
-    if _strip_first(diff, "D") + g_exp:  # D-starting half must be exactly -g
+    terms = dict(p.items())
+    g_terms = _front_split(_sub(dict(bar(p).items()), terms))
+    if g_terms is None:
         raise NotDecomposableError("no f + A*g split: A*g - D*g shape fails")
-    f_exp = p - _prepend("A", g_exp)
+    f_terms = _sub(terms, {"A" + w: c for w, c in g_terms.items()})
     try:
-        f = ad_to_cd(f_exp) if f_exp else CDPolynomial()
-        g = ad_to_cd(g_exp) if g_exp else CDPolynomial()
+        f = ad_to_cd(ADPolynomial(f_terms)) if f_terms else CDPolynomial()
+        g = ad_to_cd(ADPolynomial(g_terms)) if g_terms else CDPolynomial()
     except NotInSubringError as exc:
         raise NotDecomposableError(f"no f + A*g split: {exc}") from exc
     return f, g
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -169,9 +169,3 @@ def _close_subgroup(a: Perm, b: Perm) -> set[Perm]:
                     nxt.append(y)
         frontier = nxt
     return elems
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -172,9 +172,3 @@ def edge_reflection(x: Perm, y: Perm) -> Optional[Reflection]:
     if length(x) >= length(y):
         return None
     return as_reflection(compose(inverse(x), y))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

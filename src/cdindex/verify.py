@@ -41,16 +41,7 @@ from .flips import (
 from .intervals import BruhatInterval, build_interval
 from .ncpoly import CDPolynomial, ad_form, cd_degree, cd_monomials
 from .orders import ReflectionOrder
-from .perms import (
-    Perm,
-    Reflection,
-    all_reflections,
-    bruhat_leq,
-    compose,
-    format_perm,
-    length,
-    reflection_perm,
-)
+from .perms import Perm, Reflection, bruhat_leq, format_perm, length
 
 
 @dataclass(frozen=True)
@@ -180,16 +171,6 @@ def check_restricted_counts(
     return RestrictedCountReport(
         iv.u, iv.v, monomial, t, t_restricted, tbar_restricted, coeff_f, coeff_f_plus_cg
     )
-
-
-def edge_reflections_below(u: Perm) -> list[Reflection]:
-    """Reflections t with u*t shorter than u, i.e. t = z^{-1} u for some z -> u."""
-    n = len(u)
-    out = []
-    for t in all_reflections(n):
-        if length(compose(u, reflection_perm(t, n))) < length(u):
-            out.append(t)
-    return out
 
 
 def iter_intervals(n: int, max_length: int | None = None) -> Iterator[tuple[Perm, Perm]]:

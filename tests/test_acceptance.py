@@ -13,7 +13,6 @@ import time
 import pytest
 
 from cdindex.complete import (
-    check_decomposition,
     complete_cd_index,
     degree_range,
     flag_cd_index,
@@ -26,10 +25,12 @@ from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import bruhat_leq, length, parse_perm
 from cdindex.verify import (
     check_restricted_counts,
-    edge_reflections_below,
     iter_intervals,
     verify_coefficient,
 )
+
+from .test_complete import check_decomposition
+from .test_verify import edge_reflections_below
 
 S4_WORD_ORDER = [1, 2, 1, 3, 2, 1]
 

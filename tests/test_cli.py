@@ -1,7 +1,7 @@
 import json
 
 from cdindex import cli
-from cdindex.errors import FlipUndefinedError
+from cdindex.errors import FlipUndefinedError, NotDecomposableError
 from cdindex.flips import TSetTable
 
 
@@ -56,6 +56,9 @@ def test_order_flag_variants(capsys):
         assert json.loads(out)["cd_index"]["2"] == {"cc": 2, "d": 1}
     code, _, err = run(capsys, "compute", "2134", "4321", "--order", "bogus")
     assert code == cli.EXIT_USER
+    # scan resolves the order before its sweep, even an empty one
+    code, out, _ = run(capsys, "scan", "--n", "4", "--max-length", "0", "--order", "bogus")
+    assert code == cli.EXIT_USER and out == ""
 
 
 def test_tset_outputs_paper_sets(capsys):
@@ -95,6 +98,16 @@ def test_tset_flip_undefined_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "tset", "2134", "4321", "d")
     assert code == cli.EXIT_FLIP_UNDEFINED
     assert "flip undefined" in err
+
+
+def test_other_package_errors_exit_internal(capsys, monkeypatch):
+    def boom(iv, order):
+        raise NotDecomposableError("no f + A*g split")
+
+    monkeypatch.setattr(cli, "complete_cd_index", boom)
+    code, _, err = run(capsys, "compute", "2134", "4321")
+    assert code == cli.EXIT_INTERNAL
+    assert "no f + A*g split" in err
 
 
 def test_dot_output_and_determinism(capsys, tmp_path):

@@ -2,7 +2,6 @@ import pytest
 
 from cdindex.complete import (
     ad_polynomials,
-    check_decomposition,
     complete_cd_index,
     degree_range,
     flag_cd_index,
@@ -11,7 +10,7 @@ from cdindex.complete import (
 )
 from cdindex.flips import sum_contributions
 from cdindex.intervals import build_interval, enumerate_paths
-from cdindex.ncpoly import CDPolynomial, ad_to_cd, bar, expand_cd
+from cdindex.ncpoly import ADPolynomial, CDPolynomial, ad_to_cd, bar, expand_cd
 from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import Reflection, identity, parse_perm
 
@@ -19,6 +18,16 @@ from cdindex.perms import Reflection, identity, parse_perm
 # (path sum + exact solve, and the flag-vector chain-count oracle)
 EXAMPLE_DEGREE_2 = {"cc": 2, "d": 1}
 EXAMPLE_DEGREE_4 = {"cccc": 1, "ccd": 1, "cdc": 2, "dcc": 1, "dd": 1}
+
+
+def check_decomposition(iv, decomposition, order):
+    """Recombine f + A*g per degree and compare with the restricted sum."""
+    a = ADPolynomial({"A": 1})
+    for n, (f, g) in decomposition.by_degree.items():
+        p = restricted_ad_polynomial(iv, n, decomposition.t, order)
+        if expand_cd(f) + a * expand_cd(g) != p:
+            return False
+    return True
 
 
 def test_cover_interval_index_is_one():

@@ -127,11 +127,16 @@ def test_position_factor_basics(example_table, s4_lex):
     u = parse_perm("2134")
     by_name = {label_string(p, s4_lex): p for p in example_table.paths(u, 4)}
     # ascending path at an A-letter
-    assert position_factor(by_name["23456"], 1, "A", example_table) == 1
+    assert position_factor(by_name["23456"], 1, "AAAA", example_table) == 1
+    # a descent at an A-letter
+    assert position_factor(by_name["63416"], 1, "AAAA", example_table) == 0
     # 63416: flipping the tail at position 3 keeps the +1 factor
-    assert position_factor(by_name["63416"], 3, "D", example_table) == 1
+    assert position_factor(by_name["63416"], 3, "DADA", example_table) == 1
     # 62646: the spliced letter fails, factor 0
-    assert position_factor(by_name["62646"], 3, "D", example_table) == 0
+    assert position_factor(by_name["62646"], 3, "DADA", example_table) == 0
+    # 23464: the tail 64 from position 3 reads D, outside T_A, so no flip
+    with pytest.raises(FlipUndefinedError):
+        position_factor(by_name["23464"], 3, "DADA", example_table)
 
 
 def test_path_length_mismatch_is_rejected(example_table):

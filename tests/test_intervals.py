@@ -6,10 +6,8 @@ from cdindex.intervals import (
     enumerate_paths,
     export_dot,
     label_string,
-    lex_compare,
     path_json,
     rank_sequence,
-    restrict_first_reflection,
 )
 from cdindex.orders import lex_order
 from cdindex.perms import (
@@ -145,17 +143,13 @@ def test_lex_compare(example_interval, s4_lex):
     by_labels = {
         label_string(p, s4_lex): p for p in enumerate_paths(example_interval, 2)
     }
-    assert lex_compare(by_labels["235"], by_labels["235"], s4_lex) == 0
-    assert lex_compare(by_labels["235"], by_labels["346"], s4_lex) == -1
-    assert lex_compare(by_labels["436"], by_labels["462"], s4_lex) == -1
 
+    def key(name):
+        return rank_sequence(by_labels[name], s4_lex)
 
-def test_restrict_first_reflection(example_interval, s4_lex):
-    paths = enumerate_paths(example_interval, 2)
-    assert restrict_first_reflection(paths, Reflection(3, 4), s4_lex) == paths
-    low = restrict_first_reflection(paths, Reflection(1, 2), s4_lex)
-    assert low == [p for p in paths if s4_lex.rank(p.labels[0]) == 1]
-    assert restrict_first_reflection([], Reflection(1, 2), s4_lex) == []
+    assert key("235") == key("235")
+    assert key("235") < key("346")
+    assert key("436") < key("462")
 
 
 def test_export_dot_trivia(s4_lex):

@@ -9,7 +9,6 @@ from cdindex.ncpoly import (
     ad_form,
     ad_monomials,
     ad_to_cd,
-    assemble_d_power,
     bar,
     cd_degree,
     cd_monomials,
@@ -25,6 +24,14 @@ from .oracles import (
     solve_d_power_expansion,
     solve_decompose_left_a,
 )
+
+
+def assemble_d_power(fs):
+    """Inverse of d_power_expansion: sum of expand_cd(f_i) * D^k."""
+    acc = ADPolynomial()
+    for k, f in enumerate(fs):
+        acc = acc + ADPolynomial({w + "D" * k: c for w, c in expand_cd(f).items()})
+    return acc
 
 
 def cd_polys(max_degree=6, max_coeff=9):
@@ -72,8 +79,9 @@ def test_bar_is_an_involution_and_fixes_cd_expansions():
 
 def test_ad_to_cd_examples():
     assert ad_to_cd(ADPolynomial({"A": 1, "D": 1})) == CDPolynomial({"c": 1})
-    with pytest.raises(NotInSubringError):
-        ad_to_cd(ADPolynomial({"A": 1}))
+    for outside in ({"A": 1}, {"AAA": 1, "DDD": 1}):  # the second is bar-invariant
+        with pytest.raises(NotInSubringError):
+            ad_to_cd(ADPolynomial(outside))
     # degree-2 word counts of the running example: 2, 3, 3, 2
     phi2 = ADPolynomial({"AA": 2, "AD": 3, "DA": 3, "DD": 2})
     assert ad_to_cd(phi2) == CDPolynomial({"cc": 2, "d": 1})
@@ -86,12 +94,20 @@ def test_ad_to_cd_inverts_expand_cd(poly):
     assert ad_to_cd(expand_cd(p)) == p
 
 
-@given(cd_polys(max_degree=5))
-@settings(max_examples=40)
-def test_ad_to_cd_agrees_with_solver_oracle(poly):
+@given(cd_polys(max_degree=5), st.booleans(), st.data())
+@settings(max_examples=60)
+def test_ad_to_cd_agrees_with_solver_oracle(poly, perturb, data):
     n, p = poly
-    expanded = expand_cd(p)
-    assert solve_ad_to_cd(dict(expanded.items()), n) == dict(p.items())
+    terms = dict(expand_cd(p).items())
+    if perturb:
+        word = data.draw(st.sampled_from(ad_monomials(n)))
+        terms[word] = terms.get(word, 0) + data.draw(st.sampled_from([-2, -1, 1, 2]))
+    oracle = solve_ad_to_cd(terms, n)
+    if oracle is None:
+        with pytest.raises(NotInSubringError):
+            ad_to_cd(ADPolynomial(terms))
+    else:
+        assert dict(ad_to_cd(ADPolynomial(terms)).items()) == oracle
 
 
 def test_d_power_expansion_fixed_cases():

@@ -5,14 +5,30 @@ from cdindex.flips import TSetTable, check_strong_flip_condition
 from cdindex.intervals import build_interval
 from cdindex.ncpoly import cd_monomials
 from cdindex.orders import lex_order
-from cdindex.perms import Reflection, all_reflections, length, parse_perm
+from cdindex.perms import (
+    Reflection,
+    all_reflections,
+    compose,
+    length,
+    parse_perm,
+    reflection_perm,
+)
 from cdindex.verify import (
     check_restricted_counts,
-    edge_reflections_below,
     iter_intervals,
     scan_interval,
     verify_coefficient,
 )
+
+
+def edge_reflections_below(u):
+    """Reflections t with u*t shorter than u, i.e. t = z^{-1} u for some z -> u."""
+    n = len(u)
+    return [
+        t
+        for t in all_reflections(n)
+        if length(compose(u, reflection_perm(t, n))) < length(u)
+    ]
 
 
 def test_verify_coefficient_on_paper_values(example_interval, example_table):
