@@ -10,10 +10,12 @@ the shorter interval [x_m, v], so the whole construction is recursive in
 (interval length, monomial degree) and is memoized here per sink vertex.
 
 The flip on a sub-problem pairs T with its reverse-order counterpart T-bar
-by lexicographic position: both lists sorted by label ranks under the
-primal order, i-th matched with i-th.  The two sets are conjectured always
-to have equal size; a mismatch raises FlipUndefinedError and is surfaced,
-never patched.
+by lexicographic position under the primal order.  Lex order on the
+equal-length rank sequences runs backwards under the reversed order, and
+a path is fixed by its source and labels, so the reverse-order table reads
+the primal's paths in reverse, and T-bar in primal lex order is its T-set
+reversed.  |T| = |T-bar| is conjectured; a mismatch raises
+FlipUndefinedError and is surfaced, never patched.
 
 `position_factor` is the one definition of the per-position factor
 (+1, 0 or -1): the T-set splice test, `path_contribution` (the product of
@@ -36,11 +38,10 @@ from .intervals import (
     build_interval,
     iter_paths,
     label_string,
-    rank_sequence,
 )
 from .ncpoly import ad_form, cd_degree
 from .orders import ReflectionOrder
-from .perms import Perm, format_perm, identity, length
+from .perms import Perm, format_perm, identity
 
 
 class TSetTable:
@@ -53,8 +54,9 @@ class TSetTable:
     - ``t_set(w, gamma)``: the T-set for the AD-word ``gamma``;
     - ``flip(w, gamma)``: the pairing dict T -> T-bar.
 
-    ``reversed_table()`` returns the twin table under the reversed order
-    (sharing nothing but the cone); T-bar sets are the twin's T-sets.
+    ``reversed_table()`` returns the twin table under the reversed order;
+    T-bar sets are the twin's T-sets.  The twin enumerates nothing: its
+    ``paths(w, n)`` is this table's tuple reversed, same path objects.
     Evaluation is demand-driven recursion over strictly smaller
     sub-problems, so preconditions on sub-interval flips hold by
     construction.  After a call completes, all entries it touched are
@@ -74,10 +76,7 @@ class TSetTable:
             }
             self._twin = TSetTable(sink, order.reversed(), _twin=self)
         else:
-            self._adjacency = {
-                x: tuple(sorted(out, key=lambda ty: order.rank(ty[0])))
-                for x, out in _twin._adjacency.items()
-            }
+            self._adjacency = None
             self._twin = _twin
         self._paths: dict[tuple[Perm, int], tuple[BruhatPath, ...]] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
@@ -92,16 +91,16 @@ class TSetTable:
         key = (w, n)
         hit = self._paths.get(key)
         if hit is None:
-            hit = tuple(iter_paths(self._adjacency, w, self.sink, n))
+            if self._adjacency is None:
+                hit = self._twin.paths(w, n)[::-1]
+            else:
+                hit = tuple(iter_paths(self._adjacency, w, self.sink, n))
             self._paths[key] = hit
         return hit
 
     def word(self, path: BruhatPath) -> str:
         """Ascent-descent word of a path under this table's order."""
         return ad_word(path, self.order)
-
-    def lex_key(self, path: BruhatPath) -> tuple[int, ...]:
-        return rank_sequence(path, self.order)
 
     def t_set(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
         """T-set of the AD-word gamma on [w, sink], lex-sorted."""
@@ -139,8 +138,9 @@ class TSetTable:
     def flip(self, w: Perm, gamma: str) -> dict[BruhatPath, BruhatPath]:
         """Lex-preserving pairing T -> T-bar on [w, sink] for gamma.
 
-        Both sides are sorted by label ranks under *this* table's order and
-        matched positionally.  Raises FlipUndefinedError on a size mismatch.
+        T is sorted by label ranks under this table's order and T-bar under
+        the reversed one, so T is matched positionally with T-bar reversed.
+        Raises FlipUndefinedError on a size mismatch.
         """
         key = (w, gamma)
         hit = self._flips.get(key)
@@ -150,7 +150,7 @@ class TSetTable:
         tbar = self._twin.t_set(w, gamma)
         if len(t) != len(tbar):
             raise FlipUndefinedError(w, gamma, self.sink, len(t), len(tbar))
-        mapping = dict(zip(t, sorted(tbar, key=self.lex_key)))
+        mapping = dict(zip(t, reversed(tbar)))
         self._flips[key] = mapping
         return mapping
 

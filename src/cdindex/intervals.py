@@ -16,7 +16,7 @@ in the active reflection order and D where they decrease.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator
 
 from .orders import ReflectionOrder
 from .perms import (
@@ -126,13 +126,11 @@ def iter_paths(
     u: Perm,
     v: Perm,
     n: int,
-    letter_filter: Optional[Callable[[int, Reflection, Reflection], bool]] = None,
 ) -> Iterator[BruhatPath]:
     """Depth-first enumeration of the length-n paths u -> v.
 
     Paths come out in lexicographic order of their label sequences provided
-    the adjacency lists are sorted.  `letter_filter(i, prev, cur)` may prune
-    on the i-th consecutive label pair (1-based), before recursing.
+    the adjacency lists are sorted.
 
     Each edge raises the Coxeter length by an odd amount, so a vertex at
     length distance d from v with e edges still to place is dead unless
@@ -146,8 +144,7 @@ def iter_paths(
 
     def rec() -> Iterator[BruhatPath]:
         x = verts[-1]
-        placed = len(labs)
-        remaining = edges_total - placed
+        remaining = edges_total - len(labs)
         d = target_len - length(x)
         if remaining == 0:
             if x == v:
@@ -156,9 +153,6 @@ def iter_paths(
         if d < remaining or (d - remaining) % 2 != 0:
             return
         for t, y in adjacency.get(x, ()):
-            if labs and letter_filter is not None:
-                if not letter_filter(placed, labs[-1], t):
-                    continue
             verts.append(y)
             labs.append(t)
             yield from rec()

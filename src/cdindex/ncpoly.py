@@ -191,16 +191,6 @@ def cd_monomials(n: int) -> list[str]:
     return sorted(out)
 
 
-def ad_monomials(n: int) -> list[str]:
-    """All 2^n AD-words of length n, lexicographically."""
-    if n < 0:
-        return []
-    words = [""]
-    for _ in range(n):
-        words = [w + ch for w in words for ch in "AD"]
-    return sorted(words)
-
-
 def ad_form(monomial: str) -> str:
     """AD-word of a cd-monomial under c -> A, d -> DA.
 

@@ -46,6 +46,9 @@ class ReflectionOrder:
     _rank: dict[Reflection, int] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _reversed: Optional["ReflectionOrder"] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         expected = set(all_reflections(self.n))
@@ -61,7 +64,12 @@ class ReflectionOrder:
         return self._rank[t]
 
     def reversed(self) -> "ReflectionOrder":
-        return ReflectionOrder(self.n, tuple(reversed(self.sequence)))
+        """The reverse order, built and validated once; its reverse is self."""
+        if self._reversed is None:
+            rev = ReflectionOrder(self.n, tuple(reversed(self.sequence)))
+            object.__setattr__(rev, "_reversed", self)
+            object.__setattr__(self, "_reversed", rev)
+        return self._reversed
 
     def __str__(self):
         return " < ".join(str(t) for t in self.sequence)

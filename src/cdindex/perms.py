@@ -17,6 +17,7 @@ Bruhat graph from x to y carries the label t = x^{-1} y.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple, Optional, Sequence
 
@@ -93,6 +94,7 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
+@functools.cache
 def length(p: Perm) -> int:
     """Coxeter length = number of inversion pairs i < j with p(i) > p(j).
 

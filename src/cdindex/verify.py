@@ -167,7 +167,8 @@ def check_restricted_counts(
     )
     f, g = decomposition.by_degree.get(n, (CDPolynomial(), CDPolynomial()))
     coeff_f = f.coefficient(monomial)
-    coeff_f_plus_cg = coeff_f + (CDPolynomial({"c": 1}) * g).coefficient(monomial)
+    coeff_cg = g.coefficient(monomial[1:]) if monomial.startswith("c") else 0
+    coeff_f_plus_cg = coeff_f + coeff_cg
     return RestrictedCountReport(
         iv.u, iv.v, monomial, t, t_restricted, tbar_restricted, coeff_f, coeff_f_plus_cg
     )

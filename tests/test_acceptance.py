@@ -19,7 +19,13 @@ from cdindex.complete import (
     shelling_decomposition,
 )
 from cdindex.flips import TSetTable, check_flip_condition
-from cdindex.intervals import BruhatPath, build_interval, iter_paths, label_string
+from cdindex.intervals import (
+    BruhatPath,
+    ad_word,
+    build_interval,
+    iter_paths,
+    label_string,
+)
 from cdindex.ncpoly import cd_monomials
 from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import bruhat_leq, length, parse_perm
@@ -70,11 +76,10 @@ def s5_comparable_pairs():
 
 
 def monotone_paths(iv, n, order, ascending):
-    if ascending:
-        filt = lambda i, prev, cur: order.rank(prev) < order.rank(cur)
-    else:
-        filt = lambda i, prev, cur: order.rank(prev) > order.rank(cur)
-    return list(iter_paths(iv.adjacency, iv.u, iv.v, n, letter_filter=filt))
+    word = ("A" if ascending else "D") * n
+    return [
+        p for p in iter_paths(iv.adjacency, iv.u, iv.v, n) if ad_word(p, order) == word
+    ]
 
 
 def matching_monomials(iv, max_degree):

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
+import cdindex.flips
 from cdindex.errors import FlipUndefinedError
 from cdindex.flips import (
+    TSetTable,
     check_flip_condition,
     check_strong_flip_condition,
     compute_t_bar_set,
@@ -10,13 +14,36 @@ from cdindex.flips import (
     path_contribution,
     position_factor,
 )
-from cdindex.intervals import BruhatPath, label_string
+from cdindex.intervals import BruhatPath, build_interval, label_string, rank_sequence
 from cdindex.ncpoly import ad_form, cd_monomials
-from cdindex.perms import parse_perm
+from cdindex.orders import lex_order, order_from_reduced_word
+from cdindex.perms import identity, length, parse_perm
 
 
 def names(paths, order):
     return sorted(label_string(p, order) for p in paths)
+
+
+def sorted_pairing(t, tbar, order):
+    """The pairing by sorting T-bar lexicographically under the primal order."""
+    return dict(zip(t, sorted(tbar, key=lambda p: rank_sequence(p, order))))
+
+
+S4_ORDERS = [lex_order(4), order_from_reduced_word(4, [1, 2, 1, 3, 2, 1])]
+
+
+def s4_sinks():
+    return [tuple(p) for p in itertools.permutations((1, 2, 3, 4))]
+
+
+def cone_problems(sink):
+    """Every (w, n) with w <= sink and a path length n that can reach it."""
+    cone = build_interval(identity(len(sink)), sink)
+    return [
+        (w, n)
+        for w in sorted(cone.elements)
+        for n in range(length(sink) - length(w))
+    ]
 
 
 def test_t_sets_of_the_running_example(example_table, s4_lex):
@@ -92,8 +119,6 @@ def test_t_bar_equals_t_under_reversed_order(example_table):
 
 
 def test_t_bar_matches_a_freshly_built_reverse_table(example_table, s4_lex):
-    from cdindex.flips import TSetTable
-
     fresh = TSetTable(parse_perm("4321"), s4_lex.reversed())
     u = parse_perm("2134")
     for monomial in ("cc", "d", "dd", "ccd", "cdc", "dcc", "cccc"):
@@ -101,11 +126,68 @@ def test_t_bar_matches_a_freshly_built_reverse_table(example_table, s4_lex):
         assert example_table.t_bar_set(u, gamma) == fresh.t_set(u, gamma)
 
 
+@pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
+def test_twin_paths_match_a_fresh_reverse_order_enumeration(order):
+    rev = order.reversed()
+    for sink in s4_sinks():
+        table = TSetTable(sink, order)
+        twin = table.reversed_table()
+        fresh = TSetTable(sink, rev)
+        for w, n in cone_problems(sink):
+            shared = twin.paths(w, n)
+            assert shared == fresh.paths(w, n), (sink, w, n)
+            primal = table.paths(w, n)
+            assert len(shared) == len(primal)
+            assert all(a is b for a, b in zip(shared, reversed(primal)))
+
+
+def test_twin_enumerates_no_paths(monkeypatch, s4_lex):
+    sink = parse_perm("4321")
+    table = TSetTable(sink, s4_lex)
+    problems = cone_problems(sink)
+    for w, n in problems:
+        table.paths(w, n)
+    calls = []
+    real = cdindex.flips.iter_paths
+    monkeypatch.setattr(
+        cdindex.flips, "iter_paths", lambda *a: calls.append(a) or real(*a)
+    )
+    twin = table.reversed_table()
+    for w, n in problems:
+        twin.paths(w, n)
+        for monomial in cd_monomials(n):
+            twin.t_set(w, ad_form(monomial))
+            twin.flip(w, ad_form(monomial))
+    assert calls == []
+
+
+@pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
+def test_flip_equals_the_sorted_pairing(order):
+    """flip pairs T with T-bar reversed; the oracle sorts an independently
+    enumerated T-bar by the primal label ranks instead."""
+    rev = order.reversed()
+    checked = 0
+    for sink in s4_sinks():
+        table = TSetTable(sink, order)
+        fresh = TSetTable(sink, rev)
+        for w, n in cone_problems(sink):
+            if n > 4:
+                continue
+            for monomial in cd_monomials(n):
+                gamma = ad_form(monomial)
+                expected = sorted_pairing(
+                    table.t_set(w, gamma), fresh.t_set(w, gamma), order
+                )
+                assert table.flip(w, gamma) == expected, (sink, w, monomial)
+                checked += bool(expected)
+    assert checked > 100
+
+
 def test_t_sets_are_sorted_lexicographically(example_table):
     u = parse_perm("2134")
     for monomial in ("cc", "dd", "cdc", "ccd"):
         paths = compute_t_set(example_table, u, monomial)
-        keys = [example_table.lex_key(p) for p in paths]
+        keys = [rank_sequence(p, example_table.order) for p in paths]
         assert keys == sorted(keys)
 
 

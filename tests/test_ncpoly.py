@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from cdindex.ncpoly import (
     ADPolynomial,
     CDPolynomial,
     ad_form,
-    ad_monomials,
     ad_to_cd,
     bar,
     cd_degree,
@@ -32,6 +33,11 @@ def assemble_d_power(fs):
     for k, f in enumerate(fs):
         acc = acc + ADPolynomial({w + "D" * k: c for w, c in expand_cd(f).items()})
     return acc
+
+
+def ad_monomials(n):
+    """All 2^n AD-words of length n, lexicographically."""
+    return ["".join(w) for w in itertools.product("AD", repeat=n)]
 
 
 def cd_polys(max_degree=6, max_coeff=9):

@@ -3,7 +3,7 @@ import json
 from cdindex.complete import complete_cd_index, degree_range, shelling_decomposition
 from cdindex.flips import TSetTable, check_strong_flip_condition
 from cdindex.intervals import build_interval
-from cdindex.ncpoly import cd_monomials
+from cdindex.ncpoly import CDPolynomial, cd_monomials
 from cdindex.orders import lex_order
 from cdindex.perms import (
     Reflection,
@@ -68,6 +68,21 @@ def test_restricted_counts_for_d_at_every_t(example_interval, example_table):
         dec = shelling_decomposition(example_interval, t, order)
         rep = check_restricted_counts(example_interval, "d", t, example_table, dec)
         assert rep.consistent, rep.to_json()
+
+
+def test_restricted_counts_read_c_times_g_off_g(example_interval, example_table):
+    """coeff_f_plus_cg matches f + c*g multiplied out as polynomials."""
+    order = example_table.order
+    for t in order.sequence:
+        dec = shelling_decomposition(example_interval, t, order)
+        for n in degree_range(example_interval):
+            f, g = dec.by_degree.get(n, (CDPolynomial(), CDPolynomial()))
+            for monomial in cd_monomials(n):
+                rep = check_restricted_counts(
+                    example_interval, monomial, t, example_table, dec
+                )
+                product = f + CDPolynomial({"c": 1}) * g
+                assert rep.coeff_f_plus_cg == product.coefficient(monomial)
 
 
 def test_edge_reflections_below():
