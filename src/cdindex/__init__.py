@@ -7,6 +7,7 @@ from .complete import (
     ShellingDecomposition,
     ad_polynomials,
     complete_cd_index,
+    first_label_sums,
     flag_cd_index,
     restricted_ad_polynomial,
     shelling_decomposition,

@@ -9,7 +9,8 @@ this package treats as a tested invariant rather than an assumption.
 
 Restricting the sum to paths whose first reflection is at most t yields a
 polynomial of the form f + A*g with f, g in c, d; the pair (f, g) per
-degree is the shelling decomposition at t.
+degree is the shelling decomposition at t.  One `first_label_sums` pass per
+degree gives the full sum and the restricted sum at every t as bucket sums.
 
 `flag_cd_index` is an independent oracle: it computes the classical
 cd-index of [u, v] as a graded poset from chain counts (flag f-vector ->
@@ -45,18 +46,26 @@ def degree_range(iv: BruhatInterval) -> list[int]:
     return list(range(L - 1, -1, -2))
 
 
+def first_label_sums(
+    iv: BruhatInterval, n: int, order: ReflectionOrder
+) -> dict[int, ADPolynomial]:
+    """Word sums of the length-n paths u -> v, keyed by ascending first-label rank."""
+    buckets: dict[int, dict[str, int]] = {}
+    for path in iter_paths(iv.adjacency, iv.u, iv.v, n):
+        acc = buckets.setdefault(order.rank(path.labels[0]), {})
+        w = ad_word(path, order)
+        acc[w] = acc.get(w, 0) + 1
+    return {r: ADPolynomial(buckets[r]) for r in sorted(buckets)}
+
+
 def ad_polynomials(
     iv: BruhatInterval, order: ReflectionOrder
 ) -> dict[int, ADPolynomial]:
     """Sum of ascent-descent words over all paths u -> v, graded by length."""
-    out: dict[int, ADPolynomial] = {}
-    for n in degree_range(iv):
-        acc: dict[str, int] = {}
-        for path in iter_paths(iv.adjacency, iv.u, iv.v, n):
-            w = ad_word(path, order)
-            acc[w] = acc.get(w, 0) + 1
-        out[n] = ADPolynomial(acc)
-    return out
+    return {
+        n: sum(first_label_sums(iv, n, order).values(), ADPolynomial())
+        for n in degree_range(iv)
+    }
 
 
 @dataclass(frozen=True)
@@ -103,17 +112,9 @@ def complete_cd_index(
     return CompleteCdIndex(iv.u, iv.v, parts)
 
 
-def restricted_ad_polynomial(
-    iv: BruhatInterval, n: int, t: Reflection, order: ReflectionOrder
-) -> ADPolynomial:
-    """Sum of words over length-n paths whose first reflection is <= t."""
-    bound = order.rank(t)
-    acc: dict[str, int] = {}
-    for path in iter_paths(iv.adjacency, iv.u, iv.v, n):
-        if order.rank(path.labels[0]) <= bound:
-            w = ad_word(path, order)
-            acc[w] = acc.get(w, 0) + 1
-    return ADPolynomial(acc)
+def restricted_ad_polynomial(sums: dict[int, ADPolynomial], bound: int) -> ADPolynomial:
+    """Sum of one degree's `first_label_sums` over the first-label ranks <= bound."""
+    return sum((p for r, p in sums.items() if r <= bound), ADPolynomial())
 
 
 @dataclass(frozen=True)
@@ -131,18 +132,25 @@ class ShellingDecomposition:
 
 
 def shelling_decomposition(
-    iv: BruhatInterval, t: Reflection, order: ReflectionOrder
-) -> ShellingDecomposition:
-    """Decompose the restricted word sum as f_n + A*g_{n-1} in every degree.
+    iv: BruhatInterval, order: ReflectionOrder
+) -> dict[Reflection, ShellingDecomposition]:
+    """Split the restricted word sum as f_n + A*g_{n-1}, at every t, in every degree.
 
+    One `first_label_sums` pass per degree; the split is recomputed only at
+    a t whose rank some path starts with, and is (0, 0) below the first.
     Existence of the split is guaranteed for these restricted sums; failure
     raises NotDecomposableError and means a bug, not bad input.
     """
-    parts = {}
+    parts: dict[Reflection, dict] = {t: {} for t in order.sequence}
     for n in degree_range(iv):
-        p = restricted_ad_polynomial(iv, n, t, order)
-        parts[n] = decompose_left_a(p, n)
-    return ShellingDecomposition(t, parts)
+        sums = first_label_sums(iv, n, order)
+        split = (CDPolynomial(), CDPolynomial())
+        for t in order.sequence:
+            r = order.rank(t)
+            if r in sums:
+                split = decompose_left_a(restricted_ad_polynomial(sums, r), n)
+            parts[t][n] = split
+    return {t: ShellingDecomposition(t, by_degree) for t, by_degree in parts.items()}
 
 
 def flag_cd_index(iv: BruhatInterval) -> CDPolynomial:

@@ -82,9 +82,9 @@ class BruhatInterval:
 def build_interval(u: Perm, v: Perm) -> BruhatInterval:
     """Build the interval [u, v]; raises ValueError unless u <= v.
 
-    Vertices are found by filtering the reachable up-set of u against v via
-    the Bruhat comparison; edges are recomputed per vertex pair by right
-    multiplication with each reflection.
+    One breadth-first walk up from u: an upward neighbour y = x*t of a
+    vertex x is in [u, v] exactly when y <= v, so the walk records each
+    vertex's out-edges as it finds its vertices.
     """
     if not bruhat_leq(u, v):
         raise ValueError(f"{format_perm(u)} is not below {format_perm(v)} in Bruhat order")
@@ -94,30 +94,30 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     ]
-    elements = set()
+    elements = {u}
+    adjacency: dict[Perm, tuple[tuple[Reflection, Perm], ...]] = {}
     frontier = [u]
-    elements.add(u)
     while frontier:
         nxt = []
         for x in frontier:
+            out = []
             lx = length(x)
             for t, tp in refl_perms:
                 y = compose(x, tp)
-                if length(y) > lx and y not in elements and bruhat_leq(y, v):
+                if length(y) <= lx:
+                    continue
+                if y not in elements:
+                    if not bruhat_leq(y, v):
+                        continue
                     elements.add(y)
                     nxt.append(y)
-        frontier = nxt
-    edges = []
-    adjacency: dict[Perm, tuple[tuple[Reflection, Perm], ...]] = {}
-    for x in sorted(elements, key=lambda p: (length(p), p)):
-        out = []
-        lx = length(x)
-        for t, tp in refl_perms:
-            y = compose(x, tp)
-            if length(y) > lx and y in elements:
                 out.append((t, y))
-                edges.append((x, y, t))
-        adjacency[x] = tuple(out)
+            adjacency[x] = tuple(out)
+        frontier = nxt
+    edges = sorted(
+        ((x, y, t) for x, out in adjacency.items() for t, y in out),
+        key=lambda e: (length(e[0]), e[0], e[2]),
+    )
     return BruhatInterval(u, v, frozenset(elements), tuple(edges), adjacency)
 
 

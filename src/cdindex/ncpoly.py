@@ -16,7 +16,7 @@ The number of cd-monomials of degree n is the Fibonacci number F(n+1)
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import InconsistentExpansionError, NotDecomposableError, NotInSubringError
 
@@ -29,7 +29,7 @@ class _WordPolynomial:
     __slots__ = ("_terms",)
     alphabet = ""
 
-    def __init__(self, terms: Union[Mapping[str, int], Iterable[tuple[str, int]]] = ()):
+    def __init__(self, terms: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[str, int] = {}
         for word, coeff in items:
@@ -111,11 +111,6 @@ class _WordPolynomial:
         if len(degs) != 1:
             raise ValueError("polynomial is zero or mixed-degree")
         return degs.pop()
-
-    def homogeneous_part(self, n: int):
-        return type(self)(
-            {w: c for w, c in self._terms.items() if self.word_degree(w) == n}
-        )
 
     def to_json(self) -> dict[str, int]:
         """Map monomial -> coefficient, the empty monomial spelled "1"."""
@@ -260,7 +255,7 @@ def _sub(p: dict[str, int], q: dict[str, int]) -> dict[str, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def _front_split(diff: dict[str, int]) -> Optional[dict[str, int]]:
+def _front_split(diff: dict[str, int]) -> dict[str, int] | None:
     """Y with diff = D*Y - A*Y exactly, or None when diff has another shape."""
     y = {w[1:]: c for w, c in diff.items() if w[:1] == "D"}
     if len(diff) != 2 * len(y) or any(diff.get("A" + w) != -c for w, c in y.items()):
@@ -268,7 +263,7 @@ def _front_split(diff: dict[str, int]) -> Optional[dict[str, int]]:
     return y
 
 
-def _peel(terms: dict[str, int], n: int) -> Optional[dict[str, int]]:
+def _peel(terms: dict[str, int], n: int) -> dict[str, int] | None:
     """cd-coefficients of a degree-n AD part, or None outside the image.
 
     Writing the part as P = c*X + d*Y (X, Y expanded) gives

@@ -10,7 +10,9 @@ raising, so sweeps can finish and surface every inconsistency at once.
 `check_restricted_counts` does the analogous comparison after restricting
 to paths with first reflection <= t: |T-bar_M restricted| against the
 coefficient of M in f_n, and |T_M restricted| against the coefficient in
-f_n + c*g_{n-1}, with (f_n, g_{n-1}) from the shelling decomposition.
+f_n + c*g_{n-1}, with (f_n, g_{n-1}) from the shelling decomposition, at
+every t in one call: each restricted count bisects the sorted first-label
+ranks of T_M or T-bar_M, read once.
 
 `scan_interval` bundles everything into one JSON-ready record per interval;
 the CLI's scan subcommand streams these to a JSON-lines file.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -81,12 +84,10 @@ def verify_coefficient(
     iv: BruhatInterval,
     monomial: str,
     table: TSetTable,
-    cd_index: CompleteCdIndex | None = None,
+    cd_index: CompleteCdIndex,
 ) -> CoefficientReport:
     """Compare |T_M|, |T-bar_M|, the cd-index coefficient and the signed sum."""
     gamma = ad_form(monomial)
-    if cd_index is None:
-        cd_index = complete_cd_index(iv, table.order)
     t_size = len(table.t_set(iv.u, gamma))
     tbar_size = len(table.t_bar_set(iv.u, gamma))
     try:
@@ -144,34 +145,31 @@ class RestrictedCountReport:
 def check_restricted_counts(
     iv: BruhatInterval,
     monomial: str,
-    t: Reflection,
     table: TSetTable,
-    decomposition: ShellingDecomposition | None = None,
-) -> RestrictedCountReport:
-    """Counts of first-reflection-restricted T-sets vs f and f + c*g.
+    decompositions: dict[Reflection, ShellingDecomposition],
+) -> list[RestrictedCountReport]:
+    """Counts of first-reflection-restricted T-sets vs f and f + c*g, per t.
 
-    The restriction bound is read in the primal order for both T and T-bar,
-    matching the single definition of the restricted path set.
+    One report per entry of `decompositions`, in its order.  The bound is
+    read in the primal order for both T and T-bar, matching the single
+    definition of the restricted path set.
     """
     gamma = ad_form(monomial)
     order = table.order
-    if decomposition is None:
-        decomposition = shelling_decomposition(iv, t, order)
     n = cd_degree(monomial)
-    bound = order.rank(t)
-    t_restricted = sum(
-        1 for p in table.t_set(iv.u, gamma) if order.rank(p.labels[0]) <= bound
-    )
-    tbar_restricted = sum(
-        1 for p in table.t_bar_set(iv.u, gamma) if order.rank(p.labels[0]) <= bound
-    )
-    f, g = decomposition.by_degree.get(n, (CDPolynomial(), CDPolynomial()))
-    coeff_f = f.coefficient(monomial)
-    coeff_cg = g.coefficient(monomial[1:]) if monomial.startswith("c") else 0
-    coeff_f_plus_cg = coeff_f + coeff_cg
-    return RestrictedCountReport(
-        iv.u, iv.v, monomial, t, t_restricted, tbar_restricted, coeff_f, coeff_f_plus_cg
-    )
+    t_ranks = sorted(order.rank(p.labels[0]) for p in table.t_set(iv.u, gamma))
+    tbar_ranks = sorted(order.rank(p.labels[0]) for p in table.t_bar_set(iv.u, gamma))
+    reports = []
+    for t, decomposition in decompositions.items():
+        bound = order.rank(t)
+        f, g = decomposition.by_degree.get(n, (CDPolynomial(), CDPolynomial()))
+        coeff_f = f.coefficient(monomial)
+        coeff_cg = g.coefficient(monomial[1:]) if monomial.startswith("c") else 0
+        reports.append(RestrictedCountReport(
+            iv.u, iv.v, monomial, t, bisect_right(t_ranks, bound),
+            bisect_right(tbar_ranks, bound), coeff_f, coeff_f + coeff_cg,
+        ))
+    return reports
 
 
 def iter_intervals(n: int, max_length: int | None = None) -> Iterator[tuple[Perm, Perm]]:
@@ -203,15 +201,13 @@ def scan_interval(
 
     Runs, for every monomial of matching parity: the coefficient
     verification, the flip condition, the strong flip condition (monomials
-    starting with c), and the restricted-count check for every reflection t.
+    starting with c), and the restricted-count check at every reflection t.
     All numeric fields are deterministic; elapsed_ms is informational only.
     """
     started = time.perf_counter()
     iv = build_interval(u, v)
     cd_index = complete_cd_index(iv, order)
-    decomposition_cache = {
-        t: shelling_decomposition(iv, t, order) for t in order.sequence
-    }
+    decompositions = shelling_decomposition(iv, order)
     monomial_results = {}
     witnesses: list[FlipWitness] = []
     consistent = True
@@ -228,12 +224,10 @@ def scan_interval(
                 strong_status = "holds" if strong is None else "violated"
                 if strong is not None:
                     witnesses.append(strong)
-            restricted_ok = True
-            for t in order.sequence:
-                rep = check_restricted_counts(
-                    iv, monomial, t, table, decomposition_cache[t]
-                )
-                restricted_ok = restricted_ok and rep.consistent
+            restricted_ok = all(
+                rep.consistent
+                for rep in check_restricted_counts(iv, monomial, table, decompositions)
+            )
             entry = {
                 "degree": n,
                 "coefficient": report.coefficient,

@@ -261,13 +261,13 @@ def test_criterion_7_restricted_decomposition_exhaustive(s4_intervals, s4_tables
     count_checks = 0
     for u, v, iv in s4_intervals:
         table = s4_tables(v)
-        for t in order.sequence:
-            dec = shelling_decomposition(iv, t, order)
+        by_t = shelling_decomposition(iv, order)
+        for t, dec in by_t.items():
             assert check_decomposition(iv, dec, order), (u, v, t)
             decompositions += len(dec.by_degree)
-            for n in degree_range(iv):
-                for monomial in cd_monomials(n):
-                    rep = check_restricted_counts(iv, monomial, t, table, dec)
+        for n in degree_range(iv):
+            for monomial in cd_monomials(n):
+                for rep in check_restricted_counts(iv, monomial, table, by_t):
                     assert rep.consistent, rep.to_json()
                     count_checks += 1
     elapsed = time.perf_counter() - started
@@ -292,9 +292,9 @@ def test_criterion_8_flip_condition_equals_g_nonnegativity(s4_intervals, s4_tabl
                 flip_violations.append((u, v, monomial, witness))
     negative_g = []
     for u, v, iv in s4_intervals:
+        by_t = shelling_decomposition(iv, order)
         for t in edge_reflections_below(u):
-            dec = shelling_decomposition(iv, t, order)
-            for n, (_, g) in dec.by_degree.items():
+            for n, (_, g) in by_t[t].by_degree.items():
                 bad = {m: c for m, c in g.items() if c < 0}
                 if bad:
                     negative_g.append((u, v, t, n, bad))

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from cdindex import cli
 from cdindex.errors import FlipUndefinedError, NotDecomposableError
@@ -202,3 +205,28 @@ def test_scan_reports_violations_with_exit_1(capsys, monkeypatch):
     code, out, err = run(capsys, "scan", "--n", "2")
     assert code == cli.EXIT_VIOLATION
     assert "inconsistent" in err
+
+
+# sha256 over the `scan --n 4` records in output order, each with elapsed_ms
+# removed and dumped with sorted keys and compact separators, one per line.
+# Frozen from the per-t shelling route (one enumeration and one split per
+# reflection), which tests/test_complete.py keeps as its reference.
+SCAN_N4_DIGESTS = {
+    "lex": "91ef0c17d7c7cfca49051d34a4b830dab801ffcc15a8e1542c3083bddc5eb959",
+    "word:1,2,1,3,2,1": "3f4e0bfa3d0c48941ac3e56c02bec9a8d6a26a3c73f2c5792b5839c9017e5a1b",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SCAN_N4_DIGESTS))
+def test_scan_n4_records_match_golden_digest(capsys, spec):
+    code, out, _ = run(capsys, "scan", "--n", "4", "--order", spec)
+    assert code == 0
+    digest = hashlib.sha256()
+    lines = out.splitlines()
+    for line in lines:
+        record = json.loads(line)
+        del record["elapsed_ms"]
+        canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        digest.update(canonical.encode() + b"\n")
+    assert len(lines) == 189
+    assert digest.hexdigest() == SCAN_N4_DIGESTS[spec]

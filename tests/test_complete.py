@@ -1,18 +1,31 @@
 import pytest
 
+from cdindex import complete
 from cdindex.complete import (
     ad_polynomials,
     complete_cd_index,
     degree_range,
+    first_label_sums,
     flag_cd_index,
     restricted_ad_polynomial,
     shelling_decomposition,
 )
-from cdindex.flips import sum_contributions
-from cdindex.intervals import build_interval, enumerate_paths
-from cdindex.ncpoly import ADPolynomial, CDPolynomial, ad_to_cd, bar, expand_cd
+from cdindex.flips import TSetTable, sum_contributions
+from cdindex.intervals import ad_word, build_interval, enumerate_paths
+from cdindex.ncpoly import (
+    ADPolynomial,
+    CDPolynomial,
+    ad_form,
+    ad_to_cd,
+    bar,
+    cd_degree,
+    cd_monomials,
+    decompose_left_a,
+    expand_cd,
+)
 from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import Reflection, identity, parse_perm
+from cdindex.verify import RestrictedCountReport, check_restricted_counts, iter_intervals
 
 # cd-index of [2134, 4321], frozen from two independent computations
 # (path sum + exact solve, and the flag-vector chain-count oracle)
@@ -20,11 +33,49 @@ EXAMPLE_DEGREE_2 = {"cc": 2, "d": 1}
 EXAMPLE_DEGREE_4 = {"cccc": 1, "ccd": 1, "cdc": 2, "dcc": 1, "dd": 1}
 
 
+def restricted_by_filter(iv, n, t, order):
+    """The per-t reference: enumerate, keep first-label rank <= rank(t)."""
+    bound = order.rank(t)
+    acc = {}
+    for path in enumerate_paths(iv, n):
+        if order.rank(path.labels[0]) <= bound:
+            w = ad_word(path, order)
+            acc[w] = acc.get(w, 0) + 1
+    return ADPolynomial(acc)
+
+
+def per_t_decomposition(iv, t, order):
+    """The per-t reference split: one enumeration and one split per degree."""
+    return {
+        n: decompose_left_a(restricted_by_filter(iv, n, t, order), n)
+        for n in degree_range(iv)
+    }
+
+
+def per_t_restricted_counts(iv, monomial, t, table, by_degree):
+    """The per-t reference count check: filter T and T-bar at rank(t)."""
+    order = table.order
+    bound = order.rank(t)
+    gamma = ad_form(monomial)
+    f, g = by_degree.get(cd_degree(monomial), (CDPolynomial(), CDPolynomial()))
+    t_restricted = sum(
+        1 for p in table.t_set(iv.u, gamma) if order.rank(p.labels[0]) <= bound
+    )
+    tbar_restricted = sum(
+        1 for p in table.t_bar_set(iv.u, gamma) if order.rank(p.labels[0]) <= bound
+    )
+    f_plus_cg = f + CDPolynomial({"c": 1}) * g
+    return RestrictedCountReport(
+        iv.u, iv.v, monomial, t, t_restricted, tbar_restricted,
+        f.coefficient(monomial), f_plus_cg.coefficient(monomial),
+    )
+
+
 def check_decomposition(iv, decomposition, order):
     """Recombine f + A*g per degree and compare with the restricted sum."""
     a = ADPolynomial({"A": 1})
     for n, (f, g) in decomposition.by_degree.items():
-        p = restricted_ad_polynomial(iv, n, decomposition.t, order)
+        p = restricted_by_filter(iv, n, decomposition.t, order)
         if expand_cd(f) + a * expand_cd(g) != p:
             return False
     return True
@@ -85,9 +136,10 @@ def test_order_independence_spot_check(example_interval):
 
 def test_restricted_ad_polynomial(example_interval, s4_lex):
     full = ad_polynomials(example_interval, s4_lex)[2]
-    assert restricted_ad_polynomial(example_interval, 2, Reflection(3, 4), s4_lex) == full
+    sums = first_label_sums(example_interval, 2, s4_lex)
+    assert restricted_ad_polynomial(sums, s4_lex.rank(Reflection(3, 4))) == full
     # no degree-2 path starts with label 1, so the bound (1 2) kills everything
-    assert not restricted_ad_polynomial(example_interval, 2, Reflection(1, 2), s4_lex)
+    assert not restricted_ad_polynomial(sums, s4_lex.rank(Reflection(1, 2)))
     # filter oracle at t = (14), rank 3
     expected = {}
     for p in enumerate_paths(example_interval, 2):
@@ -97,22 +149,98 @@ def test_restricted_ad_polynomial(example_interval, s4_lex):
                 for i in range(2)
             )
             expected[w] = expected.get(w, 0) + 1
-    got = restricted_ad_polynomial(example_interval, 2, Reflection(1, 4), s4_lex)
+    got = restricted_ad_polynomial(sums, s4_lex.rank(Reflection(1, 4)))
     assert dict(got.items()) == expected
 
 
+def test_first_label_sums_bucket_the_full_sum(example_interval, s4_lex):
+    for n in degree_range(example_interval):
+        sums = first_label_sums(example_interval, n, s4_lex)
+        assert list(sums) == sorted(sums)
+        assert all(sums.values())
+        for r, p in sums.items():
+            expected = {}
+            for path in enumerate_paths(example_interval, n):
+                if s4_lex.rank(path.labels[0]) == r:
+                    w = ad_word(path, s4_lex)
+                    expected[w] = expected.get(w, 0) + 1
+            assert dict(p.items()) == expected
+        total = sum(sums.values(), ADPolynomial())
+        assert total == ad_polynomials(example_interval, s4_lex)[n]
+
+
 def test_shelling_decomposition_at_maximal_reflection(example_interval, s4_lex):
-    dec = shelling_decomposition(example_interval, Reflection(3, 4), s4_lex)
+    dec = shelling_decomposition(example_interval, s4_lex)[Reflection(3, 4)]
     for n, (f, g) in dec.by_degree.items():
         assert not g, "no restriction means the sum is already bar-invariant"
         assert expand_cd(f) == ad_polynomials(example_interval, s4_lex)[n]
 
 
 def test_shelling_decomposition_every_t_nonnegative(example_interval, s4_lex):
-    for t in s4_lex.sequence:
-        dec = shelling_decomposition(example_interval, t, s4_lex)
+    decompositions = shelling_decomposition(example_interval, s4_lex)
+    assert list(decompositions) == list(s4_lex.sequence)
+    for t, dec in decompositions.items():
+        assert dec.t == t
         assert check_decomposition(example_interval, dec, s4_lex)
         assert dec.is_nonnegative()
+
+
+@pytest.mark.parametrize("word", [None, [1, 2, 1, 3, 2, 1]], ids=["lex", "word"])
+def test_every_t_at_once_matches_the_per_t_route_on_s4(word):
+    """shelling_decomposition and check_restricted_counts agree with one
+    enumeration, one split and one T-set filter per t, on all of S_4."""
+    order = lex_order(4) if word is None else order_from_reduced_word(4, word)
+    tables = {}
+    for u, v in iter_intervals(4):
+        iv = build_interval(u, v)
+        table = tables.setdefault(v, TSetTable(v, order))
+        decompositions = shelling_decomposition(iv, order)
+        assert list(decompositions) == list(order.sequence)
+        reference = {t: per_t_decomposition(iv, t, order) for t in order.sequence}
+        for t, dec in decompositions.items():
+            assert dec.t == t
+            assert list(dec.by_degree.items()) == list(reference[t].items()), (u, v, t)
+        for n in degree_range(iv):
+            for monomial in cd_monomials(n):
+                got = check_restricted_counts(iv, monomial, table, decompositions)
+                assert got == [
+                    per_t_restricted_counts(iv, monomial, t, table, reference[t])
+                    for t in order.sequence
+                ], (u, v, monomial)
+
+
+def test_shelling_enumerates_once_per_degree_and_splits_at_first_labels(monkeypatch):
+    """One iter_paths call per degree; decompose_left_a runs only at the
+    ranks some path starts with, on the sum restricted to that rank."""
+    order = order_from_reduced_word(4, [1, 2, 1, 3, 2, 1])
+    enumerations = []
+    splits = []
+    iter_paths, split = complete.iter_paths, complete.decompose_left_a
+
+    def counting_iter_paths(adjacency, u, v, n):
+        enumerations.append(n)
+        return iter_paths(adjacency, u, v, n)
+
+    def recording_split(p, n):
+        splits.append((n, p))
+        return split(p, n)
+
+    monkeypatch.setattr(complete, "iter_paths", counting_iter_paths)
+    monkeypatch.setattr(complete, "decompose_left_a", recording_split)
+    for u, v in iter_intervals(4):
+        iv = build_interval(u, v)
+        expected = []
+        for n in degree_range(iv):
+            ranks = sorted({order.rank(p.labels[0]) for p in enumerate_paths(iv, n)})
+            expected += [
+                (n, restricted_by_filter(iv, n, order.sequence[r - 1], order))
+                for r in ranks
+            ]
+        enumerations.clear()
+        splits.clear()
+        shelling_decomposition(iv, order)
+        assert enumerations == degree_range(iv), (u, v)
+        assert splits == expected, (u, v)
 
 
 def test_degree_range():

@@ -19,7 +19,7 @@ from cdindex.perms import (
     parse_perm,
 )
 
-from .oracles import count_maximal_chains, count_paths_dp
+from .oracles import bruhat_leq_closure, count_maximal_chains, count_paths_dp, up_neighbors
 
 
 def labels_of(paths, order):
@@ -96,6 +96,30 @@ def test_path_counts_match_dp_on_all_s4_intervals(s4_elements):
             for n in range(6):
                 enumerated = len(enumerate_paths(iv, n))
                 assert enumerated == count_paths_dp(iv.adjacency, u, v, n + 1)
+
+
+def test_build_interval_matches_the_edge_relation_oracles_on_s4(s4_elements):
+    """Every interval and cone of S_4 (u = identity), the single points
+    included: elements, edge tuple and adjacency equal those read off the
+    transitive closure of the edge relation and its up-neighbours."""
+    below = {
+        (a, b) for a in s4_elements for b in s4_elements if bruhat_leq_closure(a, b)
+    }
+    for u, v in sorted(below):
+        iv = build_interval(u, v)
+        elements = {x for x in s4_elements if (u, x) in below and (x, v) in below}
+        assert iv.elements == elements, (u, v)
+        out = {
+            x: sorted((Reflection(*ij), y) for y, ij in up_neighbors(x) if y in elements)
+            for x in elements
+        }
+        assert iv.adjacency == {x: tuple(edges) for x, edges in out.items()}, (u, v)
+        edges = [
+            (x, y, t)
+            for x in sorted(elements, key=lambda p: (length(p), p))
+            for t, y in out[x]
+        ]
+        assert iv.edges == tuple(edges), (u, v)
 
 
 def test_max_length_paths_are_the_maximal_chains(s4_elements):

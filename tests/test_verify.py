@@ -32,8 +32,9 @@ def edge_reflections_below(u):
 
 
 def test_verify_coefficient_on_paper_values(example_interval, example_table):
+    idx = complete_cd_index(example_interval, example_table.order)
     for monomial, value in [("cccc", 1), ("cc", 2), ("d", 1), ("dd", 1), ("ccd", 1)]:
-        report = verify_coefficient(example_interval, monomial, example_table)
+        report = verify_coefficient(example_interval, monomial, example_table, idx)
         assert report.consistent, report
         assert report.coefficient == value
         assert report.t_size == report.tbar_size == report.contribution_sum == value
@@ -45,18 +46,21 @@ def test_verify_coefficient_reuses_a_precomputed_index(example_interval, example
     assert report.consistent and report.coefficient == 2
 
 
+def restricted_reports(iv, monomial, table):
+    """check_restricted_counts at every t of the table's order, keyed by t."""
+    decompositions = shelling_decomposition(iv, table.order)
+    reports = check_restricted_counts(iv, monomial, table, decompositions)
+    return {rep.t: rep for rep in reports}
+
+
 def test_restricted_counts_at_maximal_t_reduce_to_verify(example_interval, example_table):
-    rep = check_restricted_counts(
-        example_interval, "cc", Reflection(3, 4), example_table
-    )
+    rep = restricted_reports(example_interval, "cc", example_table)[Reflection(3, 4)]
     assert rep.consistent
     assert rep.t_restricted == 2 and rep.tbar_restricted == 2
 
 
 def test_restricted_counts_at_minimal_t(example_interval, example_table):
-    rep = check_restricted_counts(
-        example_interval, "cc", Reflection(1, 2), example_table
-    )
+    rep = restricted_reports(example_interval, "cc", example_table)[Reflection(1, 2)]
     assert rep.consistent
     # no degree-2 path leaves 2134 with label rank 1
     assert rep.t_restricted == 0 and rep.tbar_restricted == 0
@@ -64,23 +68,24 @@ def test_restricted_counts_at_minimal_t(example_interval, example_table):
 
 def test_restricted_counts_for_d_at_every_t(example_interval, example_table):
     order = example_table.order
-    for t in order.sequence:
-        dec = shelling_decomposition(example_interval, t, order)
-        rep = check_restricted_counts(example_interval, "d", t, example_table, dec)
+    reports = restricted_reports(example_interval, "d", example_table)
+    assert list(reports) == list(order.sequence)
+    for rep in reports.values():
         assert rep.consistent, rep.to_json()
 
 
 def test_restricted_counts_read_c_times_g_off_g(example_interval, example_table):
     """coeff_f_plus_cg matches f + c*g multiplied out as polynomials."""
     order = example_table.order
-    for t in order.sequence:
-        dec = shelling_decomposition(example_interval, t, order)
-        for n in degree_range(example_interval):
-            f, g = dec.by_degree.get(n, (CDPolynomial(), CDPolynomial()))
-            for monomial in cd_monomials(n):
-                rep = check_restricted_counts(
-                    example_interval, monomial, t, example_table, dec
-                )
+    decompositions = shelling_decomposition(example_interval, order)
+    for n in degree_range(example_interval):
+        for monomial in cd_monomials(n):
+            reports = check_restricted_counts(
+                example_interval, monomial, example_table, decompositions
+            )
+            assert [rep.t for rep in reports] == list(order.sequence)
+            for rep in reports:
+                f, g = decompositions[rep.t].by_degree.get(n, (CDPolynomial(), CDPolynomial()))
                 product = f + CDPolynomial({"c": 1}) * g
                 assert rep.coeff_f_plus_cg == product.coefficient(monomial)
 
@@ -120,8 +125,7 @@ def test_strong_flip_condition_matches_g_nonnegativity_at_all_t_on_s4():
                 witness = check_strong_flip_condition(iv, monomial, table)
                 if witness is not None:
                     strong_violations.append((u, v, monomial, witness))
-        for t in all_reflections(4):
-            dec = shelling_decomposition(iv, t, order)
+        for t, dec in shelling_decomposition(iv, order).items():
             for _, g in dec.by_degree.values():
                 if any(c < 0 for _, c in g.items()):
                     negative_g.append((u, v, t))
