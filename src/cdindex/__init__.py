@@ -9,6 +9,7 @@ from .complete import (
     complete_cd_index,
     first_label_sums,
     flag_cd_index,
+    path_sums,
     restricted_ad_polynomial,
     shelling_decomposition,
 )
@@ -36,7 +37,6 @@ from .intervals import (
     BruhatPath,
     ad_word,
     build_interval,
-    enumerate_paths,
     export_dot,
     label_string,
 )

@@ -13,7 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .complete import complete_cd_index
+from .complete import complete_cd_index, path_sums
 from .errors import CdIndexError, FlipUndefinedError, NotInSubringError
 from .flips import TSetTable
 from .intervals import build_interval, export_dot, label_string, path_json
@@ -81,13 +81,13 @@ def cmd_compute(args) -> int:
     u, v = parse_perm_arg(args.u), parse_perm_arg(args.v)
     iv = interval_or_fail(u, v)
     order = resolve_order(args.order, len(u))
-    index = complete_cd_index(iv, order)
+    index = complete_cd_index(u, v, path_sums(iv, order))
     if args.all_orders:
         others = [lex_order(len(u)).reversed()]
         if len(u) >= 2:
             others.append(order_from_reduced_word(len(u), _staircase_word(len(u))))
         for other in others:
-            again = complete_cd_index(iv, other)
+            again = complete_cd_index(u, v, path_sums(iv, other))
             if again.by_degree != index.by_degree:
                 raise NotInSubringError(
                     "cd-index differs between reflection orders; "

@@ -9,8 +9,13 @@ this package treats as a tested invariant rather than an assumption.
 
 Restricting the sum to paths whose first reflection is at most t yields a
 polynomial of the form f + A*g with f, g in c, d; the pair (f, g) per
-degree is the shelling decomposition at t.  One `first_label_sums` pass per
-degree gives the full sum and the restricted sum at every t as bucket sums.
+degree is the shelling decomposition at t.
+
+Every reader here takes the graded first-label sums {n: {r: word sum}},
+which bucket the length-n paths u -> v by the rank r of their first label;
+the full sum adds every bucket, the restricted sum at t those up to rank(t).
+`path_sums` fills them by one enumeration per degree of a built interval;
+a scan fills them from the paths its sink's `TSetTable` already holds.
 
 `flag_cd_index` is an independent oracle: it computes the classical
 cd-index of [u, v] as a graded poset from chain counts (flag f-vector ->
@@ -21,9 +26,10 @@ The top-degree part of the complete cd-index must agree with it.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .intervals import BruhatInterval, ad_word, iter_paths
+from .intervals import BruhatInterval, BruhatPath, ad_word, iter_paths
 from .ncpoly import (
     ADPolynomial,
     CDPolynomial,
@@ -31,41 +37,46 @@ from .ncpoly import (
     cd_degree,
     decompose_left_a,
 )
-from .orders import ReflectionOrder, lex_order
+from .orders import ReflectionOrder
 from .perms import Perm, Reflection, bruhat_leq, format_perm, length
 
+# {path length n: {rank r: AD-word sum of the length-n paths whose first label has rank r}}
+GradedSums = dict[int, dict[int, ADPolynomial]]
 
-def degree_range(iv: BruhatInterval) -> list[int]:
+
+def degree_range(length_diff: int) -> list[int]:
     """Path lengths supporting nonzero terms: L-1, L-3, ..., down to >= 0.
 
     Every Bruhat-graph edge raises length by an odd amount, so a length-n
     path spends n+1 edges covering a length gap of L = l(v) - l(u) with
     n + 1 <= L and n + 1 = L (mod 2).
     """
-    L = iv.length_diff
-    return list(range(L - 1, -1, -2))
+    return list(range(length_diff - 1, -1, -2))
 
 
 def first_label_sums(
-    iv: BruhatInterval, n: int, order: ReflectionOrder
+    paths: Iterable[BruhatPath], order: ReflectionOrder
 ) -> dict[int, ADPolynomial]:
-    """Word sums of the length-n paths u -> v, keyed by ascending first-label rank."""
+    """Word sums of same-length paths, keyed by ascending first-label rank."""
     buckets: dict[int, dict[str, int]] = {}
-    for path in iter_paths(iv.adjacency, iv.u, iv.v, n):
+    for path in paths:
         acc = buckets.setdefault(order.rank(path.labels[0]), {})
         w = ad_word(path, order)
         acc[w] = acc.get(w, 0) + 1
     return {r: ADPolynomial(buckets[r]) for r in sorted(buckets)}
 
 
-def ad_polynomials(
-    iv: BruhatInterval, order: ReflectionOrder
-) -> dict[int, ADPolynomial]:
-    """Sum of ascent-descent words over all paths u -> v, graded by length."""
+def path_sums(iv: BruhatInterval, order: ReflectionOrder) -> GradedSums:
+    """Graded first-label sums of [u, v], one streaming enumeration per degree."""
     return {
-        n: sum(first_label_sums(iv, n, order).values(), ADPolynomial())
-        for n in degree_range(iv)
+        n: first_label_sums(iter_paths(iv.adjacency, iv.u, iv.v, n), order)
+        for n in degree_range(iv.length_diff)
     }
+
+
+def ad_polynomials(sums: GradedSums) -> dict[int, ADPolynomial]:
+    """Sum of ascent-descent words over all paths u -> v, graded by length."""
+    return {n: sum(buckets.values(), ADPolynomial()) for n, buckets in sums.items()}
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,7 @@ class CompleteCdIndex:
 
     u: Perm
     v: Perm
-    by_degree: dict[int, CDPolynomial] = field(compare=False)
+    by_degree: dict[int, CDPolynomial] = field(hash=False)
 
     def coefficient(self, monomial: str) -> int:
         part = self.by_degree.get(cd_degree(monomial))
@@ -95,26 +106,20 @@ class CompleteCdIndex:
         }
 
 
-def complete_cd_index(
-    iv: BruhatInterval, order: ReflectionOrder | None = None
-) -> CompleteCdIndex:
-    """Complete cd-index of [u, v], read under `order` (default: lex).
+def complete_cd_index(u: Perm, v: Perm, sums: GradedSums) -> CompleteCdIndex:
+    """Complete cd-index of [u, v] from its graded first-label sums.
 
     Any valid reflection order gives the same result; tests and the CLI's
     --all-orders flag recompute under the reversed and a reduced-word order
     and insist on exact agreement.
     """
-    if order is None:
-        order = lex_order(len(iv.u))
-    parts = {
-        n: ad_to_cd(p) for n, p in ad_polynomials(iv, order).items() if p
-    }
-    return CompleteCdIndex(iv.u, iv.v, parts)
+    parts = {n: ad_to_cd(p) for n, p in ad_polynomials(sums).items() if p}
+    return CompleteCdIndex(u, v, parts)
 
 
-def restricted_ad_polynomial(sums: dict[int, ADPolynomial], bound: int) -> ADPolynomial:
+def restricted_ad_polynomial(buckets: dict[int, ADPolynomial], bound: int) -> ADPolynomial:
     """Sum of one degree's `first_label_sums` over the first-label ranks <= bound."""
-    return sum((p for r, p in sums.items() if r <= bound), ADPolynomial())
+    return sum((p for r, p in buckets.items() if r <= bound), ADPolynomial())
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ class ShellingDecomposition:
     """Per-degree split f + A*g of the first-reflection-restricted word sum."""
 
     t: Reflection
-    by_degree: dict[int, tuple[CDPolynomial, CDPolynomial]] = field(compare=False)
+    by_degree: dict[int, tuple[CDPolynomial, CDPolynomial]] = field(hash=False)
 
     def is_nonnegative(self) -> bool:
         """Whether every g-part has only non-negative coefficients."""
@@ -132,23 +137,23 @@ class ShellingDecomposition:
 
 
 def shelling_decomposition(
-    iv: BruhatInterval, order: ReflectionOrder
+    sums: GradedSums, order: ReflectionOrder
 ) -> dict[Reflection, ShellingDecomposition]:
     """Split the restricted word sum as f_n + A*g_{n-1}, at every t, in every degree.
 
-    One `first_label_sums` pass per degree; the split is recomputed only at
-    a t whose rank some path starts with, and is (0, 0) below the first.
-    Existence of the split is guaranteed for these restricted sums; failure
-    raises NotDecomposableError and means a bug, not bad input.
+    `sums` are the graded first-label sums under `order`; the split is
+    recomputed only at a t whose rank some path starts with, and is (0, 0)
+    below the first.  Existence of the split is guaranteed for these
+    restricted sums; failure raises NotDecomposableError and means a bug,
+    not bad input.
     """
     parts: dict[Reflection, dict] = {t: {} for t in order.sequence}
-    for n in degree_range(iv):
-        sums = first_label_sums(iv, n, order)
+    for n, buckets in sums.items():
         split = (CDPolynomial(), CDPolynomial())
         for t in order.sequence:
             r = order.rank(t)
-            if r in sums:
-                split = decompose_left_a(restricted_ad_polynomial(sums, r), n)
+            if r in buckets:
+                split = decompose_left_a(restricted_ad_polynomial(buckets, r), n)
             parts[t][n] = split
     return {t: ShellingDecomposition(t, by_degree) for t, by_degree in parts.items()}
 

@@ -23,6 +23,9 @@ the factors from right to left, with an early exit on zero) and the flip
 condition (no factor -1 where the tail lies in its suffix T-set) all read
 it.  Under the flip condition no -1 survives to the final product, which
 is what makes |T_M| the coefficient.
+
+The checks take the source u and read the sink v from the table: every
+path u -> v lies in the cone [e, v] it holds, so [u, v] is never built.
 """
 
 from __future__ import annotations
@@ -31,14 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FlipUndefinedError
-from .intervals import (
-    BruhatInterval,
-    BruhatPath,
-    ad_word,
-    build_interval,
-    iter_paths,
-    label_string,
-)
+from .intervals import BruhatPath, ad_word, build_interval, iter_paths, label_string
 from .ncpoly import ad_form, cd_degree
 from .orders import ReflectionOrder
 from .perms import Perm, format_perm, identity
@@ -226,17 +222,15 @@ def path_contribution(path: BruhatPath, monomial: str, table: TSetTable) -> int:
     return sign
 
 
-def sum_contributions(iv: BruhatInterval, monomial: str, table: TSetTable) -> int:
-    """Sum of signed contributions over all length-n paths of the interval.
+def sum_contributions(u: Perm, monomial: str, table: TSetTable) -> int:
+    """Sum of signed contributions over all length-n paths u -> table.sink.
 
     With a flip compatible with the order this equals the coefficient of
     the monomial in the complete cd-index.
     """
-    if table.sink != iv.v:
-        raise ValueError("table sink does not match interval")
     n = cd_degree(monomial)
     return sum(
-        path_contribution(path, monomial, table) for path in table.paths(iv.u, n)
+        path_contribution(path, monomial, table) for path in table.paths(u, n)
     )
 
 
@@ -267,9 +261,9 @@ class FlipWitness:
 
 
 def check_flip_condition(
-    iv: BruhatInterval, monomial: str, table: TSetTable
+    u: Perm, monomial: str, table: TSetTable
 ) -> Optional[FlipWitness]:
-    """Scan B_n(u, v) for a violation; None means the condition holds.
+    """Scan B_n(u, table.sink) for a violation; None means the condition holds.
 
     A violation at position m needs the tail from x_m inside the suffix
     T-set while the position-m factor is -1.  Monomials whose AD-form has
@@ -281,7 +275,7 @@ def check_flip_condition(
     if not d_positions:
         return None
     try:
-        for path in table.paths(iv.u, n):
+        for path in table.paths(u, n):
             for m in d_positions:
                 if path.tail_from(m) not in table.members(path.vertices[m], gamma[m:]):
                     continue
@@ -302,19 +296,19 @@ def check_flip_condition(
 
 
 def check_strong_flip_condition(
-    iv: BruhatInterval, monomial: str, table: TSetTable
+    u: Perm, monomial: str, table: TSetTable
 ) -> Optional[FlipWitness]:
     """First-reflection monotonicity of the flip, for monomials starting with c.
 
     Requires rank(first label of x) <= rank(first label of flip(x)) for
-    every x in T_M(u, v).
+    every x in T_M(u, table.sink).
     """
     if not monomial.startswith("c"):
         raise ValueError("strong flip condition applies to monomials starting with c")
     gamma = ad_form(monomial)
     rank = table.order.rank
     try:
-        pairing = table.flip(iv.u, gamma)
+        pairing = table.flip(u, gamma)
     except FlipUndefinedError as exc:
         return FlipWitness(kind="size-mismatch", monomial=monomial, detail=str(exc))
     for x, y in pairing.items():

@@ -163,14 +163,6 @@ def iter_paths(
         yield from rec()
 
 
-def enumerate_paths(iv: BruhatInterval, n: int) -> list[BruhatPath]:
-    """All length-n paths from iv.u to iv.v, in lexicographic label order.
-
-    An n of the wrong parity (or n > length_diff - 1, or n < 0) gives [].
-    """
-    return list(iter_paths(iv.adjacency, iv.u, iv.v, n))
-
-
 def rank_sequence(path: BruhatPath, order: ReflectionOrder) -> tuple[int, ...]:
     """Label ranks of the path under the given order.
 

@@ -14,8 +14,11 @@ f_n + c*g_{n-1}, with (f_n, g_{n-1}) from the shelling decomposition, at
 every t in one call: each restricted count bisects the sorted first-label
 ranks of T_M or T-bar_M, read once.
 
+Every check takes the source u and reads the sink from its `TSetTable`.
 `scan_interval` bundles everything into one JSON-ready record per interval;
-the CLI's scan subcommand streams these to a JSON-lines file.
+its path sums, and with them the cd-index and every shelling split, come
+from the sink table's paths, so a scan builds no interval and enumerates
+nothing outside `TSetTable.paths`.  The CLI streams the records to JSON-lines.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .complete import (
     ShellingDecomposition,
     complete_cd_index,
     degree_range,
+    first_label_sums,
     shelling_decomposition,
 )
 from .errors import FlipUndefinedError
@@ -41,7 +45,6 @@ from .flips import (
     check_strong_flip_condition,
     sum_contributions,
 )
-from .intervals import BruhatInterval, build_interval
 from .ncpoly import CDPolynomial, ad_form, cd_degree, cd_monomials
 from .orders import ReflectionOrder
 from .perms import Perm, Reflection, bruhat_leq, format_perm, length
@@ -81,24 +84,24 @@ class CoefficientReport:
 
 
 def verify_coefficient(
-    iv: BruhatInterval,
+    u: Perm,
     monomial: str,
     table: TSetTable,
     cd_index: CompleteCdIndex,
 ) -> CoefficientReport:
     """Compare |T_M|, |T-bar_M|, the cd-index coefficient and the signed sum."""
     gamma = ad_form(monomial)
-    t_size = len(table.t_set(iv.u, gamma))
-    tbar_size = len(table.t_bar_set(iv.u, gamma))
+    t_size = len(table.t_set(u, gamma))
+    tbar_size = len(table.t_bar_set(u, gamma))
     try:
-        contribution = sum_contributions(iv, monomial, table)
+        contribution = sum_contributions(u, monomial, table)
         undefined = False
     except FlipUndefinedError:
         contribution = None
         undefined = True
     return CoefficientReport(
-        iv.u,
-        iv.v,
+        u,
+        table.sink,
         monomial,
         t_size,
         tbar_size,
@@ -143,7 +146,7 @@ class RestrictedCountReport:
 
 
 def check_restricted_counts(
-    iv: BruhatInterval,
+    u: Perm,
     monomial: str,
     table: TSetTable,
     decompositions: dict[Reflection, ShellingDecomposition],
@@ -157,8 +160,8 @@ def check_restricted_counts(
     gamma = ad_form(monomial)
     order = table.order
     n = cd_degree(monomial)
-    t_ranks = sorted(order.rank(p.labels[0]) for p in table.t_set(iv.u, gamma))
-    tbar_ranks = sorted(order.rank(p.labels[0]) for p in table.t_bar_set(iv.u, gamma))
+    t_ranks = sorted(order.rank(p.labels[0]) for p in table.t_set(u, gamma))
+    tbar_ranks = sorted(order.rank(p.labels[0]) for p in table.t_bar_set(u, gamma))
     reports = []
     for t, decomposition in decompositions.items():
         bound = order.rank(t)
@@ -166,7 +169,7 @@ def check_restricted_counts(
         coeff_f = f.coefficient(monomial)
         coeff_cg = g.coefficient(monomial[1:]) if monomial.startswith("c") else 0
         reports.append(RestrictedCountReport(
-            iv.u, iv.v, monomial, t, bisect_right(t_ranks, bound),
+            u, table.sink, monomial, t, bisect_right(t_ranks, bound),
             bisect_right(tbar_ranks, bound), coeff_f, coeff_f + coeff_cg,
         ))
     return reports
@@ -199,34 +202,39 @@ def scan_interval(
 ) -> dict:
     """One JSON-ready scan record for the interval [u, v].
 
-    Runs, for every monomial of matching parity: the coefficient
-    verification, the flip condition, the strong flip condition (monomials
-    starting with c), and the restricted-count check at every reflection t.
-    All numeric fields are deterministic; elapsed_ms is informational only.
+    `table` is the TSetTable of the sink v under `order`; its `paths(u, n)`
+    feed the graded first-label sums.  Runs, for every monomial of matching
+    parity: the coefficient verification, the flip condition, the strong
+    flip condition (monomials starting with c), and the restricted-count
+    check at every reflection t.  All numeric fields are deterministic;
+    elapsed_ms is informational only.
     """
     started = time.perf_counter()
-    iv = build_interval(u, v)
-    cd_index = complete_cd_index(iv, order)
-    decompositions = shelling_decomposition(iv, order)
+    length_diff = length(v) - length(u)
+    sums = {
+        n: first_label_sums(table.paths(u, n), order) for n in degree_range(length_diff)
+    }
+    cd_index = complete_cd_index(u, v, sums)
+    decompositions = shelling_decomposition(sums, order)
     monomial_results = {}
     witnesses: list[FlipWitness] = []
     consistent = True
-    for n in degree_range(iv):
+    for n in sums:
         for monomial in cd_monomials(n):
-            report = verify_coefficient(iv, monomial, table, cd_index)
-            flip_witness = check_flip_condition(iv, monomial, table)
+            report = verify_coefficient(u, monomial, table, cd_index)
+            flip_witness = check_flip_condition(u, monomial, table)
             if flip_witness is not None:
                 witnesses.append(flip_witness)
             strong: Optional[FlipWitness] = None
             strong_status = "n/a"
             if monomial.startswith("c"):
-                strong = check_strong_flip_condition(iv, monomial, table)
+                strong = check_strong_flip_condition(u, monomial, table)
                 strong_status = "holds" if strong is None else "violated"
                 if strong is not None:
                     witnesses.append(strong)
             restricted_ok = all(
                 rep.consistent
-                for rep in check_restricted_counts(iv, monomial, table, decompositions)
+                for rep in check_restricted_counts(u, monomial, table, decompositions)
             )
             entry = {
                 "degree": n,
@@ -250,7 +258,7 @@ def scan_interval(
     record = {
         "u": format_perm(u),
         "v": format_perm(v),
-        "length_diff": iv.length_diff,
+        "length_diff": length_diff,
         "order": order_id,
         "cd_index": cd_index.to_json()["cd_index"],
         "monomials": monomial_results,

@@ -2,13 +2,17 @@
 
 Everything here is deliberately written from scratch against plain tuples,
 strings and dicts, without calling into the package, so that each checked
-operation has two genuinely different routes to the same number.
+operation has two genuinely different routes to the same number.  The one
+exception is `enumerate_paths`, a list form of the package's own path
+enumeration that only the tests read.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from cdindex.intervals import iter_paths
 
 
 def inversions(p):
@@ -210,3 +214,11 @@ def reflection_order_triple_violations(sequence):
         if mid != (i, k):
             bad.append(((i, j), (i, k), (j, k)))
     return bad
+
+
+def enumerate_paths(iv, n):
+    """All length-n paths from iv.u to iv.v, in lexicographic label order.
+
+    An n of the wrong parity (or n > length_diff - 1, or n < 0) gives [].
+    """
+    return list(iter_paths(iv.adjacency, iv.u, iv.v, n))

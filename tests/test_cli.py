@@ -104,7 +104,7 @@ def test_tset_flip_undefined_exit_code(capsys, monkeypatch):
 
 
 def test_other_package_errors_exit_internal(capsys, monkeypatch):
-    def boom(iv, order):
+    def boom(u, v, sums):
         raise NotDecomposableError("no f + A*g split")
 
     monkeypatch.setattr(cli, "complete_cd_index", boom)
@@ -210,16 +210,24 @@ def test_scan_reports_violations_with_exit_1(capsys, monkeypatch):
 # sha256 over the `scan --n 4` records in output order, each with elapsed_ms
 # removed and dumped with sorted keys and compact separators, one per line.
 # Frozen from the per-t shelling route (one enumeration and one split per
-# reflection), which tests/test_complete.py keeps as its reference.
+# reflection), which tests/test_complete.py keeps as its reference.  Two
+# workers, each with its own sink tables as path-sum source, give the same.
 SCAN_N4_DIGESTS = {
     "lex": "91ef0c17d7c7cfca49051d34a4b830dab801ffcc15a8e1542c3083bddc5eb959",
     "word:1,2,1,3,2,1": "3f4e0bfa3d0c48941ac3e56c02bec9a8d6a26a3c73f2c5792b5839c9017e5a1b",
 }
 
 
-@pytest.mark.parametrize("spec", sorted(SCAN_N4_DIGESTS))
-def test_scan_n4_records_match_golden_digest(capsys, spec):
-    code, out, _ = run(capsys, "scan", "--n", "4", "--order", spec)
+@pytest.mark.parametrize(
+    "spec, workers",
+    [
+        pytest.param("lex", "1", id="lex"),
+        pytest.param("lex", "2", id="lex-workers-2"),
+        pytest.param("word:1,2,1,3,2,1", "1", id="word:1,2,1,3,2,1"),
+    ],
+)
+def test_scan_n4_records_match_golden_digest(capsys, spec, workers):
+    code, out, _ = run(capsys, "scan", "--n", "4", "--order", spec, "--workers", workers)
     assert code == 0
     digest = hashlib.sha256()
     lines = out.splitlines()

@@ -231,24 +231,24 @@ def test_path_length_mismatch_is_rejected(example_table):
 def test_check_flip_condition_on_the_example(example_interval, example_table):
     for n in (0, 2, 4):
         for monomial in cd_monomials(n):
-            assert check_flip_condition(example_interval, monomial, example_table) is None
+            assert check_flip_condition(example_interval.u, monomial, example_table) is None
 
 
 def test_check_flip_condition_vacuous_for_c_powers(example_interval, example_table):
-    assert check_flip_condition(example_interval, "cccc", example_table) is None
+    assert check_flip_condition(example_interval.u, "cccc", example_table) is None
 
 
 def test_strong_flip_condition_on_the_example(example_interval, example_table):
     for monomial in ("cc", "cccc", "ccd", "cdc"):
         assert (
-            check_strong_flip_condition(example_interval, monomial, example_table)
+            check_strong_flip_condition(example_interval.u, monomial, example_table)
             is None
         )
 
 
 def test_strong_flip_condition_requires_leading_c(example_interval, example_table):
     with pytest.raises(ValueError):
-        check_strong_flip_condition(example_interval, "d", example_table)
+        check_strong_flip_condition(example_interval.u, "d", example_table)
 
 
 def test_flip_undefined_is_raised_on_size_mismatch(example_table, monkeypatch):

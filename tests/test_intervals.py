@@ -3,7 +3,6 @@ import pytest
 from cdindex.intervals import (
     ad_word,
     build_interval,
-    enumerate_paths,
     export_dot,
     label_string,
     path_json,
@@ -19,7 +18,13 @@ from cdindex.perms import (
     parse_perm,
 )
 
-from .oracles import bruhat_leq_closure, count_maximal_chains, count_paths_dp, up_neighbors
+from .oracles import (
+    bruhat_leq_closure,
+    count_maximal_chains,
+    count_paths_dp,
+    enumerate_paths,
+    up_neighbors,
+)
 
 
 def labels_of(paths, order):

@@ -11,7 +11,7 @@ import itertools
 import random
 
 from cdindex import TSetTable, build_interval, complete_cd_index, lex_order
-from cdindex.complete import degree_range
+from cdindex.complete import degree_range, path_sums
 from cdindex.flips import check_flip_condition
 from cdindex.ncpoly import cd_monomials
 from cdindex.perms import bruhat_leq, length
@@ -36,12 +36,12 @@ def test_coefficient_identities_hold_on_deep_s5_intervals():
     for u, v in sample_intervals((6, 7), 12, seed=123):
         iv = build_interval(u, v)
         table = tables.setdefault(v, TSetTable(v, order))
-        idx = complete_cd_index(iv, order)
-        for n in degree_range(iv):
+        idx = complete_cd_index(u, v, path_sums(iv, order))
+        for n in degree_range(iv.length_diff):
             for monomial in cd_monomials(n):
-                report = verify_coefficient(iv, monomial, table, idx)
+                report = verify_coefficient(u, monomial, table, idx)
                 assert report.consistent, report.to_json()
                 if monomial.count("d") >= 2:
-                    assert check_flip_condition(iv, monomial, table) is None
+                    assert check_flip_condition(u, monomial, table) is None
                     two_d_checks += 1
     assert two_d_checks > 50  # the sample genuinely reaches the open regime
