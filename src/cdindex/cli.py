@@ -69,11 +69,15 @@ def resolve_order(spec: str, n: int) -> ReflectionOrder:
     raise UserError(f"unknown order spec {spec!r} (use lex, rev, or word:...)")
 
 
-def interval_or_fail(u, v):
+def check_comparable(u, v) -> None:
     if len(u) != len(v):
         raise UserError("u and v live in different symmetric groups")
     if not bruhat_leq(u, v):
         raise UserError(f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order")
+
+
+def interval_or_fail(u, v):
+    check_comparable(u, v)
     return build_interval(u, v)
 
 
@@ -110,7 +114,7 @@ def _staircase_word(n: int) -> list[int]:
 
 def cmd_tset(args) -> int:
     u, v = parse_perm_arg(args.u), parse_perm_arg(args.v)
-    interval_or_fail(u, v)
+    check_comparable(u, v)  # the sink's table builds the cone that holds [u, v]
     try:
         monomial = parse_cd_monomial(args.monomial)
     except ValueError as exc:

@@ -9,11 +9,19 @@ The tails being flipped always lie in the T-set of the suffix monomial on
 the shorter interval [x_m, v], so the whole construction is recursive in
 (interval length, monomial degree) and is memoized here per sink vertex.
 
+Every query is keyed by (vertex, suffix word), and so is the path store
+the T-sets read: `word_paths(w, gamma)` holds only the paths w -> v whose
+word is gamma, built by suffix sharing from the word paths of gamma[1:]
+out of each upper neighbour of w.  No T-set enumerates all paths or
+recomputes a word.
+
 The flip on a sub-problem pairs T with its reverse-order counterpart T-bar
 by lexicographic position under the primal order.  Lex order on the
 equal-length rank sequences runs backwards under the reversed order, and
 a path is fixed by its source and labels, so the reverse-order table reads
 the primal's paths in reverse, and T-bar in primal lex order is its T-set
+reversed.  Reversing the order also swaps ascents and descents, so the
+twin's word paths of gamma are the primal's of gamma with A and D swapped,
 reversed.  |T| = |T-bar| is conjectured; a mismatch raises
 FlipUndefinedError and is surfaced, never patched.
 
@@ -37,7 +45,9 @@ from .errors import FlipUndefinedError
 from .intervals import BruhatPath, ad_word, build_interval, iter_paths, label_string
 from .ncpoly import ad_form, cd_degree
 from .orders import ReflectionOrder
-from .perms import Perm, format_perm, identity
+from .perms import Perm, format_perm, identity, length
+
+_BAR = str.maketrans("AD", "DA")
 
 
 class TSetTable:
@@ -46,13 +56,19 @@ class TSetTable:
     The table materializes the lower cone {x <= v} once and hands out:
 
     - ``paths(w, n)``: all length-n paths w -> v, sorted lexicographically
-      by label ranks under the table's order;
-    - ``t_set(w, gamma)``: the T-set for the AD-word ``gamma``;
+      by label ranks under the table's order (the scan's path sums and the
+      per-path checks read these);
+    - ``word_paths(w, gamma)``: the length-|gamma| paths w -> v whose
+      AD-word is ``gamma``, in the same order;
+    - ``t_set(w, gamma)``: the T-set for the AD-word ``gamma``, a subset of
+      ``word_paths(w, gamma)`` and read from nothing else;
     - ``flip(w, gamma)``: the pairing dict T -> T-bar.
 
     ``reversed_table()`` returns the twin table under the reversed order;
     T-bar sets are the twin's T-sets.  The twin enumerates nothing: its
-    ``paths(w, n)`` is this table's tuple reversed, same path objects.
+    ``paths(w, n)`` is this table's tuple reversed, and its
+    ``word_paths(w, gamma)`` this table's for the barred word, reversed,
+    same path objects.
     Evaluation is demand-driven recursion over strictly smaller
     sub-problems, so preconditions on sub-interval flips hold by
     construction.  After a call completes, all entries it touched are
@@ -75,6 +91,7 @@ class TSetTable:
             self._adjacency = None
             self._twin = _twin
         self._paths: dict[tuple[Perm, int], tuple[BruhatPath, ...]] = {}
+        self._word_paths: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
         self._members: dict[tuple[Perm, str], frozenset[BruhatPath]] = {}
         self._flips: dict[tuple[Perm, str], dict[BruhatPath, BruhatPath]] = {}
@@ -94,6 +111,47 @@ class TSetTable:
             self._paths[key] = hit
         return hit
 
+    def word_paths(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
+        """The paths w -> sink whose AD-word is gamma, lex-sorted by label ranks.
+
+        A path with word gamma is an edge (t, y) out of w followed by a path
+        from y with word gamma[1:] whose first label ascends from t exactly
+        when gamma starts with A.  Out-edges are walked in rank order and
+        each suffix tuple is lex-sorted, so the result needs no sort.
+        """
+        key = (w, gamma)
+        hit = self._word_paths.get(key)
+        if hit is not None:
+            return hit
+        if self._adjacency is None:
+            hit = self._twin.word_paths(w, gamma.translate(_BAR))[::-1]
+        else:
+            hit = self._extend(w, gamma)
+        self._word_paths[key] = hit
+        return hit
+
+    def _extend(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
+        # the dead-end test of iter_paths: |gamma| + 1 edges, each raising
+        # the length by an odd amount, must cover the gap to the sink
+        gap = length(self.sink) - length(w)
+        edges = len(gamma) + 1
+        if gap < edges or (gap - edges) % 2:
+            return ()
+        out_edges = self._adjacency[w]
+        if not gamma:
+            return tuple(
+                BruhatPath((w, y), (t,)) for t, y in out_edges if y == self.sink
+            )
+        rank = self.order.rank
+        ascent = gamma[0] == "A"
+        out = []
+        for t, y in out_edges:
+            r = rank(t)
+            for p in self.word_paths(y, gamma[1:]):
+                if (r < rank(p.labels[0])) == ascent:
+                    out.append(BruhatPath((w,) + p.vertices, (t,) + p.labels))
+        return tuple(out)
+
     def word(self, path: BruhatPath) -> str:
         """Ascent-descent word of a path under this table's order."""
         return ad_word(path, self.order)
@@ -106,9 +164,7 @@ class TSetTable:
             return hit
         n = len(gamma)
         out = []
-        for path in self.paths(w, n):
-            if self.word(path) != gamma:
-                continue
+        for path in self.word_paths(w, gamma):
             if n > 0:
                 if path.tail() not in self.members(path.vertices[1], gamma[1:]):
                     continue

@@ -45,7 +45,7 @@ from .flips import (
     check_strong_flip_condition,
     sum_contributions,
 )
-from .ncpoly import CDPolynomial, ad_form, cd_degree, cd_monomials
+from .ncpoly import ad_form, cd_degree, cd_monomials
 from .orders import ReflectionOrder
 from .perms import Perm, Reflection, bruhat_leq, format_perm, length
 
@@ -162,15 +162,25 @@ def check_restricted_counts(
     n = cd_degree(monomial)
     t_ranks = sorted(order.rank(p.labels[0]) for p in table.t_set(u, gamma))
     tbar_ranks = sorted(order.rank(p.labels[0]) for p in table.t_bar_set(u, gamma))
+    # shelling_decomposition hands every t up to the next populated rank the
+    # same split object, so the coefficients are read once per split
+    coefficients: dict[int, tuple[int, int]] = {}
     reports = []
     for t, decomposition in decompositions.items():
         bound = order.rank(t)
-        f, g = decomposition.by_degree.get(n, (CDPolynomial(), CDPolynomial()))
-        coeff_f = f.coefficient(monomial)
-        coeff_cg = g.coefficient(monomial[1:]) if monomial.startswith("c") else 0
+        split = decomposition.by_degree.get(n)
+        coeffs = coefficients.get(id(split))
+        if coeffs is None:
+            coeff_f = coeff_cg = 0
+            if split is not None:
+                f, g = split
+                coeff_f = f.coefficient(monomial)
+                if monomial.startswith("c"):
+                    coeff_cg = g.coefficient(monomial[1:])
+            coeffs = coefficients[id(split)] = (coeff_f, coeff_f + coeff_cg)
         reports.append(RestrictedCountReport(
             u, table.sink, monomial, t, bisect_right(t_ranks, bound),
-            bisect_right(tbar_ranks, bound), coeff_f, coeff_f + coeff_cg,
+            bisect_right(tbar_ranks, bound), *coeffs,
         ))
     return reports
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import cdindex.flips
 from cdindex import cli
 from cdindex.errors import FlipUndefinedError, NotDecomposableError
 from cdindex.flips import TSetTable
@@ -79,6 +80,35 @@ def test_tset_outputs_paper_sets(capsys):
     code, out, _ = run(capsys, "tset", "2134", "4321", "cc")
     payload = json.loads(out)
     assert payload["t"] == ["235", "346"]
+
+
+# sha256 of the whole `tset 12345 54321 ddddc` stdout, frozen from the
+# route that filtered every length-9 path of the cone by its word.
+TSET_S5_TOP_DIGESTS = {
+    "lex": "827dd6e509f8175beb9c528686bffc3cc9a1789eace7560af579fa8b24ae01ce",
+    "word:2,1,3,4,3,2,3,1,4,2": "2d9f0f946f682778b69a22f7720f951c785982f728327756f39670bee27f7066",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TSET_S5_TOP_DIGESTS))
+def test_tset_s5_top_output_matches_golden_digest(capsys, spec):
+    code, out, _ = run(capsys, "tset", "12345", "54321", "ddddc", "--order", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TSET_S5_TOP_DIGESTS[spec]
+
+
+def test_tset_builds_only_the_sink_cone(capsys, monkeypatch):
+    built = []
+    real = cdindex.flips.build_interval
+    monkeypatch.setattr(cli, "build_interval", lambda *a: pytest.fail("built [u, v]"))
+    monkeypatch.setattr(
+        cdindex.flips, "build_interval", lambda *a: built.append(a) or real(*a)
+    )
+    code, _, _ = run(capsys, "tset", "2134", "4321", "d")
+    assert code == 0
+    assert built == [((1, 2, 3, 4), (4, 3, 2, 1))]
+    code, _, err = run(capsys, "tset", "4321", "2134", "d")
+    assert code == cli.EXIT_USER and "not <=" in err
 
 
 def test_tset_rejects_bad_monomial(capsys):

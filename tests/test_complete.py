@@ -203,7 +203,9 @@ def test_every_t_at_once_matches_the_per_t_route_on_s4(word):
     tables = {}
     for u, v in iter_intervals(4):
         iv = build_interval(u, v)
-        table = tables.setdefault(v, TSetTable(v, order))
+        if v not in tables:
+            tables[v] = TSetTable(v, order)
+        table = tables[v]
         decompositions = shelling_decomposition(path_sums(iv, order), order)
         assert list(decompositions) == list(order.sequence)
         reference = {t: per_t_decomposition(iv, t, order) for t in order.sequence}

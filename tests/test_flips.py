@@ -14,7 +14,13 @@ from cdindex.flips import (
     path_contribution,
     position_factor,
 )
-from cdindex.intervals import BruhatPath, build_interval, label_string, rank_sequence
+from cdindex.intervals import (
+    BruhatPath,
+    ad_word,
+    build_interval,
+    label_string,
+    rank_sequence,
+)
 from cdindex.ncpoly import ad_form, cd_monomials
 from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import identity, length, parse_perm
@@ -159,6 +165,79 @@ def test_twin_enumerates_no_paths(monkeypatch, s4_lex):
             twin.t_set(w, ad_form(monomial))
             twin.flip(w, ad_form(monomial))
     assert calls == []
+
+
+def bar(gamma):
+    return gamma.translate(str.maketrans("AD", "DA"))
+
+
+def word_problems(sink):
+    """Every (w, gamma) with w <= sink and gamma an AD-word of a length in
+    cone_problems, parity-dead lengths included."""
+    return [
+        (w, "".join(letters))
+        for w, n in cone_problems(sink)
+        for letters in itertools.product("AD", repeat=n)
+    ]
+
+
+@pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
+def test_word_paths_are_the_paths_filtered_by_word_on_s4(order):
+    """The suffix-shared store against the old route: all length-n paths,
+    in rank-lex order, filtered by their recomputed word."""
+    for sink in s4_sinks():
+        primal = TSetTable(sink, order)
+        for table in (primal, primal.reversed_table()):
+            for w, gamma in word_problems(sink):
+                expected = tuple(
+                    p for p in table.paths(w, len(gamma))
+                    if ad_word(p, table.order) == gamma
+                )
+                assert table.word_paths(w, gamma) == expected, (sink, w, gamma)
+
+
+@pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
+def test_twin_word_paths_are_the_primal_barred_tuples_reversed(order, monkeypatch):
+    extended, extensions = [], 0
+    real = TSetTable._extend
+    monkeypatch.setattr(
+        TSetTable, "_extend", lambda self, *a: extended.append(self) or real(self, *a)
+    )
+    for sink in s4_sinks():
+        table = TSetTable(sink, order)
+        twin = table.reversed_table()
+        for w, gamma in word_problems(sink):
+            shared = twin.word_paths(w, gamma)
+            primal = table.word_paths(w, bar(gamma))
+            assert len(shared) == len(primal)
+            assert all(a is b for a, b in zip(shared, reversed(primal))), (sink, w, gamma)
+        assert twin._adjacency is None
+        assert all(t is table for t in extended), sink
+        extensions += len(extended)
+        extended.clear()
+    assert extensions > 100
+
+
+def test_t_sets_enumerate_no_paths_and_recompute_no_words(monkeypatch, s4_lex):
+    enumerations, words = [], []
+    real_iter = cdindex.flips.iter_paths
+    monkeypatch.setattr(
+        cdindex.flips, "iter_paths", lambda *a: enumerations.append(a) or real_iter(*a)
+    )
+    real_word = TSetTable.word
+    monkeypatch.setattr(
+        TSetTable, "word", lambda self, p: words.append(p) or real_word(self, p)
+    )
+    sink = parse_perm("4321")
+    table = TSetTable(sink, s4_lex)
+    sizes = 0
+    for w, n in cone_problems(sink):
+        for monomial in cd_monomials(n):
+            gamma = ad_form(monomial)
+            sizes += len(table.t_set(w, gamma)) + len(table.t_bar_set(w, gamma))
+            table.flip(w, gamma)
+    assert sizes > 0
+    assert enumerations == [] and words == []
 
 
 @pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])

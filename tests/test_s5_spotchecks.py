@@ -35,7 +35,9 @@ def test_coefficient_identities_hold_on_deep_s5_intervals():
     two_d_checks = 0
     for u, v in sample_intervals((6, 7), 12, seed=123):
         iv = build_interval(u, v)
-        table = tables.setdefault(v, TSetTable(v, order))
+        if v not in tables:
+            tables[v] = TSetTable(v, order)
+        table = tables[v]
         idx = complete_cd_index(u, v, path_sums(iv, order))
         for n in degree_range(iv.length_diff):
             for monomial in cd_monomials(n):

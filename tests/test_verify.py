@@ -94,6 +94,29 @@ def test_restricted_counts_read_c_times_g_off_g(example_interval, example_table)
                 assert rep.coeff_f_plus_cg == product.coefficient(monomial)
 
 
+def test_restricted_counts_read_each_split_once_and_build_no_polynomial(
+    example_interval, example_table, monkeypatch
+):
+    order = example_table.order
+    decompositions = shelling_decomposition(path_sums(example_interval, order), order)
+    built, read = [], []
+    real_init, real_coefficient = CDPolynomial.__init__, CDPolynomial.coefficient
+    monkeypatch.setattr(
+        CDPolynomial, "__init__", lambda self, *a: built.append(a) or real_init(self, *a)
+    )
+    monkeypatch.setattr(
+        CDPolynomial, "coefficient",
+        lambda self, m: read.append(self) or real_coefficient(self, m),
+    )
+    for n in degree_range(example_interval.length_diff):
+        splits = {id(dec.by_degree[n]) for dec in decompositions.values() if n in dec.by_degree}
+        for monomial in cd_monomials(n):
+            read.clear()
+            check_restricted_counts(example_interval.u, monomial, example_table, decompositions)
+            assert len(read) == len(splits) * (2 if monomial.startswith("c") else 1)
+    assert built == []
+
+
 def test_edge_reflections_below():
     u = parse_perm("2134")
     assert edge_reflections_below(u) == [Reflection(1, 2)]
@@ -121,7 +144,9 @@ def test_strong_flip_condition_matches_g_nonnegativity_at_all_t_on_s4():
     negative_g = []
     for u, v in iter_intervals(4):
         iv = build_interval(u, v)
-        table = tables.setdefault(v, TSetTable(v, order))
+        if v not in tables:
+            tables[v] = TSetTable(v, order)
+        table = tables[v]
         for n in degree_range(iv.length_diff):
             for monomial in cd_monomials(n):
                 if not monomial.startswith("c"):
