@@ -86,9 +86,11 @@ class TSetTable:
                 x: tuple(sorted(out, key=lambda ty: order.rank(ty[0])))
                 for x, out in cone.adjacency.items()
             }
+            top = length(sink)
+            self._gaps = {x: top - length(x) for x in cone.elements}
             self._twin = TSetTable(sink, order.reversed(), _twin=self)
         else:
-            self._adjacency = None
+            self._adjacency = self._gaps = None
             self._twin = _twin
         self._paths: dict[tuple[Perm, int], tuple[BruhatPath, ...]] = {}
         self._word_paths: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
@@ -121,19 +123,18 @@ class TSetTable:
         """
         key = (w, gamma)
         hit = self._word_paths.get(key)
-        if hit is not None:
-            return hit
-        if self._adjacency is None:
-            hit = self._twin.word_paths(w, gamma.translate(_BAR))[::-1]
-        else:
-            hit = self._extend(w, gamma)
-        self._word_paths[key] = hit
+        if hit is None:
+            if self._adjacency is None:
+                hit = self._twin.word_paths(w, gamma.translate(_BAR))[::-1]
+            else:
+                hit = self._extend(w, gamma)
+            self._word_paths[key] = hit
         return hit
 
     def _extend(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
         # the dead-end test of iter_paths: |gamma| + 1 edges, each raising
         # the length by an odd amount, must cover the gap to the sink
-        gap = length(self.sink) - length(w)
+        gap = self._gaps[w]
         edges = len(gamma) + 1
         if gap < edges or (gap - edges) % 2:
             return ()
