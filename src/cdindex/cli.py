@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .complete import complete_cd_index, path_sums
 from .errors import CdIndexError, FlipUndefinedError, NotInSubringError
@@ -164,12 +163,13 @@ def cmd_dot(args) -> int:
 _WORKER_TABLES: dict = {}
 
 
-def _scan_one(job) -> str:
-    """Worker: one interval -> one JSON line.
+def _scan_one(job) -> tuple[str, bool]:
+    """Worker: one interval -> its JSON line and whether the record is clean.
 
     Jobs arrive grouped by sink, so keeping exactly one sink's memoized
-    table per process gives full reuse with bounded memory.  The order is
-    resolved once by the caller and travels in the job.
+    table per process gives full reuse with bounded memory.  Every table of
+    a process reads its cone off that process's one Bruhat graph.  The
+    order is resolved once by the caller and travels in the job.
     """
     u, v, order, order_spec = job
     key = (v, order_spec)
@@ -179,7 +179,7 @@ def _scan_one(job) -> str:
         table = TSetTable(v, order)
         _WORKER_TABLES[key] = table
     record = scan_interval(u, v, order, order_spec, table)
-    return json.dumps(record, sort_keys=True)
+    return json.dumps(record, sort_keys=True), record["clean"]
 
 
 def cmd_scan(args) -> int:
@@ -211,24 +211,25 @@ def cmd_scan(args) -> int:
     pairs = sorted(merge_keys, key=lambda uv: (uv[1], merge_keys[uv]))
     jobs = [(u, v, order, args.order) for u, v in pairs]
 
-    violations = 0
-    produced = []
     try:
         if args.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.workers) as executor:
-                lines = list(executor.map(_scan_one, jobs, chunksize=4))
+                results = list(executor.map(_scan_one, jobs, chunksize=4))
         else:
-            lines = [_scan_one(job) for job in jobs]
-        produced = sorted(zip(pairs, lines), key=lambda pl: merge_keys[pl[0]])
-        for _, line in produced:
-            if not json.loads(line)["clean"]:
-                violations += 1
+            results = [_scan_one(job) for job in jobs]
+        produced = [
+            result
+            for _, result in sorted(zip(pairs, results), key=lambda pr: merge_keys[pr[0]])
+        ]
+        violations = sum(1 for _, clean in produced if not clean)
         if args.out:
             with open(args.out, "a", encoding="utf-8") as out:
-                for _, line in produced:
+                for line, _ in produced:
                     out.write(line + "\n")
         else:
-            for _, line in produced:
+            for line, _ in produced:
                 print(line)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ this package treats as a tested invariant rather than an assumption.
 
 Restricting the sum to paths whose first reflection is at most t yields a
 polynomial of the form f + A*g with f, g in c, d; the pair (f, g) per
-degree is the shelling decomposition at t.
+degree is the shelling decomposition at t.  From the top populated rank on
+the restricted sum is the full sum, so the split there is the cd-index
+part and 0, read off the index rather than decomposed again.
 
 Every reader here takes the graded first-label sums {n: {r: word sum}},
 which bucket the length-n paths u -> v by the rank r of their first label;
@@ -137,22 +139,28 @@ class ShellingDecomposition:
 
 
 def shelling_decomposition(
-    sums: GradedSums, order: ReflectionOrder
+    sums: GradedSums, order: ReflectionOrder, index: CompleteCdIndex
 ) -> dict[Reflection, ShellingDecomposition]:
     """Split the restricted word sum as f_n + A*g_{n-1}, at every t, in every degree.
 
-    `sums` are the graded first-label sums under `order`; the split is
+    `sums` are the graded first-label sums under `order` and `index` the
+    complete cd-index `complete_cd_index` made of them.  The split is
     recomputed only at a t whose rank some path starts with, and is (0, 0)
-    below the first.  Existence of the split is guaranteed for these
-    restricted sums; failure raises NotDecomposableError and means a bug,
-    not bad input.
+    below the first.  At a degree's top populated rank the restricted sum
+    is the full sum, so the split is (index part, 0): converting that sum
+    already checked that it lies in the cd subring.  Below it, existence
+    of the split is guaranteed for these restricted sums; failure raises
+    NotDecomposableError and means a bug, not bad input.
     """
     parts: dict[Reflection, dict] = {t: {} for t in order.sequence}
     for n, buckets in sums.items():
+        top = max(buckets, default=None)
         split = (CDPolynomial(), CDPolynomial())
         for t in order.sequence:
             r = order.rank(t)
-            if r in buckets:
+            if r == top:
+                split = (index.by_degree[n], CDPolynomial())
+            elif r in buckets:
                 split = decompose_left_a(restricted_ad_polynomial(buckets, r), n)
             parts[t][n] = split
     return {t: ShellingDecomposition(t, by_degree) for t, by_degree in parts.items()}

@@ -34,6 +34,8 @@ is what makes |T_M| the coefficient.
 
 The checks take the source u and read the sink v from the table: every
 path u -> v lies in the cone [e, v] it holds, so [u, v] is never built.
+The cone is the down-closure of v in the process's one Bruhat graph
+(`intervals.bruhat_graph`), so a table builds no interval of its own.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FlipUndefinedError
-from .intervals import BruhatPath, ad_word, build_interval, iter_paths, label_string
+from .intervals import BruhatPath, ad_word, bruhat_graph, iter_paths, label_string
 from .ncpoly import ad_form, cd_degree
 from .orders import ReflectionOrder
-from .perms import Perm, format_perm, identity, length
+from .perms import Perm, format_perm
 
 _BAR = str.maketrans("AD", "DA")
 
@@ -53,7 +55,8 @@ _BAR = str.maketrans("AD", "DA")
 class TSetTable:
     """Memoized T-sets, memberships and flips for one sink vertex and order.
 
-    The table materializes the lower cone {x <= v} once and hands out:
+    The table reads the lower cone {x <= v} off the group's Bruhat graph
+    once, with each out-edge list sorted by rank, and hands out:
 
     - ``paths(w, n)``: all length-n paths w -> v, sorted lexicographically
       by label ranks under the table's order (the scan's path sums and the
@@ -81,13 +84,18 @@ class TSetTable:
         self.sink = sink
         self.order = order
         if _twin is None:
-            cone = build_interval(identity(len(sink)), sink)
+            graph = bruhat_graph(len(sink))
+            cone = graph.cone(sink)
+            up = graph.interval.adjacency
             self._adjacency = {
-                x: tuple(sorted(out, key=lambda ty: order.rank(ty[0])))
-                for x, out in cone.adjacency.items()
+                x: tuple(sorted(
+                    ((t, y) for t, y in up[x] if y in cone),
+                    key=lambda ty: order.rank(ty[0]),
+                ))
+                for x in cone
             }
-            top = length(sink)
-            self._gaps = {x: top - length(x) for x in cone.elements}
+            top = graph.lengths[sink]
+            self._gaps = {x: top - graph.lengths[x] for x in cone}
             self._twin = TSetTable(sink, order.reversed(), _twin=self)
         else:
             self._adjacency = self._gaps = None

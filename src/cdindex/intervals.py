@@ -11,11 +11,18 @@ u -> v of length n has n+2 vertices and n+1 edge labels t_0, ..., t_n, and
 the single-edge path (u, v) has length 0.  The ascent-descent word of a
 path has one letter per consecutive label pair: A where the labels increase
 in the active reflection order and D where they decrease.
+
+`bruhat_graph(n)` builds the whole group once per process, as the interval
+[e, w0] plus its reversed edges.  Bruhat order is the transitive closure of
+the graph's edges, so the cone {x <= v} is the down-closure of v in it:
+the T-set tables and the interval sweep read their cones from there and
+call no `compose` or `bruhat_leq`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from .orders import ReflectionOrder
@@ -25,7 +32,9 @@ from .perms import (
     bruhat_leq,
     compose,
     format_perm,
+    identity,
     length,
+    longest_element,
     reflection_perm,
 )
 
@@ -119,6 +128,54 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
         key=lambda e: (length(e[0]), e[0], e[2]),
     )
     return BruhatInterval(u, v, frozenset(elements), tuple(edges), adjacency)
+
+
+@dataclass(frozen=True, eq=False)
+class BruhatGraph:
+    """The Bruhat graph of S_n: the interval [e, w0] and its reversed edges.
+
+    `below[y]` lists every x with an edge x -> y; `lengths` holds l(x).
+    """
+
+    interval: BruhatInterval
+    below: dict[Perm, tuple[Perm, ...]]
+    lengths: dict[Perm, int]
+
+    def cone(self, v: Perm, max_gap: int | None = None) -> set[Perm]:
+        """The elements x <= v, or only those with l(v) - l(x) <= max_gap.
+
+        A walk down the reversed edges from v.  Capping the gap loses no
+        element: a saturated chain of covers joins x to v, and every
+        element on it lies within the cap.
+        """
+        lengths = self.lengths
+        floor = -1 if max_gap is None else lengths[v] - max_gap
+        found = {v}
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for x in self.below[y]:
+                    if x not in found and lengths[x] >= floor:
+                        found.add(x)
+                        nxt.append(x)
+            frontier = nxt
+        return found
+
+
+@cache
+def bruhat_graph(n: int) -> BruhatGraph:
+    """The Bruhat graph of S_n, built once per process and shared: read it only."""
+    iv = build_interval(identity(n), longest_element(n))
+    below: dict[Perm, list[Perm]] = {x: [] for x in iv.elements}
+    for x, out in iv.adjacency.items():
+        for _, y in out:
+            below[y].append(x)
+    return BruhatGraph(
+        iv,
+        {y: tuple(xs) for y, xs in below.items()},
+        {x: length(x) for x in iv.elements},
+    )
 
 
 def iter_paths(

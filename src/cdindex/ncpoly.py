@@ -33,7 +33,7 @@ class _WordPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[str, int] = {}
         for word, coeff in items:
-            if any(ch not in self.alphabet for ch in word):
+            if word.strip(self.alphabet):
                 raise ValueError(
                     f"monomial {word!r} not over alphabet {self.alphabet!r}"
                 )

@@ -12,18 +12,20 @@ to paths with first reflection <= t: |T-bar_M restricted| against the
 coefficient of M in f_n, and |T_M restricted| against the coefficient in
 f_n + c*g_{n-1}, with (f_n, g_{n-1}) from the shelling decomposition, at
 every t in one call: each restricted count bisects the sorted first-label
-ranks of T_M or T-bar_M, read once.
+ranks of T_M or T-bar_M, read once, and a report is built only for the
+first t where a count fails.
 
 Every check takes the source u and reads the sink from its `TSetTable`.
 `scan_interval` bundles everything into one JSON-ready record per interval;
 its path sums, and with them the cd-index and every shelling split, come
 from the sink table's paths, so a scan builds no interval and enumerates
-nothing outside `TSetTable.paths`.  The CLI streams the records to JSON-lines.
+nothing outside `TSetTable.paths`.  `iter_intervals` reads every pair off
+the down-closures in the group's one Bruhat graph, which the tables share.
+The CLI streams the records to JSON-lines.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -45,9 +47,10 @@ from .flips import (
     check_strong_flip_condition,
     sum_contributions,
 )
+from .intervals import bruhat_graph
 from .ncpoly import ad_form, cd_degree, cd_monomials
 from .orders import ReflectionOrder
-from .perms import Perm, Reflection, bruhat_leq, format_perm, length
+from .perms import Perm, Reflection, format_perm, length
 
 
 @dataclass(frozen=True)
@@ -150,24 +153,23 @@ def check_restricted_counts(
     monomial: str,
     table: TSetTable,
     decompositions: dict[Reflection, ShellingDecomposition],
-) -> list[RestrictedCountReport]:
-    """Counts of first-reflection-restricted T-sets vs f and f + c*g, per t.
+) -> Optional[RestrictedCountReport]:
+    """Counts of first-reflection-restricted T-sets vs f and f + c*g, at every t.
 
-    One report per entry of `decompositions`, in its order.  The bound is
-    read in the primal order for both T and T-bar, matching the single
-    definition of the restricted path set.
+    Walks the entries of `decompositions` in order and returns the report
+    of the first t where a count disagrees, or None when all agree.  The
+    bound is read in the primal order for both T and T-bar, matching the
+    single definition of the restricted path set.
     """
     gamma = ad_form(monomial)
-    order = table.order
+    rank = table.order.rank
     n = cd_degree(monomial)
-    t_ranks = sorted(order.rank(p.labels[0]) for p in table.t_set(u, gamma))
-    tbar_ranks = sorted(order.rank(p.labels[0]) for p in table.t_bar_set(u, gamma))
+    t_ranks = sorted(rank(p.labels[0]) for p in table.t_set(u, gamma))
+    tbar_ranks = sorted(rank(p.labels[0]) for p in table.t_bar_set(u, gamma))
     # shelling_decomposition hands every t up to the next populated rank the
     # same split object, so the coefficients are read once per split
     coefficients: dict[int, tuple[int, int]] = {}
-    reports = []
     for t, decomposition in decompositions.items():
-        bound = order.rank(t)
         split = decomposition.by_degree.get(n)
         coeffs = coefficients.get(id(split))
         if coeffs is None:
@@ -178,26 +180,30 @@ def check_restricted_counts(
                 if monomial.startswith("c"):
                     coeff_cg = g.coefficient(monomial[1:])
             coeffs = coefficients[id(split)] = (coeff_f, coeff_f + coeff_cg)
-        reports.append(RestrictedCountReport(
-            u, table.sink, monomial, t, bisect_right(t_ranks, bound),
-            bisect_right(tbar_ranks, bound), *coeffs,
-        ))
-    return reports
+        bound = rank(t)
+        t_restricted = bisect_right(t_ranks, bound)
+        tbar_restricted = bisect_right(tbar_ranks, bound)
+        if (tbar_restricted, t_restricted) != coeffs:
+            return RestrictedCountReport(
+                u, table.sink, monomial, t, t_restricted, tbar_restricted, *coeffs
+            )
+    return None
 
 
 def iter_intervals(n: int, max_length: int | None = None) -> Iterator[tuple[Perm, Perm]]:
-    """All proper Bruhat intervals of S_n, sorted by (length gap, u, v)."""
-    elements = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    pairs = []
-    for u in elements:
-        for v in elements:
-            if u == v:
-                continue
-            gap = length(v) - length(u)
-            if gap <= 0 or (max_length is not None and gap > max_length):
-                continue
-            if bruhat_leq(u, v):
-                pairs.append((gap, u, v))
+    """All proper Bruhat intervals of S_n, sorted by (length gap, u, v).
+
+    Each sink's sources are its down-closure in the group's Bruhat graph,
+    cut at `max_length`.
+    """
+    graph = bruhat_graph(n)
+    lengths = graph.lengths
+    pairs = [
+        (lengths[v] - lengths[u], u, v)
+        for v in graph.interval.elements
+        for u in graph.cone(v, max_length)
+        if u != v
+    ]
     pairs.sort()
     for _, u, v in pairs:
         yield u, v
@@ -225,7 +231,7 @@ def scan_interval(
         n: first_label_sums(table.paths(u, n), order) for n in degree_range(length_diff)
     }
     cd_index = complete_cd_index(u, v, sums)
-    decompositions = shelling_decomposition(sums, order)
+    decompositions = shelling_decomposition(sums, order, cd_index)
     monomial_results = {}
     witnesses: list[FlipWitness] = []
     consistent = True
@@ -242,9 +248,8 @@ def scan_interval(
                 strong_status = "holds" if strong is None else "violated"
                 if strong is not None:
                     witnesses.append(strong)
-            restricted_ok = all(
-                rep.consistent
-                for rep in check_restricted_counts(u, monomial, table, decompositions)
+            restricted_ok = (
+                check_restricted_counts(u, monomial, table, decompositions) is None
             )
             entry = {
                 "degree": n,

@@ -2,17 +2,24 @@
 
 Everything here is deliberately written from scratch against plain tuples,
 strings and dicts, without calling into the package, so that each checked
-operation has two genuinely different routes to the same number.  The one
-exception is `enumerate_paths`, a list form of the package's own path
-enumeration that only the tests read.
+operation has two genuinely different routes to the same number.  The
+exceptions are `enumerate_paths`, a list form of the package's own path
+enumeration that only the tests read, and the routes the package replaced
+with faster ones, kept as its reference: `interval_pairs` (the pairwise
+Bruhat test over all of S_n) and `restricted_count_reports` (one report
+per reflection).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 from cdindex.intervals import iter_paths
+from cdindex.ncpoly import ad_form, cd_degree
+from cdindex.perms import bruhat_leq, length
+from cdindex.verify import RestrictedCountReport
 
 
 def inversions(p):
@@ -222,3 +229,49 @@ def enumerate_paths(iv, n):
     An n of the wrong parity (or n > length_diff - 1, or n < 0) gives [].
     """
     return list(iter_paths(iv.adjacency, iv.u, iv.v, n))
+
+
+def interval_pairs(n, max_length=None):
+    """Every (u, v) with u < v in S_n, by n!^2 Bruhat tests, sorted by (gap, u, v)."""
+    elements = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    pairs = []
+    for u in elements:
+        for v in elements:
+            if u == v:
+                continue
+            gap = length(v) - length(u)
+            if gap <= 0 or (max_length is not None and gap > max_length):
+                continue
+            if bruhat_leq(u, v):
+                pairs.append((gap, u, v))
+    pairs.sort()
+    return [(u, v) for _, u, v in pairs]
+
+
+def restricted_count_reports(u, monomial, table, decompositions):
+    """One RestrictedCountReport per entry of `decompositions`, in its order."""
+    gamma = ad_form(monomial)
+    order = table.order
+    n = cd_degree(monomial)
+    t_ranks = sorted(order.rank(p.labels[0]) for p in table.t_set(u, gamma))
+    tbar_ranks = sorted(order.rank(p.labels[0]) for p in table.t_bar_set(u, gamma))
+    reports = []
+    for t, decomposition in decompositions.items():
+        bound = order.rank(t)
+        coeff_f = coeff_cg = 0
+        split = decomposition.by_degree.get(n)
+        if split is not None:
+            f, g = split
+            coeff_f = f.coefficient(monomial)
+            if monomial.startswith("c"):
+                coeff_cg = g.coefficient(monomial[1:])
+        reports.append(RestrictedCountReport(
+            u, table.sink, monomial, t, bisect_right(t_ranks, bound),
+            bisect_right(tbar_ranks, bound), coeff_f, coeff_f + coeff_cg,
+        ))
+    return reports
+
+
+def first_inconsistent(reports):
+    """The first report that fails, or None."""
+    return next((rep for rep in reports if not rep.consistent), None)

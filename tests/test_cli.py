@@ -1,10 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
-import cdindex.flips
-from cdindex import cli
+from cdindex import cli, intervals
 from cdindex.errors import FlipUndefinedError, NotDecomposableError
 from cdindex.flips import TSetTable
 
@@ -97,18 +97,44 @@ def test_tset_s5_top_output_matches_golden_digest(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == TSET_S5_TOP_DIGESTS[spec]
 
 
-def test_tset_builds_only_the_sink_cone(capsys, monkeypatch):
+def record_builds(monkeypatch):
+    """Every build_interval call from any cdindex module, as its arguments."""
     built = []
-    real = cdindex.flips.build_interval
-    monkeypatch.setattr(cli, "build_interval", lambda *a: pytest.fail("built [u, v]"))
-    monkeypatch.setattr(
-        cdindex.flips, "build_interval", lambda *a: built.append(a) or real(*a)
-    )
-    code, _, _ = run(capsys, "tset", "2134", "4321", "d")
-    assert code == 0
-    assert built == [((1, 2, 3, 4), (4, 3, 2, 1))]
+    real = intervals.build_interval
+
+    def recording(*args):
+        built.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cdindex" or name.startswith("cdindex."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, recording)
+    return built
+
+
+def test_tset_builds_only_the_sink_cone(capsys, monkeypatch):
+    """The sink's table reads its cone off the group's Bruhat graph, the
+    one build, for the sink w0 and for a sink below it; [u, v] and the
+    cone [e, v] are never built."""
+    built = record_builds(monkeypatch)
+    for v in ("4321", "4231"):
+        intervals.bruhat_graph.cache_clear()
+        built.clear()
+        code, _, _ = run(capsys, "tset", "2134", v, "d")
+        assert code == 0
+        assert built == [((1, 2, 3, 4), (4, 3, 2, 1))], v
     code, _, err = run(capsys, "tset", "4321", "2134", "d")
     assert code == cli.EXIT_USER and "not <=" in err
+
+
+def test_scan_builds_the_group_graph_once(capsys, monkeypatch):
+    built = record_builds(monkeypatch)
+    intervals.bruhat_graph.cache_clear()
+    code, _, _ = run(capsys, "scan", "--n", "4")
+    assert code == 0
+    assert built == [((1, 2, 3, 4), (4, 3, 2, 1))]
 
 
 def test_tset_rejects_bad_monomial(capsys):

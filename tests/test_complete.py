@@ -30,12 +30,18 @@ from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import Reflection, identity, parse_perm
 from cdindex.verify import RestrictedCountReport, check_restricted_counts, iter_intervals
 
-from .oracles import enumerate_paths
+from .oracles import enumerate_paths, first_inconsistent, restricted_count_reports
 
 # cd-index of [2134, 4321], frozen from two independent computations
 # (path sum + exact solve, and the flag-vector chain-count oracle)
 EXAMPLE_DEGREE_2 = {"cc": 2, "d": 1}
 EXAMPLE_DEGREE_4 = {"cccc": 1, "ccd": 1, "cdc": 2, "dcc": 1, "dd": 1}
+
+
+def shelling_of(iv, order):
+    """Every shelling split of [u, v] under `order`, from one set of path sums."""
+    sums = path_sums(iv, order)
+    return shelling_decomposition(sums, order, complete_cd_index(iv.u, iv.v, sums))
 
 
 def restricted_by_filter(iv, n, t, order):
@@ -180,14 +186,14 @@ def test_first_label_sums_bucket_the_full_sum(example_interval, s4_lex):
 
 def test_shelling_decomposition_at_maximal_reflection(example_interval, s4_lex):
     sums = path_sums(example_interval, s4_lex)
-    dec = shelling_decomposition(sums, s4_lex)[Reflection(3, 4)]
+    dec = shelling_of(example_interval, s4_lex)[Reflection(3, 4)]
     for n, (f, g) in dec.by_degree.items():
         assert not g, "no restriction means the sum is already bar-invariant"
         assert expand_cd(f) == ad_polynomials(sums)[n]
 
 
 def test_shelling_decomposition_every_t_nonnegative(example_interval, s4_lex):
-    decompositions = shelling_decomposition(path_sums(example_interval, s4_lex), s4_lex)
+    decompositions = shelling_of(example_interval, s4_lex)
     assert list(decompositions) == list(s4_lex.sequence)
     for t, dec in decompositions.items():
         assert dec.t == t
@@ -206,7 +212,7 @@ def test_every_t_at_once_matches_the_per_t_route_on_s4(word):
         if v not in tables:
             tables[v] = TSetTable(v, order)
         table = tables[v]
-        decompositions = shelling_decomposition(path_sums(iv, order), order)
+        decompositions = shelling_of(iv, order)
         assert list(decompositions) == list(order.sequence)
         reference = {t: per_t_decomposition(iv, t, order) for t in order.sequence}
         for t, dec in decompositions.items():
@@ -214,17 +220,20 @@ def test_every_t_at_once_matches_the_per_t_route_on_s4(word):
             assert list(dec.by_degree.items()) == list(reference[t].items()), (u, v, t)
         for n in degree_range(iv.length_diff):
             for monomial in cd_monomials(n):
-                got = check_restricted_counts(u, monomial, table, decompositions)
-                assert got == [
+                reports = restricted_count_reports(u, monomial, table, decompositions)
+                assert reports == [
                     per_t_restricted_counts(iv, monomial, t, table, reference[t])
                     for t in order.sequence
                 ], (u, v, monomial)
+                got = check_restricted_counts(u, monomial, table, decompositions)
+                assert got == first_inconsistent(reports), (u, v, monomial)
 
 
 def test_shelling_enumerates_nothing_and_splits_exactly_at_first_label_ranks(monkeypatch):
     """path_sums makes one iter_paths call per degree and shelling_decomposition
     none; decompose_left_a runs only at the ranks some path starts with, on
-    the sum restricted to that rank."""
+    the sum restricted to that rank, and never at a degree's top rank, whose
+    split is read off the cd-index."""
     order = order_from_reduced_word(4, [1, 2, 1, 3, 2, 1])
     enumerations = []
     splits = []
@@ -247,16 +256,47 @@ def test_shelling_enumerates_nothing_and_splits_exactly_at_first_label_ranks(mon
             ranks = sorted({order.rank(p.labels[0]) for p in enumerate_paths(iv, n)})
             expected += [
                 (n, restricted_by_filter(iv, n, order.sequence[r - 1], order))
-                for r in ranks
+                for r in ranks[:-1]
             ]
         enumerations.clear()
         sums = path_sums(iv, order)
         assert enumerations == degree_range(iv.length_diff), (u, v)
+        index = complete_cd_index(u, v, sums)
         enumerations.clear()
         splits.clear()
-        shelling_decomposition(sums, order)
+        shelling_decomposition(sums, order, index)
         assert enumerations == [], (u, v)
         assert splits == expected, (u, v)
+
+
+@pytest.mark.parametrize("word", [None, [1, 2, 1, 3, 2, 1]], ids=["lex", "word"])
+def test_top_split_is_the_index_part_and_zero_on_s4(word, monkeypatch):
+    """From each degree's top populated rank on, every split is (cd-index
+    part, 0), and decompose_left_a never sees the full sum."""
+    order = lex_order(4) if word is None else order_from_reduced_word(4, word)
+    split = complete.decompose_left_a
+    full_sums_split = []
+
+    def recording_split(p, n):
+        if p == full[n]:
+            full_sums_split.append(n)
+        return split(p, n)
+
+    monkeypatch.setattr(complete, "decompose_left_a", recording_split)
+    for u, v in iter_intervals(4):
+        iv = build_interval(u, v)
+        sums = path_sums(iv, order)
+        full = ad_polynomials(sums)
+        index = complete_cd_index(u, v, sums)
+        decompositions = shelling_decomposition(sums, order, index)
+        for n, buckets in sums.items():
+            if not buckets:
+                continue
+            top = max(buckets)
+            for t, dec in decompositions.items():
+                if order.rank(t) >= top:
+                    assert dec.by_degree[n] == (index.by_degree[n], CDPolynomial()), (u, v, t)
+    assert full_sums_split == []
 
 
 @pytest.mark.parametrize("word", [None, [1, 2, 1, 3, 2, 1]], ids=["lex", "word"])
@@ -287,10 +327,10 @@ def test_equality_compares_the_polynomials(example_interval, s4_lex):
     assert idx != empty and hash(idx) == hash(empty)
     assert idx == complete_cd_index(iv.u, iv.v, path_sums(iv, s4_lex.reversed()))
     t = Reflection(3, 4)
-    split = shelling_decomposition(sums, s4_lex)[t]
+    split = shelling_decomposition(sums, s4_lex, idx)[t]
     other = ShellingDecomposition(t, {n: (f, f) for n, (f, _) in split.by_degree.items()})
     assert split != other and hash(split) == hash(other)
-    assert split == shelling_decomposition(path_sums(iv, s4_lex), s4_lex)[t]
+    assert split == shelling_of(iv, s4_lex)[t]
 
 
 def test_degree_range():

@@ -52,6 +52,23 @@ def cone_problems(sink):
     ]
 
 
+@pytest.mark.parametrize("n, word", [
+    (4, None), (4, [1, 2, 1, 3, 2, 1]), (5, None), (5, [2, 1, 3, 4, 3, 2, 3, 1, 4, 2]),
+], ids=["s4-lex", "s4-word", "s5-lex", "s5-word"])
+def test_table_cone_equals_the_built_cone(n, word):
+    """For every sink: the cone a table reads off the group graph has the
+    elements, gaps and rank-sorted out-edges of build_interval(e, sink)."""
+    order = lex_order(n) if word is None else order_from_reduced_word(n, word)
+    for sink in itertools.permutations(range(1, n + 1)):
+        cone = build_interval(identity(n), sink)
+        table = TSetTable(sink, order)
+        assert table._gaps == {x: length(sink) - length(x) for x in cone.elements}
+        assert table._adjacency == {
+            x: tuple(sorted(out, key=lambda ty: order.rank(ty[0])))
+            for x, out in cone.adjacency.items()
+        }
+
+
 def test_t_sets_of_the_running_example(example_table, s4_lex):
     u = parse_perm("2134")
     assert names(compute_t_set(example_table, u, "cc"), s4_lex) == ["235", "346"]

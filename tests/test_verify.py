@@ -1,12 +1,15 @@
 import json
 import sys
+from dataclasses import replace
+
+import pytest
 
 from cdindex import intervals
-from cdindex.complete import complete_cd_index, degree_range, path_sums, shelling_decomposition
+from cdindex.complete import complete_cd_index, degree_range, path_sums
 from cdindex.flips import TSetTable, check_strong_flip_condition
 from cdindex.intervals import build_interval
 from cdindex.ncpoly import CDPolynomial, cd_monomials
-from cdindex.orders import lex_order
+from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import (
     Reflection,
     all_reflections,
@@ -21,6 +24,9 @@ from cdindex.verify import (
     scan_interval,
     verify_coefficient,
 )
+
+from .oracles import first_inconsistent, interval_pairs, restricted_count_reports
+from .test_complete import shelling_of
 
 
 def edge_reflections_below(u):
@@ -51,9 +57,12 @@ def test_verify_coefficient_reuses_a_precomputed_index(example_interval, example
 
 
 def restricted_reports(iv, monomial, table):
-    """check_restricted_counts at every t of the table's order, keyed by t."""
-    decompositions = shelling_decomposition(path_sums(iv, table.order), table.order)
-    reports = check_restricted_counts(iv.u, monomial, table, decompositions)
+    """The reference report at every t of the table's order, keyed by t;
+    check_restricted_counts must return the first inconsistent one."""
+    decompositions = shelling_of(iv, table.order)
+    reports = restricted_count_reports(iv.u, monomial, table, decompositions)
+    got = check_restricted_counts(iv.u, monomial, table, decompositions)
+    assert got == first_inconsistent(reports)
     return {rep.t: rep for rep in reports}
 
 
@@ -81,10 +90,10 @@ def test_restricted_counts_for_d_at_every_t(example_interval, example_table):
 def test_restricted_counts_read_c_times_g_off_g(example_interval, example_table):
     """coeff_f_plus_cg matches f + c*g multiplied out as polynomials."""
     order = example_table.order
-    decompositions = shelling_decomposition(path_sums(example_interval, order), order)
+    decompositions = shelling_of(example_interval, order)
     for n in degree_range(example_interval.length_diff):
         for monomial in cd_monomials(n):
-            reports = check_restricted_counts(
+            reports = restricted_count_reports(
                 example_interval.u, monomial, example_table, decompositions
             )
             assert [rep.t for rep in reports] == list(order.sequence)
@@ -98,7 +107,7 @@ def test_restricted_counts_read_each_split_once_and_build_no_polynomial(
     example_interval, example_table, monkeypatch
 ):
     order = example_table.order
-    decompositions = shelling_decomposition(path_sums(example_interval, order), order)
+    decompositions = shelling_of(example_interval, order)
     built, read = [], []
     real_init, real_coefficient = CDPolynomial.__init__, CDPolynomial.coefficient
     monkeypatch.setattr(
@@ -112,7 +121,10 @@ def test_restricted_counts_read_each_split_once_and_build_no_polynomial(
         splits = {id(dec.by_degree[n]) for dec in decompositions.values() if n in dec.by_degree}
         for monomial in cd_monomials(n):
             read.clear()
-            check_restricted_counts(example_interval.u, monomial, example_table, decompositions)
+            got = check_restricted_counts(
+                example_interval.u, monomial, example_table, decompositions
+            )
+            assert got is None
             assert len(read) == len(splits) * (2 if monomial.startswith("c") else 1)
     assert built == []
 
@@ -132,6 +144,62 @@ def test_iter_intervals_is_sorted_and_complete():
     assert gaps == sorted(gaps)
     capped = list(iter_intervals(3, max_length=1))
     assert all(length(v) - length(u) == 1 for u, v in capped)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_iter_intervals_matches_the_pairwise_bruhat_test(n):
+    for max_length in (None, 1, 3):
+        assert list(iter_intervals(n, max_length)) == interval_pairs(n, max_length)
+
+
+def test_iter_intervals_counts_every_interval_of_s6():
+    assert sum(1 for _ in iter_intervals(6)) == 97687
+
+
+@pytest.mark.parametrize("word", [None, [1, 2, 1, 3, 2, 1]], ids=["lex", "word"])
+def test_restricted_counts_return_the_first_failure_on_s4(word):
+    """On every S_4 interval and monomial: the reference's first
+    inconsistent report, or None."""
+    order = lex_order(4) if word is None else order_from_reduced_word(4, word)
+    tables = {}
+    for u, v in iter_intervals(4):
+        if v not in tables:
+            tables[v] = TSetTable(v, order)
+        iv = build_interval(u, v)
+        decompositions = shelling_of(iv, order)
+        for n in degree_range(iv.length_diff):
+            for monomial in cd_monomials(n):
+                reports = restricted_count_reports(u, monomial, tables[v], decompositions)
+                got = check_restricted_counts(u, monomial, tables[v], decompositions)
+                assert got == first_inconsistent(reports), (u, v, monomial)
+
+
+@pytest.mark.parametrize("part", ["f", "g"])
+def test_restricted_counts_report_a_corrupted_split(example_interval, example_table, part):
+    """Adding cc to f (c to g) at one reflection breaks the T-bar (T)
+    count of cc there, and only there: the report names that t."""
+    order = example_table.order
+    decompositions = shelling_of(example_interval, order)
+    t = Reflection(1, 4)
+    f, g = decompositions[t].by_degree[2]
+    if part == "f":
+        f = f + CDPolynomial({"cc": 1})
+    else:
+        g = g + CDPolynomial({"c": 1})
+    decompositions[t] = replace(
+        decompositions[t], by_degree={**decompositions[t].by_degree, 2: (f, g)}
+    )
+    reports = restricted_count_reports(example_interval.u, "cc", example_table, decompositions)
+    got = check_restricted_counts(example_interval.u, "cc", example_table, decompositions)
+    assert got is not None and not got.consistent
+    assert got == first_inconsistent(reports)
+    assert got.t == t
+    if part == "f":
+        assert got.coeff_f == got.tbar_restricted + 1
+    else:
+        assert got.coeff_f == got.tbar_restricted
+        assert got.coeff_f_plus_cg == got.t_restricted + 1
+    assert check_restricted_counts(example_interval.u, "dd", example_table, decompositions) is None
 
 
 def test_strong_flip_condition_matches_g_nonnegativity_at_all_t_on_s4():
@@ -154,7 +222,7 @@ def test_strong_flip_condition_matches_g_nonnegativity_at_all_t_on_s4():
                 witness = check_strong_flip_condition(u, monomial, table)
                 if witness is not None:
                     strong_violations.append((u, v, monomial, witness))
-        for t, dec in shelling_decomposition(path_sums(iv, order), order).items():
+        for t, dec in shelling_of(iv, order).items():
             for _, g in dec.by_degree.values():
                 if any(c < 0 for _, c in g.items()):
                     negative_g.append((u, v, t))
