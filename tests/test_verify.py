@@ -9,7 +9,7 @@ from cdindex.complete import complete_cd_index, degree_range, path_sums
 from cdindex.flips import TSetTable, check_strong_flip_condition
 from cdindex.intervals import build_interval
 from cdindex.ncpoly import CDPolynomial, cd_monomials
-from cdindex.orders import lex_order, order_from_reduced_word
+from cdindex.orders import lex_order
 from cdindex.perms import (
     Reflection,
     all_reflections,
@@ -154,24 +154,6 @@ def test_iter_intervals_matches_the_pairwise_bruhat_test(n):
 
 def test_iter_intervals_counts_every_interval_of_s6():
     assert sum(1 for _ in iter_intervals(6)) == 97687
-
-
-@pytest.mark.parametrize("word", [None, [1, 2, 1, 3, 2, 1]], ids=["lex", "word"])
-def test_restricted_counts_return_the_first_failure_on_s4(word):
-    """On every S_4 interval and monomial: the reference's first
-    inconsistent report, or None."""
-    order = lex_order(4) if word is None else order_from_reduced_word(4, word)
-    tables = {}
-    for u, v in iter_intervals(4):
-        if v not in tables:
-            tables[v] = TSetTable(v, order)
-        iv = build_interval(u, v)
-        decompositions = shelling_of(iv, order)
-        for n in degree_range(iv.length_diff):
-            for monomial in cd_monomials(n):
-                reports = restricted_count_reports(u, monomial, tables[v], decompositions)
-                got = check_restricted_counts(u, monomial, tables[v], decompositions)
-                assert got == first_inconsistent(reports), (u, v, monomial)
 
 
 @pytest.mark.parametrize("part", ["f", "g"])
