@@ -219,16 +219,12 @@ def test_polynomial_alphabet_is_enforced():
         ADPolynomial({"Ax": 1})
     with pytest.raises(ValueError):
         CDPolynomial({"AD": 1})
-
-
-@pytest.mark.parametrize("cls, word", [
-    (ADPolynomial, "AxD"), (ADPolynomial, "xAD"), (ADPolynomial, "c"),
-    (CDPolynomial, "c1"), (CDPolynomial, "dAc"), (CDPolynomial, "D"),
-])
-def test_a_foreign_letter_anywhere_is_rejected(cls, word):
-    with pytest.raises(ValueError, match=f"monomial {word!r} not over alphabet {cls.alphabet!r}"):
-        cls({word: 1})
-    assert cls({cls.alphabet * 2: 1, "": 3}).coefficient("") == 3
+    for cls, words in ((ADPolynomial, ["AxD", "xAD", "c"]), (CDPolynomial, ["c1", "dAc", "D"])):
+        for word in words:
+            message = f"monomial {word!r} not over alphabet {cls.alphabet!r}"
+            with pytest.raises(ValueError, match=message):
+                cls({word: 1})
+        assert cls({cls.alphabet * 2: 1, "": 3}).coefficient("") == 3
 
 
 def test_no_zero_coefficients_are_stored():
