@@ -4,7 +4,6 @@ and strong flip conditions and the shelling decomposition."""
 
 from .complete import (
     CompleteCdIndex,
-    ShellingDecomposition,
     ad_polynomials,
     complete_cd_index,
     first_label_sums,
@@ -12,6 +11,7 @@ from .complete import (
     path_sums,
     restricted_ad_polynomial,
     shelling_decomposition,
+    split_at,
 )
 from .errors import (
     CdIndexError,

@@ -1,8 +1,9 @@
 """Command-line front end: compute, tset, scan, dot.
 
 Exit codes: 0 success, 1 mathematical violation found by a scan, 2 user
-error, 3 internal inconsistency, 4 flip undefined, 5 I/O error.  All output
-except `dot` is JSON; scan writes JSON-lines, one record per interval.
+error or a request that ran out of memory, 3 internal inconsistency, 4 flip
+undefined, 5 I/O error.  All output except `dot` is JSON; scan writes
+JSON-lines, one record per interval.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import sys
 from .complete import complete_cd_index, path_sums
 from .errors import CdIndexError, FlipUndefinedError, NotInSubringError
 from .flips import TSetTable
-from .intervals import build_interval, export_dot, label_string, path_json
+from .intervals import bruhat_graph, build_interval, export_dot, label_string, path_json
 from .ncpoly import ad_form, parse_cd_monomial
 from .orders import ReflectionOrder, lex_order, order_from_reduced_word
-from .perms import bruhat_leq, format_perm, length, parse_perm
+from .perms import bruhat_leq, format_perm, parse_perm
 from .verify import iter_intervals, scan_interval
 
 EXIT_VIOLATION = 1
@@ -202,11 +203,12 @@ def cmd_scan(args) -> int:
             print(f"error reading resume file: {exc}", file=sys.stderr)
             return EXIT_IO
 
+    lengths = bruhat_graph(args.n).lengths
     merge_keys = {}
     for u, v in iter_intervals(args.n, args.max_length):
-        if (format_perm(u), format_perm(v), args.order) in done:
+        if done and (format_perm(u), format_perm(v), args.order) in done:
             continue
-        merge_keys[(u, v)] = (length(v) - length(u), u, v)
+        merge_keys[(u, v)] = (lengths[v] - lengths[u], u, v)
     # process grouped by sink for table reuse; emit in merge order
     pairs = sorted(merge_keys, key=lambda uv: (uv[1], merge_keys[uv]))
     jobs = [(u, v, order, args.order) for u, v in pairs]
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
     except CdIndexError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         code = EXIT_INTERNAL
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        code = EXIT_USER
     if argv is None:
         sys.exit(code)
     return code

@@ -9,9 +9,13 @@ this package treats as a tested invariant rather than an assumption.
 
 Restricting the sum to paths whose first reflection is at most t yields a
 polynomial of the form f + A*g with f, g in c, d; the pair (f, g) per
-degree is the shelling decomposition at t.  From the top populated rank on
-the restricted sum is the full sum, so the split there is the cd-index
-part and 0, read off the index rather than decomposed again.
+degree is the shelling decomposition at t.  The restricted path set grows
+only at a rank some path starts with, so `shelling_decomposition` keeps
+one split per degree and populated rank, {n: [(r, (f, g)), ...]}, and
+`split_at` reads the split at any t off those steps.  From the top
+populated rank on the restricted sum is the full sum, so the split there
+is the cd-index part and 0, read off the index rather than decomposed
+again.
 
 Every reader here takes the graded first-label sums {n: {r: word sum}},
 which bucket the length-n paths u -> v by the rank r of their first label;
@@ -28,10 +32,12 @@ The top-degree part of the complete cd-index must agree with it.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .intervals import BruhatInterval, BruhatPath, ad_word, iter_paths
+from .intervals import BruhatInterval, BruhatPath, iter_paths, rank_word
 from .ncpoly import (
     ADPolynomial,
     CDPolynomial,
@@ -40,10 +46,14 @@ from .ncpoly import (
     decompose_left_a,
 )
 from .orders import ReflectionOrder
-from .perms import Perm, Reflection, bruhat_leq, format_perm, length
+from .perms import Perm, bruhat_leq, format_perm, length
 
 # {path length n: {rank r: AD-word sum of the length-n paths whose first label has rank r}}
 GradedSums = dict[int, dict[int, ADPolynomial]]
+# (f, g) with f + A*g a restricted word sum, f of degree n and g of degree n - 1
+Split = tuple[CDPolynomial, CDPolynomial]
+# {path length n: [(populated first-label rank r, split of the sum over ranks <= r)]}
+ShellingSplits = dict[int, list[tuple[int, Split]]]
 
 
 def degree_range(length_diff: int) -> list[int]:
@@ -60,10 +70,12 @@ def first_label_sums(
     paths: Iterable[BruhatPath], order: ReflectionOrder
 ) -> dict[int, ADPolynomial]:
     """Word sums of same-length paths, keyed by ascending first-label rank."""
+    rank = order.rank
     buckets: dict[int, dict[str, int]] = {}
     for path in paths:
-        acc = buckets.setdefault(order.rank(path.labels[0]), {})
-        w = ad_word(path, order)
+        ranks = [rank(t) for t in path.labels]
+        acc = buckets.setdefault(ranks[0], {})
+        w = rank_word(ranks)
         acc[w] = acc.get(w, 0) + 1
     return {r: ADPolynomial(buckets[r]) for r in sorted(buckets)}
 
@@ -98,14 +110,12 @@ class CompleteCdIndex:
             return CDPolynomial()
         return self.by_degree[max(self.by_degree)]
 
+    def parts_json(self) -> dict[str, dict[str, int]]:
+        """The graded parts, keyed by the degree as a string."""
+        return {str(n): part.to_json() for n, part in sorted(self.by_degree.items())}
+
     def to_json(self) -> dict:
-        return {
-            "u": format_perm(self.u),
-            "v": format_perm(self.v),
-            "cd_index": {
-                str(n): part.to_json() for n, part in sorted(self.by_degree.items())
-            },
-        }
+        return {"u": format_perm(self.u), "v": format_perm(self.v), "cd_index": self.parts_json()}
 
 
 def complete_cd_index(u: Perm, v: Perm, sums: GradedSums) -> CompleteCdIndex:
@@ -124,46 +134,40 @@ def restricted_ad_polynomial(buckets: dict[int, ADPolynomial], bound: int) -> AD
     return sum((p for r, p in buckets.items() if r <= bound), ADPolynomial())
 
 
-@dataclass(frozen=True)
-class ShellingDecomposition:
-    """Per-degree split f + A*g of the first-reflection-restricted word sum."""
+def shelling_decomposition(sums: GradedSums, index: CompleteCdIndex) -> ShellingSplits:
+    """Split the restricted word sum as f_n + A*g_{n-1}, at every populated rank.
 
-    t: Reflection
-    by_degree: dict[int, tuple[CDPolynomial, CDPolynomial]] = field(hash=False)
-
-    def is_nonnegative(self) -> bool:
-        """Whether every g-part has only non-negative coefficients."""
-        return all(
-            c >= 0 for _, g in self.by_degree.values() for _, c in g.items()
-        )
-
-
-def shelling_decomposition(
-    sums: GradedSums, order: ReflectionOrder, index: CompleteCdIndex
-) -> dict[Reflection, ShellingDecomposition]:
-    """Split the restricted word sum as f_n + A*g_{n-1}, at every t, in every degree.
-
-    `sums` are the graded first-label sums under `order` and `index` the
-    complete cd-index `complete_cd_index` made of them.  The split is
-    recomputed only at a t whose rank some path starts with, and is (0, 0)
-    below the first.  At a degree's top populated rank the restricted sum
-    is the full sum, so the split is (index part, 0): converting that sum
-    already checked that it lies in the cd subring.  Below it, existence
-    of the split is guaranteed for these restricted sums; failure raises
-    NotDecomposableError and means a bug, not bad input.
+    `sums` are graded first-label sums and `index` the complete cd-index
+    `complete_cd_index` made of them.  The result holds, per degree, one
+    step (r, (f, g)) at each rank r some path starts with, in ascending r;
+    `split_at` reads the split at any t off those steps.  At a degree's
+    top populated rank the restricted sum is the full sum, so the split is
+    (index part, 0): converting that sum already checked that it lies in
+    the cd subring.  Below it, existence of the split is guaranteed for
+    these restricted sums; failure raises NotDecomposableError and means a
+    bug, not bad input.
     """
-    parts: dict[Reflection, dict] = {t: {} for t in order.sequence}
+    splits: ShellingSplits = {}
     for n, buckets in sums.items():
-        top = max(buckets, default=None)
-        split = (CDPolynomial(), CDPolynomial())
-        for t in order.sequence:
-            r = order.rank(t)
-            if r == top:
-                split = (index.by_degree[n], CDPolynomial())
-            elif r in buckets:
-                split = decompose_left_a(restricted_ad_polynomial(buckets, r), n)
-            parts[t][n] = split
-    return {t: ShellingDecomposition(t, by_degree) for t, by_degree in parts.items()}
+        ranks = sorted(buckets)
+        steps = [
+            (r, decompose_left_a(restricted_ad_polynomial(buckets, r), n)) for r in ranks[:-1]
+        ]
+        if ranks:
+            steps.append((ranks[-1], (index.by_degree[n], CDPolynomial())))
+        splits[n] = steps
+    return splits
+
+
+def split_at(steps: list[tuple[int, Split]], bound: int) -> Split:
+    """The split whose restricted sum has first-label ranks <= bound.
+
+    The restricted path set grows only at a populated rank, so the split
+    of the last step at a rank <= bound holds up to the next step, and
+    below the first step the split is (0, 0).
+    """
+    k = bisect_right(steps, bound, key=itemgetter(0))
+    return steps[k - 1][1] if k else (CDPolynomial(), CDPolynomial())
 
 
 def flag_cd_index(iv: BruhatInterval) -> CDPolynomial:

@@ -13,7 +13,10 @@ Every query is keyed by (vertex, suffix word), and so is the path store
 the T-sets read: `word_paths(w, gamma)` holds only the paths w -> v whose
 word is gamma, built by suffix sharing from the word paths of gamma[1:]
 out of each upper neighbour of w.  No T-set enumerates all paths or
-recomputes a word.
+recomputes a word.  The store of all length-n paths that the scan's sums
+and the per-path checks read, `paths(w, n)`, is built the same way from
+the length-(n-1) paths of each upper neighbour, so the table runs no
+depth-first enumeration.
 
 The flip on a sub-problem pairs T with its reverse-order counterpart T-bar
 by lexicographic position under the primal order.  Lex order on the
@@ -44,8 +47,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FlipUndefinedError
-from .intervals import BruhatPath, ad_word, bruhat_graph, iter_paths, label_string
-from .ncpoly import ad_form, cd_degree
+from .intervals import BruhatPath, ad_word, bruhat_graph, label_string
+from .ncpoly import ad_form
 from .orders import ReflectionOrder
 from .perms import Perm, format_perm
 
@@ -61,6 +64,7 @@ class TSetTable:
     - ``paths(w, n)``: all length-n paths w -> v, sorted lexicographically
       by label ranks under the table's order (the scan's path sums and the
       per-path checks read these);
+    - ``gaps[w]``: the length gap l(v) - l(w), for every w in the cone;
     - ``word_paths(w, gamma)``: the length-|gamma| paths w -> v whose
       AD-word is ``gamma``, in the same order;
     - ``t_set(w, gamma)``: the T-set for the AD-word ``gamma``, a subset of
@@ -95,10 +99,11 @@ class TSetTable:
                 for x in cone
             }
             top = graph.lengths[sink]
-            self._gaps = {x: top - graph.lengths[x] for x in cone}
+            self.gaps = {x: top - graph.lengths[x] for x in cone}
             self._twin = TSetTable(sink, order.reversed(), _twin=self)
         else:
-            self._adjacency = self._gaps = None
+            self._adjacency = None
+            self.gaps = _twin.gaps
             self._twin = _twin
         self._paths: dict[tuple[Perm, int], tuple[BruhatPath, ...]] = {}
         self._word_paths: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
@@ -110,16 +115,40 @@ class TSetTable:
         return self._twin
 
     def paths(self, w: Perm, n: int) -> tuple[BruhatPath, ...]:
-        """All length-n paths from w to the sink, lex-sorted by label ranks."""
+        """All length-n paths from w to the sink, lex-sorted by label ranks.
+
+        A length-n path is an edge (t, y) out of w followed by a length-(n-1)
+        path from y.  Out-edges are walked in rank order and each suffix
+        tuple is lex-sorted, so the result needs no sort.
+        """
         key = (w, n)
         hit = self._paths.get(key)
         if hit is None:
             if self._adjacency is None:
                 hit = self._twin.paths(w, n)[::-1]
+            elif not self._reaches(w, n + 1):
+                hit = ()
+            elif n == 0:
+                hit = self._edges_to_sink(w)
             else:
-                hit = tuple(iter_paths(self._adjacency, w, self.sink, n))
+                hit = tuple(
+                    BruhatPath((w,) + p.vertices, (t,) + p.labels)
+                    for t, y in self._adjacency[w]
+                    for p in self.paths(y, n - 1)
+                )
             self._paths[key] = hit
         return hit
+
+    def _reaches(self, w: Perm, edges: int) -> bool:
+        """The dead-end test of `iter_paths`: `edges` edges from w, each
+        raising the length by an odd amount, can end at the sink."""
+        gap = self.gaps[w]
+        return gap >= edges > 0 and (gap - edges) % 2 == 0
+
+    def _edges_to_sink(self, w: Perm) -> tuple[BruhatPath, ...]:
+        return tuple(
+            BruhatPath((w, y), (t,)) for t, y in self._adjacency[w] if y == self.sink
+        )
 
     def word_paths(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
         """The paths w -> sink whose AD-word is gamma, lex-sorted by label ranks.
@@ -140,21 +169,14 @@ class TSetTable:
         return hit
 
     def _extend(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
-        # the dead-end test of iter_paths: |gamma| + 1 edges, each raising
-        # the length by an odd amount, must cover the gap to the sink
-        gap = self._gaps[w]
-        edges = len(gamma) + 1
-        if gap < edges or (gap - edges) % 2:
+        if not self._reaches(w, len(gamma) + 1):
             return ()
-        out_edges = self._adjacency[w]
         if not gamma:
-            return tuple(
-                BruhatPath((w, y), (t,)) for t, y in out_edges if y == self.sink
-            )
+            return self._edges_to_sink(w)
         rank = self.order.rank
         ascent = gamma[0] == "A"
         out = []
-        for t, y in out_edges:
+        for t, y in self._adjacency[w]:
             r = rank(t)
             for p in self.word_paths(y, gamma[1:]):
                 if (r < rank(p.labels[0])) == ascent:
@@ -275,11 +297,15 @@ def path_contribution(path: BruhatPath, monomial: str, table: TSetTable) -> int:
     condition fails for a suffix sub-problem.
     """
     gamma = ad_form(monomial)
-    n = len(gamma)
-    if path.n != n:
-        raise ValueError(f"path length {path.n} does not match degree {n}")
+    if path.n != len(gamma):
+        raise ValueError(f"path length {path.n} does not match degree {len(gamma)}")
+    return _signed_product(path, gamma, table)
+
+
+def _signed_product(path: BruhatPath, gamma: str, table: TSetTable) -> int:
+    """The product of the position factors of a path whose length is |gamma|."""
     sign = 1
-    for m in range(n, 0, -1):
+    for m in range(len(gamma), 0, -1):
         factor = position_factor(path, m, gamma, table)
         if not factor:
             return 0
@@ -293,10 +319,8 @@ def sum_contributions(u: Perm, monomial: str, table: TSetTable) -> int:
     With a flip compatible with the order this equals the coefficient of
     the monomial in the complete cd-index.
     """
-    n = cd_degree(monomial)
-    return sum(
-        path_contribution(path, monomial, table) for path in table.paths(u, n)
-    )
+    gamma = ad_form(monomial)
+    return sum(_signed_product(path, gamma, table) for path in table.paths(u, len(gamma)))
 
 
 @dataclass(frozen=True)

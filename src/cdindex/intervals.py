@@ -21,9 +21,9 @@ call no `compose` or `bruhat_leq`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
 
 from .orders import ReflectionOrder
 from .perms import (
@@ -234,10 +234,12 @@ def ad_word(path: BruhatPath, order: ReflectionOrder) -> str:
     Consecutive labels are never equal (that would retrace the same edge),
     so every pair is a strict ascent or descent.
     """
-    ranks = rank_sequence(path, order)
-    return "".join(
-        "A" if ranks[i - 1] < ranks[i] else "D" for i in range(1, len(ranks))
-    )
+    return rank_word(rank_sequence(path, order))
+
+
+def rank_word(ranks: Sequence[int]) -> str:
+    """The ascent-descent word of a path given its label ranks."""
+    return "".join(["A" if a < b else "D" for a, b in zip(ranks, ranks[1:])])
 
 
 def label_string(path: BruhatPath, order: ReflectionOrder) -> str:

@@ -41,6 +41,14 @@ class _WordPolynomial:
                 acc[word] = acc.get(word, 0) + coeff
         self._terms = {w: c for w, c in acc.items() if c}
 
+    @classmethod
+    def _of(cls, terms: dict[str, int]):
+        """A polynomial from words already over the alphabet: no alphabet
+        check, zero coefficients still dropped."""
+        p = cls.__new__(cls)
+        p._terms = {w: c for w, c in terms.items() if c}
+        return p
+
     def coefficient(self, word: str) -> int:
         return self._terms.get(word, 0)
 
@@ -68,7 +76,7 @@ class _WordPolynomial:
         acc = dict(self._terms)
         for w, c in other._terms.items():
             acc[w] = acc.get(w, 0) + c
-        return type(self)(acc)
+        return self._of(acc)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -76,15 +84,15 @@ class _WordPolynomial:
         acc = dict(self._terms)
         for w, c in other._terms.items():
             acc[w] = acc.get(w, 0) - c
-        return type(self)(acc)
+        return self._of(acc)
 
     def __neg__(self):
-        return type(self)({w: -c for w, c in self._terms.items()})
+        return self._of({w: -c for w, c in self._terms.items()})
 
     def __rmul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
-        return type(self)({w: scalar * c for w, c in self._terms.items()})
+        return self._of({w: scalar * c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if type(other) is not type(self):
@@ -94,7 +102,7 @@ class _WordPolynomial:
             for w2, c2 in other._terms.items():
                 w = w1 + w2
                 acc[w] = acc.get(w, 0) + c1 * c2
-        return type(self)(acc)
+        return self._of(acc)
 
     def word_degree(self, word: str) -> int:
         return len(word)
@@ -221,7 +229,7 @@ def expand_cd(p: CDPolynomial) -> ADPolynomial:
 
 def bar(p: ADPolynomial) -> ADPolynomial:
     """The involution swapping A and D in every monomial."""
-    return ADPolynomial({w.translate(_BAR): c for w, c in p.items()})
+    return ADPolynomial._of({w.translate(_BAR): c for w, c in p._terms.items()})
 
 
 def ad_to_cd(p: ADPolynomial) -> CDPolynomial:
@@ -244,7 +252,7 @@ def ad_to_cd(p: ADPolynomial) -> CDPolynomial:
                 f"degree-{n} part is not a polynomial in c and d: {ADPolynomial(terms)!r}"
             )
         result.update(cd)
-    return CDPolynomial(result)
+    return CDPolynomial._of(result)
 
 
 def _sub(p: dict[str, int], q: dict[str, int]) -> dict[str, int]:
@@ -337,14 +345,14 @@ def decompose_left_a(p: ADPolynomial, n: int) -> tuple[CDPolynomial, CDPolynomia
     """
     if p and (not p.is_homogeneous() or p.degree() != n):
         raise ValueError(f"polynomial is not homogeneous of degree {n}")
-    terms = dict(p.items())
-    g_terms = _front_split(_sub(dict(bar(p).items()), terms))
+    terms = p._terms
+    g_terms = _front_split(_sub(bar(p)._terms, terms))
     if g_terms is None:
         raise NotDecomposableError("no f + A*g split: A*g - D*g shape fails")
     f_terms = _sub(terms, {"A" + w: c for w, c in g_terms.items()})
     try:
-        f = ad_to_cd(ADPolynomial(f_terms)) if f_terms else CDPolynomial()
-        g = ad_to_cd(ADPolynomial(g_terms)) if g_terms else CDPolynomial()
+        f = ad_to_cd(ADPolynomial._of(f_terms)) if f_terms else CDPolynomial()
+        g = ad_to_cd(ADPolynomial._of(g_terms)) if g_terms else CDPolynomial()
     except NotInSubringError as exc:
         raise NotDecomposableError(f"no f + A*g split: {exc}") from exc
     return f, g

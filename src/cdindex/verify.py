@@ -11,17 +11,18 @@ raising, so sweeps can finish and surface every inconsistency at once.
 to paths with first reflection <= t: |T-bar_M restricted| against the
 coefficient of M in f_n, and |T_M restricted| against the coefficient in
 f_n + c*g_{n-1}, with (f_n, g_{n-1}) from the shelling decomposition, at
-every t in one call: each restricted count bisects the sorted first-label
-ranks of T_M or T-bar_M, read once, and a report is built only for the
-first t where a count fails.
+every t in one call.  All three are step functions of rank(t), so one
+merged walk visits only the ranks where one of them can change: the
+degree's split steps and the first-label ranks of T_M and T-bar_M.  A
+report is built only for the first t where a count fails.
 
 Every check takes the source u and reads the sink from its `TSetTable`.
 `scan_interval` bundles everything into one JSON-ready record per interval;
 its path sums, and with them the cd-index and every shelling split, come
-from the sink table's paths, so a scan builds no interval and enumerates
-nothing outside `TSetTable.paths`.  `iter_intervals` reads every pair off
-the down-closures in the group's one Bruhat graph, which the tables share.
-The CLI streams the records to JSON-lines.
+from the sink table's suffix-shared paths and its length gaps, so a scan
+builds no interval and runs no depth-first enumeration.  `iter_intervals`
+reads every pair off the down-closures in the group's one Bruhat graph,
+which the tables share.  The CLI streams the records to JSON-lines.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterator, Optional
 
 from .complete import (
     CompleteCdIndex,
-    ShellingDecomposition,
+    ShellingSplits,
     complete_cd_index,
     degree_range,
     first_label_sums,
@@ -50,7 +51,7 @@ from .flips import (
 from .intervals import bruhat_graph
 from .ncpoly import ad_form, cd_degree, cd_monomials
 from .orders import ReflectionOrder
-from .perms import Perm, Reflection, format_perm, length
+from .perms import Perm, Reflection, format_perm
 
 
 @dataclass(frozen=True)
@@ -152,38 +153,39 @@ def check_restricted_counts(
     u: Perm,
     monomial: str,
     table: TSetTable,
-    decompositions: dict[Reflection, ShellingDecomposition],
+    splits: ShellingSplits,
 ) -> Optional[RestrictedCountReport]:
     """Counts of first-reflection-restricted T-sets vs f and f + c*g, at every t.
 
-    Walks the entries of `decompositions` in order and returns the report
-    of the first t where a count disagrees, or None when all agree.  The
-    bound is read in the primal order for both T and T-bar, matching the
-    single definition of the restricted path set.
+    Returns the report of the first t, in the table's order, where a count
+    disagrees, or None when all agree.  The bound is read in the primal
+    order for both T and T-bar, matching the single definition of the
+    restricted path set.
+
+    The two counts and the split's coefficients are step functions of the
+    bound, 0 below their first step, so the walk visits only the change
+    points: the degree's populated ranks and the first-label ranks of T
+    and T-bar.  Each split is read once, at its own step.
     """
     gamma = ad_form(monomial)
-    rank = table.order.rank
-    n = cd_degree(monomial)
+    order = table.order
+    rank = order.rank
     t_ranks = sorted(rank(p.labels[0]) for p in table.t_set(u, gamma))
     tbar_ranks = sorted(rank(p.labels[0]) for p in table.t_bar_set(u, gamma))
-    # shelling_decomposition hands every t up to the next populated rank the
-    # same split object, so the coefficients are read once per split
-    coefficients: dict[int, tuple[int, int]] = {}
-    for t, decomposition in decompositions.items():
-        split = decomposition.by_degree.get(n)
-        coeffs = coefficients.get(id(split))
-        if coeffs is None:
-            coeff_f = coeff_cg = 0
-            if split is not None:
-                f, g = split
-                coeff_f = f.coefficient(monomial)
-                if monomial.startswith("c"):
-                    coeff_cg = g.coefficient(monomial[1:])
-            coeffs = coefficients[id(split)] = (coeff_f, coeff_f + coeff_cg)
-        bound = rank(t)
-        t_restricted = bisect_right(t_ranks, bound)
-        tbar_restricted = bisect_right(tbar_ranks, bound)
+    steps = splits.get(cd_degree(monomial), [])
+    k = 0
+    coeffs = (0, 0)
+    for r in sorted({r for r, _ in steps}.union(t_ranks, tbar_ranks)):
+        if k < len(steps) and steps[k][0] == r:
+            f, g = steps[k][1]
+            k += 1
+            coeff_f = f.coefficient(monomial)
+            coeff_cg = g.coefficient(monomial[1:]) if monomial.startswith("c") else 0
+            coeffs = (coeff_f, coeff_f + coeff_cg)
+        t_restricted = bisect_right(t_ranks, r)
+        tbar_restricted = bisect_right(tbar_ranks, r)
         if (tbar_restricted, t_restricted) != coeffs:
+            t = order.sequence[r - 1]
             return RestrictedCountReport(
                 u, table.sink, monomial, t, t_restricted, tbar_restricted, *coeffs
             )
@@ -219,19 +221,19 @@ def scan_interval(
     """One JSON-ready scan record for the interval [u, v].
 
     `table` is the TSetTable of the sink v under `order`; its `paths(u, n)`
-    feed the graded first-label sums.  Runs, for every monomial of matching
-    parity: the coefficient verification, the flip condition, the strong
-    flip condition (monomials starting with c), and the restricted-count
-    check at every reflection t.  All numeric fields are deterministic;
+    feed the graded first-label sums and its gap map the length gap.  Runs,
+    for every monomial of matching parity: the coefficient verification,
+    the flip condition, the strong flip condition (monomials starting with
+    c), and the restricted-count check at every reflection t.  All numeric fields are deterministic;
     elapsed_ms is informational only.
     """
     started = time.perf_counter()
-    length_diff = length(v) - length(u)
+    length_diff = table.gaps[u]
     sums = {
         n: first_label_sums(table.paths(u, n), order) for n in degree_range(length_diff)
     }
     cd_index = complete_cd_index(u, v, sums)
-    decompositions = shelling_decomposition(sums, order, cd_index)
+    splits = shelling_decomposition(sums, cd_index)
     monomial_results = {}
     witnesses: list[FlipWitness] = []
     consistent = True
@@ -248,9 +250,7 @@ def scan_interval(
                 strong_status = "holds" if strong is None else "violated"
                 if strong is not None:
                     witnesses.append(strong)
-            restricted_ok = (
-                check_restricted_counts(u, monomial, table, decompositions) is None
-            )
+            restricted_ok = check_restricted_counts(u, monomial, table, splits) is None
             entry = {
                 "degree": n,
                 "coefficient": report.coefficient,
@@ -275,7 +275,7 @@ def scan_interval(
         "v": format_perm(v),
         "length_diff": length_diff,
         "order": order_id,
-        "cd_index": cd_index.to_json()["cd_index"],
+        "cd_index": cd_index.parts_json(),
         "monomials": monomial_results,
         "witnesses": witness_json,
         "clean": consistent,

@@ -7,7 +7,7 @@ exceptions are `enumerate_paths`, a list form of the package's own path
 enumeration that only the tests read, and the routes the package replaced
 with faster ones, kept as its reference: `interval_pairs` (the pairwise
 Bruhat test over all of S_n) and `restricted_count_reports` (one report
-per reflection).
+per reflection, each split read with `split_at`).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import itertools
 from bisect import bisect_right
 from fractions import Fraction
 
+from cdindex.complete import split_at
 from cdindex.intervals import iter_paths
 from cdindex.ncpoly import ad_form, cd_degree
 from cdindex.perms import bruhat_leq, length
@@ -248,23 +249,19 @@ def interval_pairs(n, max_length=None):
     return [(u, v) for _, u, v in pairs]
 
 
-def restricted_count_reports(u, monomial, table, decompositions):
-    """One RestrictedCountReport per entry of `decompositions`, in its order."""
+def restricted_count_reports(u, monomial, table, splits):
+    """One RestrictedCountReport per reflection of the table's order, in order."""
     gamma = ad_form(monomial)
     order = table.order
-    n = cd_degree(monomial)
+    steps = splits.get(cd_degree(monomial), [])
     t_ranks = sorted(order.rank(p.labels[0]) for p in table.t_set(u, gamma))
     tbar_ranks = sorted(order.rank(p.labels[0]) for p in table.t_bar_set(u, gamma))
     reports = []
-    for t, decomposition in decompositions.items():
+    for t in order.sequence:
         bound = order.rank(t)
-        coeff_f = coeff_cg = 0
-        split = decomposition.by_degree.get(n)
-        if split is not None:
-            f, g = split
-            coeff_f = f.coefficient(monomial)
-            if monomial.startswith("c"):
-                coeff_cg = g.coefficient(monomial[1:])
+        f, g = split_at(steps, bound)
+        coeff_f = f.coefficient(monomial)
+        coeff_cg = g.coefficient(monomial[1:]) if monomial.startswith("c") else 0
         reports.append(RestrictedCountReport(
             u, table.sink, monomial, t, bisect_right(t_ranks, bound),
             bisect_right(tbar_ranks, bound), coeff_f, coeff_f + coeff_cg,

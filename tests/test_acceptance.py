@@ -36,7 +36,7 @@ from cdindex.verify import (
 )
 
 from .oracles import restricted_count_reports
-from .test_complete import check_decomposition, shelling_of
+from .test_complete import check_decomposition, shelling_of, splits_by_t
 from .test_verify import edge_reflections_below
 
 S4_WORD_ORDER = [1, 2, 1, 3, 2, 1]
@@ -263,16 +263,16 @@ def test_criterion_7_restricted_decomposition_exhaustive(s4_intervals, s4_tables
     count_checks = 0
     for u, v, iv in s4_intervals:
         table = s4_tables(v)
-        by_t = shelling_of(iv, order)
-        for t, dec in by_t.items():
-            assert check_decomposition(iv, dec, order), (u, v, t)
-            decompositions += len(dec.by_degree)
+        splits = shelling_of(iv, order)
+        for t, dec in splits_by_t(splits, order).items():
+            assert check_decomposition(iv, t, dec, order), (u, v, t)
+            decompositions += len(dec)
         for n in degree_range(iv.length_diff):
             for monomial in cd_monomials(n):
-                for rep in restricted_count_reports(u, monomial, table, by_t):
+                for rep in restricted_count_reports(u, monomial, table, splits):
                     assert rep.consistent, rep.to_json()
                     count_checks += 1
-                assert check_restricted_counts(u, monomial, table, by_t) is None
+                assert check_restricted_counts(u, monomial, table, splits) is None
     elapsed = time.perf_counter() - started
     assert elapsed < 900.0
     _report(
@@ -295,9 +295,9 @@ def test_criterion_8_flip_condition_equals_g_nonnegativity(s4_intervals, s4_tabl
                 flip_violations.append((u, v, monomial, witness))
     negative_g = []
     for u, v, iv in s4_intervals:
-        by_t = shelling_of(iv, order)
+        by_t = splits_by_t(shelling_of(iv, order), order)
         for t in edge_reflections_below(u):
-            for n, (_, g) in by_t[t].by_degree.items():
+            for n, (_, g) in by_t[t].items():
                 bad = {m: c for m, c in g.items() if c < 0}
                 if bad:
                     negative_g.append((u, v, t, n, bad))

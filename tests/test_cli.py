@@ -169,6 +169,20 @@ def test_other_package_errors_exit_internal(capsys, monkeypatch):
     assert "no f + A*g split" in err
 
 
+def test_running_out_of_memory_is_one_line_and_exit_2(capsys, monkeypatch):
+    """A MemoryError does not escape as a traceback (which would exit 1,
+    the scan-violation code): one line names the command and the exit is 2."""
+    def boom(self, w, gamma):
+        raise MemoryError
+
+    monkeypatch.setattr(TSetTable, "t_set", boom)
+    code, out, err = run(capsys, "tset", "2134", "4321", "dd")
+    assert code == cli.EXIT_USER == 2
+    assert out == ""
+    assert err.splitlines() == ["error: tset ran out of memory"]
+    assert "Traceback" not in err
+
+
 def test_dot_output_and_determinism(capsys, tmp_path):
     code, out1, _ = run(capsys, "dot", "2134", "4321")
     code2, out2, _ = run(capsys, "dot", "2134", "4321")

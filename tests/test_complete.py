@@ -3,7 +3,6 @@ import pytest
 from cdindex import complete
 from cdindex.complete import (
     CompleteCdIndex,
-    ShellingDecomposition,
     ad_polynomials,
     complete_cd_index,
     degree_range,
@@ -12,6 +11,7 @@ from cdindex.complete import (
     path_sums,
     restricted_ad_polynomial,
     shelling_decomposition,
+    split_at,
 )
 from cdindex.flips import TSetTable, sum_contributions
 from cdindex.intervals import ad_word, build_interval
@@ -39,9 +39,17 @@ EXAMPLE_DEGREE_4 = {"cccc": 1, "ccd": 1, "cdc": 2, "dcc": 1, "dd": 1}
 
 
 def shelling_of(iv, order):
-    """Every shelling split of [u, v] under `order`, from one set of path sums."""
+    """The per-rank shelling splits of [u, v] under `order`, from one set of path sums."""
     sums = path_sums(iv, order)
-    return shelling_decomposition(sums, order, complete_cd_index(iv.u, iv.v, sums))
+    return shelling_decomposition(sums, complete_cd_index(iv.u, iv.v, sums))
+
+
+def splits_by_t(splits, order):
+    """The split at every t of `order`, per degree: {t: {n: (f, g)}}."""
+    return {
+        t: {n: split_at(steps, order.rank(t)) for n, steps in splits.items()}
+        for t in order.sequence
+    }
 
 
 def restricted_by_filter(iv, n, t, order):
@@ -82,11 +90,11 @@ def per_t_restricted_counts(iv, monomial, t, table, by_degree):
     )
 
 
-def check_decomposition(iv, decomposition, order):
-    """Recombine f + A*g per degree and compare with the restricted sum."""
+def check_decomposition(iv, t, by_degree, order):
+    """Recombine f + A*g per degree and compare with the sum restricted at t."""
     a = ADPolynomial({"A": 1})
-    for n, (f, g) in decomposition.by_degree.items():
-        p = restricted_by_filter(iv, n, decomposition.t, order)
+    for n, (f, g) in by_degree.items():
+        p = restricted_by_filter(iv, n, t, order)
         if expand_cd(f) + a * expand_cd(g) != p:
             return False
     return True
@@ -186,19 +194,21 @@ def test_first_label_sums_bucket_the_full_sum(example_interval, s4_lex):
 
 def test_shelling_decomposition_at_maximal_reflection(example_interval, s4_lex):
     sums = path_sums(example_interval, s4_lex)
-    dec = shelling_of(example_interval, s4_lex)[Reflection(3, 4)]
-    for n, (f, g) in dec.by_degree.items():
+    dec = splits_by_t(shelling_of(example_interval, s4_lex), s4_lex)[Reflection(3, 4)]
+    for n, (f, g) in dec.items():
         assert not g, "no restriction means the sum is already bar-invariant"
         assert expand_cd(f) == ad_polynomials(sums)[n]
 
 
 def test_shelling_decomposition_every_t_nonnegative(example_interval, s4_lex):
-    decompositions = shelling_of(example_interval, s4_lex)
-    assert list(decompositions) == list(s4_lex.sequence)
-    for t, dec in decompositions.items():
-        assert dec.t == t
-        assert check_decomposition(example_interval, dec, s4_lex)
-        assert dec.is_nonnegative()
+    splits = shelling_of(example_interval, s4_lex)
+    sums = path_sums(example_interval, s4_lex)
+    assert {n: [r for r, _ in steps] for n, steps in splits.items()} == {
+        n: sorted(buckets) for n, buckets in sums.items()
+    }
+    for t, dec in splits_by_t(splits, s4_lex).items():
+        assert check_decomposition(example_interval, t, dec, s4_lex)
+        assert all(c >= 0 for _, g in dec.values() for _, c in g.items())
 
 
 @pytest.mark.parametrize("word", [None, [1, 2, 1, 3, 2, 1]], ids=["lex", "word"])
@@ -212,20 +222,20 @@ def test_every_t_at_once_matches_the_per_t_route_on_s4(word):
         if v not in tables:
             tables[v] = TSetTable(v, order)
         table = tables[v]
-        decompositions = shelling_of(iv, order)
-        assert list(decompositions) == list(order.sequence)
+        splits = shelling_of(iv, order)
+        by_t = splits_by_t(splits, order)
+        assert list(by_t) == list(order.sequence)
         reference = {t: per_t_decomposition(iv, t, order) for t in order.sequence}
-        for t, dec in decompositions.items():
-            assert dec.t == t
-            assert list(dec.by_degree.items()) == list(reference[t].items()), (u, v, t)
+        for t, dec in by_t.items():
+            assert list(dec.items()) == list(reference[t].items()), (u, v, t)
         for n in degree_range(iv.length_diff):
             for monomial in cd_monomials(n):
-                reports = restricted_count_reports(u, monomial, table, decompositions)
+                reports = restricted_count_reports(u, monomial, table, splits)
                 assert reports == [
                     per_t_restricted_counts(iv, monomial, t, table, reference[t])
                     for t in order.sequence
                 ], (u, v, monomial)
-                got = check_restricted_counts(u, monomial, table, decompositions)
+                got = check_restricted_counts(u, monomial, table, splits)
                 assert got == first_inconsistent(reports), (u, v, monomial)
 
 
@@ -264,15 +274,16 @@ def test_shelling_enumerates_nothing_and_splits_exactly_at_first_label_ranks(mon
         index = complete_cd_index(u, v, sums)
         enumerations.clear()
         splits.clear()
-        shelling_decomposition(sums, order, index)
+        shelling_decomposition(sums, index)
         assert enumerations == [], (u, v)
         assert splits == expected, (u, v)
 
 
 @pytest.mark.parametrize("word", [None, [1, 2, 1, 3, 2, 1]], ids=["lex", "word"])
 def test_top_split_is_the_index_part_and_zero_on_s4(word, monkeypatch):
-    """From each degree's top populated rank on, every split is (cd-index
-    part, 0), and decompose_left_a never sees the full sum."""
+    """The last step of each degree sits at its top populated rank, and from
+    there on every split is (cd-index part, 0); decompose_left_a never sees
+    the full sum."""
     order = lex_order(4) if word is None else order_from_reduced_word(4, word)
     split = complete.decompose_left_a
     full_sums_split = []
@@ -288,14 +299,17 @@ def test_top_split_is_the_index_part_and_zero_on_s4(word, monkeypatch):
         sums = path_sums(iv, order)
         full = ad_polynomials(sums)
         index = complete_cd_index(u, v, sums)
-        decompositions = shelling_decomposition(sums, order, index)
+        splits = shelling_decomposition(sums, index)
         for n, buckets in sums.items():
             if not buckets:
+                assert splits[n] == [], (u, v)
                 continue
             top = max(buckets)
-            for t, dec in decompositions.items():
+            assert splits[n][-1] == (top, (index.by_degree[n], CDPolynomial())), (u, v)
+            for t in order.sequence:
                 if order.rank(t) >= top:
-                    assert dec.by_degree[n] == (index.by_degree[n], CDPolynomial()), (u, v, t)
+                    got = split_at(splits[n], order.rank(t))
+                    assert got == (index.by_degree[n], CDPolynomial()), (u, v, t)
     assert full_sums_split == []
 
 
@@ -326,11 +340,10 @@ def test_equality_compares_the_polynomials(example_interval, s4_lex):
     empty = CompleteCdIndex(iv.u, iv.v, {})
     assert idx != empty and hash(idx) == hash(empty)
     assert idx == complete_cd_index(iv.u, iv.v, path_sums(iv, s4_lex.reversed()))
-    t = Reflection(3, 4)
-    split = shelling_decomposition(sums, s4_lex, idx)[t]
-    other = ShellingDecomposition(t, {n: (f, f) for n, (f, _) in split.by_degree.items()})
-    assert split != other and hash(split) == hash(other)
-    assert split == shelling_of(iv, s4_lex)[t]
+    splits = shelling_decomposition(sums, idx)
+    other = {n: [(r, (f, f)) for r, (f, _) in steps] for n, steps in splits.items()}
+    assert splits != other
+    assert splits == shelling_of(iv, s4_lex)
 
 
 def test_degree_range():

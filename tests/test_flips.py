@@ -1,8 +1,8 @@
 import itertools
+import sys
 
 import pytest
 
-import cdindex.flips
 from cdindex.errors import FlipUndefinedError
 from cdindex.flips import (
     TSetTable,
@@ -18,6 +18,7 @@ from cdindex.intervals import (
     BruhatPath,
     ad_word,
     build_interval,
+    iter_paths,
     label_string,
     rank_sequence,
 )
@@ -62,11 +63,30 @@ def test_table_cone_equals_the_built_cone(n, word):
     for sink in itertools.permutations(range(1, n + 1)):
         cone = build_interval(identity(n), sink)
         table = TSetTable(sink, order)
-        assert table._gaps == {x: length(sink) - length(x) for x in cone.elements}
+        assert table.gaps == {x: length(sink) - length(x) for x in cone.elements}
         assert table._adjacency == {
             x: tuple(sorted(out, key=lambda ty: order.rank(ty[0])))
             for x, out in cone.adjacency.items()
         }
+
+
+@pytest.mark.parametrize("n, word", [
+    (4, None), (4, [1, 2, 1, 3, 2, 1]), (5, None), (5, [2, 1, 3, 4, 3, 2, 3, 1, 4, 2]),
+], ids=["s4-lex", "s4-word", "s5-lex", "s5-word"])
+def test_table_paths_are_the_depth_first_enumeration_in_order(n, word):
+    """For every sink, vertex of its cone and path length: the suffix-shared
+    paths equal iter_paths over the cone's rank-sorted out-edges, in order."""
+    order = lex_order(n) if word is None else order_from_reduced_word(n, word)
+    for sink in itertools.permutations(range(1, n + 1)):
+        table = TSetTable(sink, order)
+        adjacency = {
+            x: tuple(sorted(out, key=lambda ty: order.rank(ty[0])))
+            for x, out in build_interval(identity(n), sink).adjacency.items()
+        }
+        for w, gap in table.gaps.items():
+            for k in range(-1, gap + 1):
+                expected = tuple(iter_paths(adjacency, w, sink, k))
+                assert table.paths(w, k) == expected, (sink, w, k)
 
 
 def test_t_sets_of_the_running_example(example_table, s4_lex):
@@ -164,17 +184,28 @@ def test_twin_paths_match_a_fresh_reverse_order_enumeration(order):
             assert all(a is b for a, b in zip(shared, reversed(primal)))
 
 
+def count_calls(monkeypatch, original):
+    """Replace `original` in every cdindex module by a wrapper that records
+    its calls; returns the list of recorded argument tuples."""
+    calls = []
+    modules = [m for k, m in sys.modules.items() if k == "cdindex" or k.startswith("cdindex.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
 def test_twin_enumerates_no_paths(monkeypatch, s4_lex):
+    """Once the primal holds its paths, the twin's paths, T-sets and flips
+    build no path tuple: no enumeration, and no new entry in the primal."""
     sink = parse_perm("4321")
     table = TSetTable(sink, s4_lex)
     problems = cone_problems(sink)
     for w, n in problems:
         table.paths(w, n)
-    calls = []
-    real = cdindex.flips.iter_paths
-    monkeypatch.setattr(
-        cdindex.flips, "iter_paths", lambda *a: calls.append(a) or real(*a)
-    )
+    calls = count_calls(monkeypatch, iter_paths)
+    stored = len(table._paths)
     twin = table.reversed_table()
     for w, n in problems:
         twin.paths(w, n)
@@ -182,6 +213,7 @@ def test_twin_enumerates_no_paths(monkeypatch, s4_lex):
             twin.t_set(w, ad_form(monomial))
             twin.flip(w, ad_form(monomial))
     assert calls == []
+    assert len(table._paths) == stored
 
 
 def bar(gamma):
@@ -235,10 +267,13 @@ def test_twin_word_paths_are_the_primal_barred_tuples_reversed(order, monkeypatc
 
 
 def test_t_sets_enumerate_no_paths_and_recompute_no_words(monkeypatch, s4_lex):
-    enumerations, words = [], []
-    real_iter = cdindex.flips.iter_paths
+    """T-sets and flips read only the word paths: no enumeration, no call
+    to `paths`, and no word recomputed."""
+    enumerations = count_calls(monkeypatch, iter_paths)
+    words, all_paths = [], []
+    real_paths = TSetTable.paths
     monkeypatch.setattr(
-        cdindex.flips, "iter_paths", lambda *a: enumerations.append(a) or real_iter(*a)
+        TSetTable, "paths", lambda self, *a: all_paths.append(a) or real_paths(self, *a)
     )
     real_word = TSetTable.word
     monkeypatch.setattr(
@@ -253,7 +288,7 @@ def test_t_sets_enumerate_no_paths_and_recompute_no_words(monkeypatch, s4_lex):
             sizes += len(table.t_set(w, gamma)) + len(table.t_bar_set(w, gamma))
             table.flip(w, gamma)
     assert sizes > 0
-    assert enumerations == [] and words == []
+    assert enumerations == [] and words == [] and all_paths == []
 
 
 @pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])

@@ -1,11 +1,10 @@
 import json
 import sys
-from dataclasses import replace
 
 import pytest
 
 from cdindex import intervals
-from cdindex.complete import complete_cd_index, degree_range, path_sums
+from cdindex.complete import complete_cd_index, degree_range, path_sums, split_at
 from cdindex.flips import TSetTable, check_strong_flip_condition
 from cdindex.intervals import build_interval
 from cdindex.ncpoly import CDPolynomial, cd_monomials
@@ -26,7 +25,7 @@ from cdindex.verify import (
 )
 
 from .oracles import first_inconsistent, interval_pairs, restricted_count_reports
-from .test_complete import shelling_of
+from .test_complete import shelling_of, splits_by_t
 
 
 def edge_reflections_below(u):
@@ -59,9 +58,9 @@ def test_verify_coefficient_reuses_a_precomputed_index(example_interval, example
 def restricted_reports(iv, monomial, table):
     """The reference report at every t of the table's order, keyed by t;
     check_restricted_counts must return the first inconsistent one."""
-    decompositions = shelling_of(iv, table.order)
-    reports = restricted_count_reports(iv.u, monomial, table, decompositions)
-    got = check_restricted_counts(iv.u, monomial, table, decompositions)
+    splits = shelling_of(iv, table.order)
+    reports = restricted_count_reports(iv.u, monomial, table, splits)
+    got = check_restricted_counts(iv.u, monomial, table, splits)
     assert got == first_inconsistent(reports)
     return {rep.t: rep for rep in reports}
 
@@ -90,15 +89,15 @@ def test_restricted_counts_for_d_at_every_t(example_interval, example_table):
 def test_restricted_counts_read_c_times_g_off_g(example_interval, example_table):
     """coeff_f_plus_cg matches f + c*g multiplied out as polynomials."""
     order = example_table.order
-    decompositions = shelling_of(example_interval, order)
+    splits = shelling_of(example_interval, order)
     for n in degree_range(example_interval.length_diff):
         for monomial in cd_monomials(n):
             reports = restricted_count_reports(
-                example_interval.u, monomial, example_table, decompositions
+                example_interval.u, monomial, example_table, splits
             )
             assert [rep.t for rep in reports] == list(order.sequence)
             for rep in reports:
-                f, g = decompositions[rep.t].by_degree.get(n, (CDPolynomial(), CDPolynomial()))
+                f, g = split_at(splits.get(n, []), order.rank(rep.t))
                 product = f + CDPolynomial({"c": 1}) * g
                 assert rep.coeff_f_plus_cg == product.coefficient(monomial)
 
@@ -107,7 +106,7 @@ def test_restricted_counts_read_each_split_once_and_build_no_polynomial(
     example_interval, example_table, monkeypatch
 ):
     order = example_table.order
-    decompositions = shelling_of(example_interval, order)
+    splits = shelling_of(example_interval, order)
     built, read = [], []
     real_init, real_coefficient = CDPolynomial.__init__, CDPolynomial.coefficient
     monkeypatch.setattr(
@@ -118,14 +117,11 @@ def test_restricted_counts_read_each_split_once_and_build_no_polynomial(
         lambda self, m: read.append(self) or real_coefficient(self, m),
     )
     for n in degree_range(example_interval.length_diff):
-        splits = {id(dec.by_degree[n]) for dec in decompositions.values() if n in dec.by_degree}
         for monomial in cd_monomials(n):
             read.clear()
-            got = check_restricted_counts(
-                example_interval.u, monomial, example_table, decompositions
-            )
+            got = check_restricted_counts(example_interval.u, monomial, example_table, splits)
             assert got is None
-            assert len(read) == len(splits) * (2 if monomial.startswith("c") else 1)
+            assert len(read) == len(splits[n]) * (2 if monomial.startswith("c") else 1)
     assert built == []
 
 
@@ -156,23 +152,31 @@ def test_iter_intervals_counts_every_interval_of_s6():
     assert sum(1 for _ in iter_intervals(6)) == 97687
 
 
+def corrupt(splits, n, bound, part, monomial):
+    """A copy of `splits` whose degree-n split from rank `bound` up to the
+    next step has `monomial` added to f, or its tail added to g."""
+    steps = [step for step in splits[n] if step[0] != bound]
+    f, g = split_at(splits[n], bound)
+    if part == "f":
+        f = f + CDPolynomial({monomial: 1})
+    else:
+        g = g + CDPolynomial({monomial[1:]: 1})
+    steps.append((bound, (f, g)))
+    steps.sort(key=lambda step: step[0])
+    return {**splits, n: steps}
+
+
 @pytest.mark.parametrize("part", ["f", "g"])
 def test_restricted_counts_report_a_corrupted_split(example_interval, example_table, part):
-    """Adding cc to f (c to g) at one reflection breaks the T-bar (T)
-    count of cc there, and only there: the report names that t."""
+    """Adding cc to f (c to g) at the rank of one reflection breaks the
+    T-bar (T) count of cc from there up to the next step: the report names
+    that t."""
     order = example_table.order
-    decompositions = shelling_of(example_interval, order)
+    splits = shelling_of(example_interval, order)
     t = Reflection(1, 4)
-    f, g = decompositions[t].by_degree[2]
-    if part == "f":
-        f = f + CDPolynomial({"cc": 1})
-    else:
-        g = g + CDPolynomial({"c": 1})
-    decompositions[t] = replace(
-        decompositions[t], by_degree={**decompositions[t].by_degree, 2: (f, g)}
-    )
-    reports = restricted_count_reports(example_interval.u, "cc", example_table, decompositions)
-    got = check_restricted_counts(example_interval.u, "cc", example_table, decompositions)
+    splits = corrupt(splits, 2, order.rank(t), part, "cc")
+    reports = restricted_count_reports(example_interval.u, "cc", example_table, splits)
+    got = check_restricted_counts(example_interval.u, "cc", example_table, splits)
     assert got is not None and not got.consistent
     assert got == first_inconsistent(reports)
     assert got.t == t
@@ -181,7 +185,38 @@ def test_restricted_counts_report_a_corrupted_split(example_interval, example_ta
     else:
         assert got.coeff_f == got.tbar_restricted
         assert got.coeff_f_plus_cg == got.t_restricted + 1
-    assert check_restricted_counts(example_interval.u, "dd", example_table, decompositions) is None
+    assert check_restricted_counts(example_interval.u, "dd", example_table, splits) is None
+
+
+def test_restricted_counts_report_every_corrupted_split_on_s4():
+    """On every S_4 interval, corrupting any step of any degree for any
+    monomial, or dropping the step: the check returns the oracle's first
+    inconsistent report for every monomial of that degree, and for the
+    corrupted monomial that report names the step's reflection."""
+    order = lex_order(4)
+    tables = {}
+    corrupted = 0
+    for u, v in iter_intervals(4):
+        if v not in tables:
+            tables[v] = TSetTable(v, order)
+        table = tables[v]
+        splits = shelling_of(build_interval(u, v), order)
+        for n, steps in splits.items():
+            monomials = cd_monomials(n)
+            for bound, _ in steps:
+                variants = [(None, {**splits, n: [s for s in steps if s[0] != bound]})]
+                for monomial in monomials:
+                    for part in ("f", "g") if monomial.startswith("c") else ("f",):
+                        variants.append((monomial, corrupt(splits, n, bound, part, monomial)))
+                for monomial, bad in variants:
+                    for other in monomials:
+                        reports = restricted_count_reports(u, other, table, bad)
+                        got = check_restricted_counts(u, other, table, bad)
+                        assert got == first_inconsistent(reports), (u, v, other)
+                        if other == monomial:
+                            assert got.t == order.sequence[bound - 1], (u, v, other)
+                    corrupted += 1
+    assert corrupted > 1000
 
 
 def test_strong_flip_condition_matches_g_nonnegativity_at_all_t_on_s4():
@@ -204,8 +239,8 @@ def test_strong_flip_condition_matches_g_nonnegativity_at_all_t_on_s4():
                 witness = check_strong_flip_condition(u, monomial, table)
                 if witness is not None:
                     strong_violations.append((u, v, monomial, witness))
-        for t, dec in shelling_of(iv, order).items():
-            for _, g in dec.by_degree.values():
+        for t, dec in splits_by_t(shelling_of(iv, order), order).items():
+            for _, g in dec.values():
                 if any(c < 0 for _, c in g.items()):
                     negative_g.append((u, v, t))
     assert bool(strong_violations) == bool(negative_g)
@@ -230,37 +265,29 @@ def test_scan_interval_record_is_deterministic(example_table):
 
 def test_scan_interval_builds_no_interval_and_enumerates_only_in_the_table(monkeypatch):
     """With every sink's table built, scanning each S_4 interval calls
-    build_interval never and iter_paths only from inside TSetTable.paths."""
+    build_interval and iter_paths never: the table's suffix-shared
+    `paths` are the only path source."""
     order = lex_order(4)
     pairs = list(iter_intervals(4))
     tables = {v: TSetTable(v, order) for _, v in pairs}
-    calls = {"build_interval": 0, "outside": 0, "inside": 0}
-    depth = [0]
+    calls = {"build_interval": 0, "iter_paths": 0, "paths": 0}
     build, iter_paths, paths = intervals.build_interval, intervals.iter_paths, TSetTable.paths
 
-    def counting_build(*args):
-        calls["build_interval"] += 1
-        return build(*args)
-
-    def counting_iter_paths(*args):
-        calls["inside" if depth[0] else "outside"] += 1
-        return iter_paths(*args)
-
-    def tracked_paths(self, w, n):
-        depth[0] += 1
-        try:
-            return paths(self, w, n)
-        finally:
-            depth[0] -= 1
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
     modules = [m for k, m in sys.modules.items() if k == "cdindex" or k.startswith("cdindex.")]
-    for original, wrapper in ((build, counting_build), (iter_paths, counting_iter_paths)):
+    for original in (build, iter_paths):
+        wrapper = counting(original.__name__, original)
         for module in modules:
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, wrapper)
-    monkeypatch.setattr(TSetTable, "paths", tracked_paths)
+    monkeypatch.setattr(TSetTable, "paths", counting("paths", paths))
     for u, v in pairs:
         assert scan_interval(u, v, order, "lex", tables[v])["clean"], (u, v)
-    assert calls["build_interval"] == 0 and calls["outside"] == 0
-    assert calls["inside"] > 0
+    assert calls["build_interval"] == 0 and calls["iter_paths"] == 0
+    assert calls["paths"] > 0
