@@ -1,5 +1,4 @@
 import json
-import sys
 
 import pytest
 
@@ -26,6 +25,7 @@ from cdindex.verify import (
 
 from .oracles import first_inconsistent, interval_pairs, restricted_count_reports
 from .test_complete import shelling_of, splits_by_t
+from .test_flips import count_calls
 
 
 def edge_reflections_below(u):
@@ -270,24 +270,12 @@ def test_scan_interval_builds_no_interval_and_enumerates_only_in_the_table(monke
     order = lex_order(4)
     pairs = list(iter_intervals(4))
     tables = {v: TSetTable(v, order) for _, v in pairs}
-    calls = {"build_interval": 0, "iter_paths": 0, "paths": 0}
-    build, iter_paths, paths = intervals.build_interval, intervals.iter_paths, TSetTable.paths
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    modules = [m for k, m in sys.modules.items() if k == "cdindex" or k.startswith("cdindex.")]
-    for original in (build, iter_paths):
-        wrapper = counting(original.__name__, original)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, wrapper)
-    monkeypatch.setattr(TSetTable, "paths", counting("paths", paths))
+    builds = count_calls(monkeypatch, intervals.build_interval)
+    enumerations = count_calls(monkeypatch, intervals.iter_paths)
+    reads = []
+    paths = TSetTable.paths
+    monkeypatch.setattr(TSetTable, "paths", lambda self, *a: reads.append(a) or paths(self, *a))
     for u, v in pairs:
         assert scan_interval(u, v, order, "lex", tables[v])["clean"], (u, v)
-    assert calls["build_interval"] == 0 and calls["iter_paths"] == 0
-    assert calls["paths"] > 0
+    assert builds == [] and enumerations == []
+    assert reads
