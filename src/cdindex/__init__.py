@@ -6,9 +6,7 @@ from .complete import (
     CompleteCdIndex,
     ad_polynomials,
     complete_cd_index,
-    first_label_sums,
     flag_cd_index,
-    path_sums,
     restricted_ad_polynomial,
     shelling_decomposition,
     split_at,

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .complete import complete_cd_index, path_sums
+from .complete import complete_cd_index
 from .errors import CdIndexError, FlipUndefinedError, NotInSubringError
 from .flips import TSetTable
 from .intervals import bruhat_graph, build_interval, export_dot, label_string, path_json
@@ -83,15 +83,15 @@ def interval_or_fail(u, v):
 
 def cmd_compute(args) -> int:
     u, v = parse_perm_arg(args.u), parse_perm_arg(args.v)
-    iv = interval_or_fail(u, v)
+    check_comparable(u, v)  # the sink's table holds every path u -> v
     order = resolve_order(args.order, len(u))
-    index = complete_cd_index(u, v, path_sums(iv, order))
+    index = complete_cd_index(u, v, TSetTable(v, order).graded_sums(u))
     if args.all_orders:
         others = [lex_order(len(u)).reversed()]
         if len(u) >= 2:
             others.append(order_from_reduced_word(len(u), _staircase_word(len(u))))
         for other in others:
-            again = complete_cd_index(u, v, path_sums(iv, other))
+            again = complete_cd_index(u, v, TSetTable(v, other).graded_sums(u))
             if again.by_degree != index.by_degree:
                 raise NotInSubringError(
                     "cd-index differs between reflection orders; "

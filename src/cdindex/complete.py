@@ -20,8 +20,9 @@ again.
 Every reader here takes the graded first-label sums {n: {r: word sum}},
 which bucket the length-n paths u -> v by the rank r of their first label;
 the full sum adds every bucket, the restricted sum at t those up to rank(t).
-`path_sums` fills them by one enumeration per degree of a built interval;
-a scan fills them from the paths its sink's `TSetTable` already holds.
+The sink's `TSetTable` fills them (`graded_sums(u)`) by a DP over the
+upper neighbours of each vertex, with no path enumerated; `compute` and
+`scan` both read them there.
 
 `flag_cd_index` is an independent oracle: it computes the classical
 cd-index of [u, v] as a graded poset from chain counts (flag f-vector ->
@@ -33,11 +34,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .intervals import BruhatInterval, BruhatPath, iter_paths, rank_word
+from .intervals import BruhatInterval
 from .ncpoly import (
     ADPolynomial,
     CDPolynomial,
@@ -45,7 +45,6 @@ from .ncpoly import (
     cd_degree,
     decompose_left_a,
 )
-from .orders import ReflectionOrder
 from .perms import Perm, bruhat_leq, format_perm, length
 
 # {path length n: {rank r: AD-word sum of the length-n paths whose first label has rank r}}
@@ -64,28 +63,6 @@ def degree_range(length_diff: int) -> list[int]:
     n + 1 <= L and n + 1 = L (mod 2).
     """
     return list(range(length_diff - 1, -1, -2))
-
-
-def first_label_sums(
-    paths: Iterable[BruhatPath], order: ReflectionOrder
-) -> dict[int, ADPolynomial]:
-    """Word sums of same-length paths, keyed by ascending first-label rank."""
-    rank = order.rank
-    buckets: dict[int, dict[str, int]] = {}
-    for path in paths:
-        ranks = [rank(t) for t in path.labels]
-        acc = buckets.setdefault(ranks[0], {})
-        w = rank_word(ranks)
-        acc[w] = acc.get(w, 0) + 1
-    return {r: ADPolynomial(buckets[r]) for r in sorted(buckets)}
-
-
-def path_sums(iv: BruhatInterval, order: ReflectionOrder) -> GradedSums:
-    """Graded first-label sums of [u, v], one streaming enumeration per degree."""
-    return {
-        n: first_label_sums(iter_paths(iv.adjacency, iv.u, iv.v, n), order)
-        for n in degree_range(iv.length_diff)
-    }
 
 
 def ad_polynomials(sums: GradedSums) -> dict[int, ADPolynomial]:
@@ -130,7 +107,7 @@ def complete_cd_index(u: Perm, v: Perm, sums: GradedSums) -> CompleteCdIndex:
 
 
 def restricted_ad_polynomial(buckets: dict[int, ADPolynomial], bound: int) -> ADPolynomial:
-    """Sum of one degree's `first_label_sums` over the first-label ranks <= bound."""
+    """Sum of one degree's first-label sums over the first-label ranks <= bound."""
     return sum((p for r, p in buckets.items() if r <= bound), ADPolynomial())
 
 

@@ -13,10 +13,20 @@ Every query is keyed by (vertex, suffix word), and so is the path store
 the T-sets read: `word_paths(w, gamma)` holds only the paths w -> v whose
 word is gamma, built by suffix sharing from the word paths of gamma[1:]
 out of each upper neighbour of w.  No T-set enumerates all paths or
-recomputes a word.  The store of all length-n paths that the scan's sums
-and the per-path checks read, `paths(w, n)`, is built the same way from
-the length-(n-1) paths of each upper neighbour, so the table runs no
-depth-first enumeration.
+recomputes a word.
+
+The scan reads no other paths.  Its graded first-label sums come from a
+DP over (vertex, length): `sums(w, n)` extends every bucket of each upper
+neighbour by the letter read across the edge.  The flip condition and the
+signed contribution sum come from a boolean DP over (vertex, suffix word),
+`has_minus_one`, which reads only the first-label ranks of the suffix flip
+pairs.  When no path has a factor -1 whose tail lies in its T-set, the
+condition holds and every path contributes 1 if it lies in T and 0
+otherwise, so the sum is |T|, counted edge by edge by `plus_one_count`.
+Only when the DP finds a -1, or meets an undefined flip, do the checks
+walk `paths(w, n)`, the store of all length-n paths, to name the witness
+or the undefined sum; it is built by suffix sharing too, so the table
+runs no depth-first enumeration.
 
 The flip on a sub-problem pairs T with its reverse-order counterpart T-bar
 by lexicographic position under the primal order.  Lex order on the
@@ -32,8 +42,9 @@ FlipUndefinedError and is surfaced, never patched.
 (+1, 0 or -1): the T-set splice test, `path_contribution` (the product of
 the factors from right to left, with an early exit on zero) and the flip
 condition (no factor -1 where the tail lies in its suffix T-set) all read
-it.  Under the flip condition no -1 survives to the final product, which
-is what makes |T_M| the coefficient.
+it; the DPs restate its two rank comparisons on first labels.  Under the
+flip condition no -1 survives to the final product, which is what makes
+|T_M| the coefficient.
 
 The checks take the source u and read the sink v from the table: every
 path u -> v lies in the cone [e, v] it holds, so [u, v] is never built.
@@ -46,9 +57,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .complete import GradedSums, degree_range
 from .errors import FlipUndefinedError
 from .intervals import BruhatPath, ad_word, bruhat_graph, label_string
-from .ncpoly import ad_form
+from .ncpoly import ADPolynomial, ad_form
 from .orders import ReflectionOrder
 from .perms import Perm, format_perm
 
@@ -61,9 +73,13 @@ class TSetTable:
     The table reads the lower cone {x <= v} off the group's Bruhat graph
     once, with each out-edge list sorted by rank, and hands out:
 
+    - ``sums(w, n)``: the AD-word sum of the length-n paths w -> v, bucketed
+      by first-label rank; ``graded_sums(w)`` holds every degree of [w, v];
+    - ``has_minus_one(w, gamma)`` and ``plus_one_count(w, gamma)``: the
+      flip-condition DP and the contribution sum it licenses;
     - ``paths(w, n)``: all length-n paths w -> v, sorted lexicographically
-      by label ranks under the table's order (the scan's path sums and the
-      per-path checks read these);
+      by label ranks under the table's order (only the witness replay of
+      the checks reads these);
     - ``gaps[w]``: the length gap l(v) - l(w), for every w in the cone;
     - ``word_paths(w, gamma)``: the length-|gamma| paths w -> v whose
       AD-word is ``gamma``, in the same order;
@@ -75,7 +91,8 @@ class TSetTable:
     T-bar sets are the twin's T-sets.  The twin enumerates nothing: its
     ``paths(w, n)`` is this table's tuple reversed, and its
     ``word_paths(w, gamma)`` this table's for the barred word, reversed,
-    same path objects.
+    same path objects.  It shares this table's out-edges, in this table's
+    rank order, which only the order-free DPs read.
     Evaluation is demand-driven recursion over strictly smaller
     sub-problems, so preconditions on sub-interval flips hold by
     construction.  After a call completes, all entries it touched are
@@ -87,24 +104,22 @@ class TSetTable:
             raise ValueError("order and sink vertex live in different groups")
         self.sink = sink
         self.order = order
+        self._is_primal = _twin is None
         if _twin is None:
             graph = bruhat_graph(len(sink))
             cone = graph.cone(sink)
-            up = graph.interval.adjacency
-            self._adjacency = {
-                x: tuple(sorted(
-                    ((t, y) for t, y in up[x] if y in cone),
-                    key=lambda ty: order.rank(ty[0]),
-                ))
-                for x in cone
-            }
+            up = graph.sorted_adjacency(order)
+            self._adjacency = {x: tuple(ty for ty in up[x] if ty[1] in cone) for x in cone}
             top = graph.lengths[sink]
             self.gaps = {x: top - graph.lengths[x] for x in cone}
             self._twin = TSetTable(sink, order.reversed(), _twin=self)
         else:
-            self._adjacency = None
+            self._adjacency = _twin._adjacency
             self.gaps = _twin.gaps
             self._twin = _twin
+        self._sums: dict[tuple[Perm, int], dict[int, ADPolynomial]] = {}
+        self._minus_one: dict[tuple[Perm, str], bool] = {}
+        self._pairs: dict[tuple[Perm, str], tuple[tuple[int, int], ...]] = {}
         self._paths: dict[tuple[Perm, int], tuple[BruhatPath, ...]] = {}
         self._word_paths: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
@@ -113,6 +128,112 @@ class TSetTable:
 
     def reversed_table(self) -> "TSetTable":
         return self._twin
+
+    def sums(self, w: Perm, n: int) -> dict[int, ADPolynomial]:
+        """Word sums of the length-n paths w -> sink, keyed by ascending
+        first-label rank; read the result only.
+
+        A length-n path is an edge (t, y) out of w followed by a
+        length-(n-1) path from y, and the letter read across the splice is
+        A exactly when rank(t) is below that path's first-label rank.  So
+        bucket rank(t) of w is every bucket r' of y with that letter in
+        front; the base case is the edge w -> sink, with the empty word.
+        """
+        key = (w, n)
+        hit = self._sums.get(key)
+        if hit is None:
+            rank = self.order.rank
+            buckets: dict[int, ADPolynomial] = {}
+            if self._reaches(w, n + 1):
+                for t, y in self._adjacency[w]:
+                    r = rank(t)
+                    if n == 0:
+                        if y == self.sink:
+                            buckets[r] = ADPolynomial({"": 1})
+                        continue
+                    acc: dict[str, int] = {}
+                    for r_tail, tail in self.sums(y, n - 1).items():
+                        letter = "A" if r < r_tail else "D"
+                        for word, c in tail._terms.items():
+                            word = letter + word
+                            acc[word] = acc.get(word, 0) + c
+                    if acc:
+                        buckets[r] = ADPolynomial._of(acc)
+            hit = {r: buckets[r] for r in sorted(buckets)}
+            self._sums[key] = hit
+        return hit
+
+    def graded_sums(self, w: Perm) -> GradedSums:
+        """`sums(w, n)` for every length n a path w -> sink can have."""
+        return {n: self.sums(w, n) for n in degree_range(self.gaps[w])}
+
+    def has_minus_one(self, w: Perm, gamma: str) -> bool:
+        """Whether some path w -> sink has, at a position where gamma reads
+        D, the factor -1 with its tail in the suffix T-set.
+
+        A path is an edge (t, x) followed by a tail from x: its -1 lies in
+        the tail, or at the first position when gamma starts with D and
+        the tail tau lies in T(x, gamma[1:]).  There the factor is -1
+        exactly when rank(t) is below the first-label rank a of tau and not
+        below the first-label rank b of flip(tau).  Raises
+        FlipUndefinedError when a flip it reads is undefined.
+        """
+        key = (w, gamma)
+        hit = self._minus_one.get(key)
+        if hit is None:
+            hit = False
+            if gamma and self._reaches(w, len(gamma) + 1):
+                rank = self.order.rank
+                rest = gamma[1:]
+                for t, x in self._adjacency[w]:
+                    if self.has_minus_one(x, rest):
+                        hit = True
+                    elif gamma[0] == "D":
+                        r = rank(t)
+                        hit = any(b <= r < a for a, b in self._pair_ranks(x, rest))
+                    if hit:
+                        break
+            self._minus_one[key] = hit
+        return hit
+
+    def plus_one_count(self, w: Perm, gamma: str) -> int:
+        """The number of (out-edge (t, x), tail tau in T(x, gamma[1:])) pairs
+        whose first factor is +1, with a and b the first-label ranks of tau
+        and flip(tau): rank(t) < a where gamma starts with A, and
+        a <= rank(t) < b where it starts with D; for the empty word, the
+        edges w -> sink.
+
+        This is |T(w, gamma)| counted from the suffix T-sets.  When
+        `has_minus_one(w, gamma)` is false, no path has a -1 factor, so it
+        is also the signed contribution sum.
+        """
+        if not self._reaches(w, len(gamma) + 1):
+            return 0
+        if not gamma:
+            return sum(1 for _, y in self._adjacency[w] if y == self.sink)
+        rank = self.order.rank
+        rest = gamma[1:]
+        total = 0
+        for t, x in self._adjacency[w]:
+            r = rank(t)
+            if gamma[0] == "A":
+                total += sum(1 for p in self.t_set(x, rest) if r < rank(p.labels[0]))
+            else:
+                total += sum(1 for a, b in self._pair_ranks(x, rest) if a <= r < b)
+        return total
+
+    def _pair_ranks(self, w: Perm, gamma: str) -> tuple[tuple[int, int], ...]:
+        """(first-label rank of tau, first-label rank of flip(tau)) for every
+        tau in T(w, gamma), in T's order."""
+        key = (w, gamma)
+        hit = self._pairs.get(key)
+        if hit is None:
+            rank = self.order.rank
+            hit = tuple(
+                (rank(x.labels[0]), rank(y.labels[0])) for x, y in self.flip(w, gamma).items()
+            )
+            self._pairs[key] = hit
+        return hit
 
     def paths(self, w: Perm, n: int) -> tuple[BruhatPath, ...]:
         """All length-n paths from w to the sink, lex-sorted by label ranks.
@@ -124,7 +245,7 @@ class TSetTable:
         key = (w, n)
         hit = self._paths.get(key)
         if hit is None:
-            if self._adjacency is None:
+            if not self._is_primal:
                 hit = self._twin.paths(w, n)[::-1]
             elif not self._reaches(w, n + 1):
                 hit = ()
@@ -161,7 +282,7 @@ class TSetTable:
         key = (w, gamma)
         hit = self._word_paths.get(key)
         if hit is None:
-            if self._adjacency is None:
+            if not self._is_primal:
                 hit = self._twin.word_paths(w, gamma.translate(_BAR))[::-1]
             else:
                 hit = self._extend(w, gamma)
@@ -317,10 +438,24 @@ def sum_contributions(u: Perm, monomial: str, table: TSetTable) -> int:
     """Sum of signed contributions over all length-n paths u -> table.sink.
 
     With a flip compatible with the order this equals the coefficient of
-    the monomial in the complete cd-index.
+    the monomial in the complete cd-index.  When `has_minus_one` rules out
+    every -1 factor the sum is `plus_one_count`; otherwise the paths are
+    walked, and a needed flip that is undefined raises FlipUndefinedError.
     """
     gamma = ad_form(monomial)
+    if _no_minus_one(u, gamma, table):
+        return table.plus_one_count(u, gamma)
     return sum(_signed_product(path, gamma, table) for path in table.paths(u, len(gamma)))
+
+
+def _no_minus_one(u: Perm, gamma: str, table: TSetTable) -> bool:
+    """The DP's verdict that no path u -> sink has a -1 factor with its tail
+    in its T-set; False also when a flip inside the DP is undefined, which
+    leaves the verdict and its report to the path walk."""
+    try:
+        return not table.has_minus_one(u, gamma)
+    except FlipUndefinedError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -356,12 +491,14 @@ def check_flip_condition(
 
     A violation at position m needs the tail from x_m inside the suffix
     T-set while the position-m factor is -1.  Monomials whose AD-form has
-    no D hold vacuously.
+    no D hold vacuously, and so does every monomial `has_minus_one` clears.
+    Otherwise the paths are walked in lex order, and the first violation,
+    or the first undefined flip, is the witness.
     """
     gamma = ad_form(monomial)
     n = len(gamma)
     d_positions = [m for m in range(1, n + 1) if gamma[m - 1] == "D"]
-    if not d_positions:
+    if not d_positions or _no_minus_one(u, gamma, table):
         return None
     try:
         for path in table.paths(u, n):

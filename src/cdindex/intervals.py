@@ -16,13 +16,14 @@ in the active reflection order and D where they decrease.
 [e, w0] plus its reversed edges.  Bruhat order is the transitive closure of
 the graph's edges, so the cone {x <= v} is the down-closure of v in it:
 the T-set tables and the interval sweep read their cones from there and
-call no `compose` or `bruhat_leq`.
+call no `compose` or `bruhat_leq`.  The graph also sorts its out-edges by
+rank once per reflection order, and each table keeps those in its cone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .orders import ReflectionOrder
@@ -140,6 +141,22 @@ class BruhatGraph:
     interval: BruhatInterval
     below: dict[Perm, tuple[Perm, ...]]
     lengths: dict[Perm, int]
+    _sorted: dict = field(default_factory=dict, repr=False)
+
+    def sorted_adjacency(
+        self, order: ReflectionOrder
+    ) -> dict[Perm, tuple[tuple[Reflection, Perm], ...]]:
+        """Every vertex's out-edges sorted by rank under `order`, sorted once
+        per order and shared by every cone that reads them."""
+        hit = self._sorted.get(order.sequence)
+        if hit is None:
+            rank = order.rank
+            hit = {
+                x: tuple(sorted(out, key=lambda ty: rank(ty[0])))
+                for x, out in self.interval.adjacency.items()
+            }
+            self._sorted[order.sequence] = hit
+        return hit
 
     def cone(self, v: Perm, max_gap: int | None = None) -> set[Perm]:
         """The elements x <= v, or only those with l(v) - l(x) <= max_gap.

@@ -17,10 +17,17 @@ The number of cd-monomials of degree n is the Fibonacci number F(n+1)
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from functools import lru_cache
 
 from .errors import InconsistentExpansionError, NotDecomposableError, NotInSubringError
 
 _BAR = str.maketrans("AD", "DA")
+
+# Many intervals of a scan have equal word sums (a scan of S_5 up to gap 3
+# converts 7 distinct ones in 5,450 calls), so both conversions keep their
+# recent results; the polynomials are immutable and hashable, and a raised
+# error is not kept.
+_MEMO_SIZE = 512
 
 
 class _WordPolynomial:
@@ -232,6 +239,7 @@ def bar(p: ADPolynomial) -> ADPolynomial:
     return ADPolynomial._of({w.translate(_BAR): c for w, c in p._terms.items()})
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def ad_to_cd(p: ADPolynomial) -> CDPolynomial:
     """Inverse of expand_cd on its image, degree by degree.
 
@@ -332,6 +340,7 @@ def d_power_expansion(p: ADPolynomial, n: int) -> tuple[CDPolynomial, ...]:
     return tuple(fs)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def decompose_left_a(p: ADPolynomial, n: int) -> tuple[CDPolynomial, CDPolynomial]:
     """Split p = f + A*g with f, g cd-polynomials of degrees n, n-1.
 

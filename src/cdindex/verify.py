@@ -17,12 +17,16 @@ degree's split steps and the first-label ranks of T_M and T-bar_M.  A
 report is built only for the first t where a count fails.
 
 Every check takes the source u and reads the sink from its `TSetTable`.
-`scan_interval` bundles everything into one JSON-ready record per interval;
-its path sums, and with them the cd-index and every shelling split, come
-from the sink table's suffix-shared paths and its length gaps, so a scan
-builds no interval and runs no depth-first enumeration.  `iter_intervals`
-reads every pair off the down-closures in the group's one Bruhat graph,
-which the tables share.  The CLI streams the records to JSON-lines.
+`scan_interval` bundles everything into one JSON-ready record per interval.
+Its graded first-label sums, and with them the cd-index and every shelling
+split, come from the sink table's sums DP and its length gaps; the
+contribution sums and flip conditions come from the table's flip DP, and
+only a violation or an undefined flip makes a check walk the table's
+paths.  So a scan builds no interval, runs no depth-first enumeration, and
+on clean intervals reads no path store beyond the T-sets' word paths.
+`iter_intervals` reads every pair off the down-closures in the group's one
+Bruhat graph, which the tables share.  The CLI streams the records to
+JSON-lines.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from .complete import (
     CompleteCdIndex,
     ShellingSplits,
     complete_cd_index,
-    degree_range,
-    first_label_sums,
     shelling_decomposition,
 )
 from .errors import FlipUndefinedError
@@ -220,18 +222,16 @@ def scan_interval(
 ) -> dict:
     """One JSON-ready scan record for the interval [u, v].
 
-    `table` is the TSetTable of the sink v under `order`; its `paths(u, n)`
-    feed the graded first-label sums and its gap map the length gap.  Runs,
-    for every monomial of matching parity: the coefficient verification,
-    the flip condition, the strong flip condition (monomials starting with
-    c), and the restricted-count check at every reflection t.  All numeric fields are deterministic;
-    elapsed_ms is informational only.
+    `table` is the TSetTable of the sink v under `order`; its sums DP gives
+    the graded first-label sums and its gap map the length gap.  Runs, for
+    every monomial of matching parity: the coefficient verification, the
+    flip condition, the strong flip condition (monomials starting with c),
+    and the restricted-count check at every reflection t.  All numeric
+    fields are deterministic; elapsed_ms is informational only.
     """
     started = time.perf_counter()
     length_diff = table.gaps[u]
-    sums = {
-        n: first_label_sums(table.paths(u, n), order) for n in degree_range(length_diff)
-    }
+    sums = table.graded_sums(u)
     cd_index = complete_cd_index(u, v, sums)
     splits = shelling_decomposition(sums, cd_index)
     monomial_results = {}

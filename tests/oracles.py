@@ -6,8 +6,11 @@ operation has two genuinely different routes to the same number.  The
 exceptions are `enumerate_paths`, a list form of the package's own path
 enumeration that only the tests read, and the routes the package replaced
 with faster ones, kept as its reference: `interval_pairs` (the pairwise
-Bruhat test over all of S_n) and `restricted_count_reports` (one report
-per reflection, each split read with `split_at`).
+Bruhat test over all of S_n), `restricted_count_reports` (one report
+per reflection, each split read with `split_at`), `first_label_sums` and
+`path_sums` (the graded sums read off enumerated paths), and
+`walked_contribution_sum` and `walked_flip_condition` (the contribution
+sum and the flip condition by a walk over every path).
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ import itertools
 from bisect import bisect_right
 from fractions import Fraction
 
-from cdindex.complete import split_at
-from cdindex.intervals import iter_paths
-from cdindex.ncpoly import ad_form, cd_degree
+from cdindex.complete import degree_range, split_at
+from cdindex.errors import FlipUndefinedError
+from cdindex.flips import FlipWitness, path_contribution, position_factor
+from cdindex.intervals import iter_paths, rank_word
+from cdindex.ncpoly import ADPolynomial, ad_form, cd_degree
 from cdindex.perms import bruhat_leq, length
 from cdindex.verify import RestrictedCountReport
 
@@ -272,3 +277,51 @@ def restricted_count_reports(u, monomial, table, splits):
 def first_inconsistent(reports):
     """The first report that fails, or None."""
     return next((rep for rep in reports if not rep.consistent), None)
+
+
+def first_label_sums(paths, order):
+    """Word sums of same-length paths, keyed by ascending first-label rank."""
+    rank = order.rank
+    buckets = {}
+    for path in paths:
+        ranks = [rank(t) for t in path.labels]
+        acc = buckets.setdefault(ranks[0], {})
+        w = rank_word(ranks)
+        acc[w] = acc.get(w, 0) + 1
+    return {r: ADPolynomial(buckets[r]) for r in sorted(buckets)}
+
+
+def path_sums(iv, order):
+    """Graded first-label sums of a built interval [u, v], one enumeration per degree."""
+    return {
+        n: first_label_sums(iter_paths(iv.adjacency, iv.u, iv.v, n), order)
+        for n in degree_range(iv.length_diff)
+    }
+
+
+def walked_contribution_sum(u, monomial, table):
+    """The signed contribution sum, one `path_contribution` per path u -> sink.
+
+    Raises FlipUndefinedError where a path needs an undefined flip."""
+    n = len(ad_form(monomial))
+    return sum(path_contribution(p, monomial, table) for p in table.paths(u, n))
+
+
+def walked_flip_condition(u, monomial, table):
+    """The flip condition by a walk over every path u -> sink, in lex order:
+    the first (path, D position) whose tail lies in its T-set and whose
+    factor is -1, or the first undefined flip, as a witness; else None."""
+    gamma = ad_form(monomial)
+    n = len(gamma)
+    try:
+        for path in table.paths(u, n):
+            for m in range(1, n + 1):
+                if gamma[m - 1] != "D":
+                    continue
+                if path.tail_from(m) not in table.members(path.vertices[m], gamma[m:]):
+                    continue
+                if position_factor(path, m, gamma, table) == -1:
+                    return FlipWitness("minus-one-at-m", monomial, path, m)
+    except FlipUndefinedError as exc:
+        return FlipWitness("size-mismatch", monomial, detail=str(exc))
+    return None

@@ -16,7 +16,6 @@ from cdindex.complete import (
     complete_cd_index,
     degree_range,
     flag_cd_index,
-    path_sums,
 )
 from cdindex.flips import TSetTable, check_flip_condition
 from cdindex.intervals import (
@@ -35,7 +34,7 @@ from cdindex.verify import (
     verify_coefficient,
 )
 
-from .oracles import restricted_count_reports
+from .oracles import path_sums, restricted_count_reports
 from .test_complete import check_decomposition, shelling_of, splits_by_t
 from .test_verify import edge_reflections_below
 

@@ -1,14 +1,12 @@
 import pytest
 
-from cdindex import complete
+from cdindex import complete, intervals
 from cdindex.complete import (
     CompleteCdIndex,
     ad_polynomials,
     complete_cd_index,
     degree_range,
-    first_label_sums,
     flag_cd_index,
-    path_sums,
     restricted_ad_polynomial,
     shelling_decomposition,
     split_at,
@@ -30,7 +28,15 @@ from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import Reflection, identity, parse_perm
 from cdindex.verify import RestrictedCountReport, check_restricted_counts, iter_intervals
 
-from .oracles import enumerate_paths, first_inconsistent, restricted_count_reports
+from . import oracles
+from .oracles import (
+    enumerate_paths,
+    first_inconsistent,
+    first_label_sums,
+    path_sums,
+    restricted_count_reports,
+)
+from .test_flips import count_calls
 
 # cd-index of [2134, 4321], frozen from two independent computations
 # (path sum + exact solve, and the flag-vector chain-count oracle)
@@ -240,24 +246,25 @@ def test_every_t_at_once_matches_the_per_t_route_on_s4(word):
 
 
 def test_shelling_enumerates_nothing_and_splits_exactly_at_first_label_ranks(monkeypatch):
-    """path_sums makes one iter_paths call per degree and shelling_decomposition
-    none; decompose_left_a runs only at the ranks some path starts with, on
-    the sum restricted to that rank, and never at a degree's top rank, whose
-    split is read off the cd-index."""
+    """The reference path_sums makes one iter_paths call per degree and
+    shelling_decomposition none; decompose_left_a runs only at the ranks
+    some path starts with, on the sum restricted to that rank, and never at
+    a degree's top rank, whose split is read off the cd-index."""
     order = order_from_reduced_word(4, [1, 2, 1, 3, 2, 1])
-    enumerations = []
+    enumerations = count_calls(monkeypatch, intervals.iter_paths)
+    oracle_enumerations = []
     splits = []
-    iter_paths, split = complete.iter_paths, complete.decompose_left_a
+    iter_paths, split = oracles.iter_paths, complete.decompose_left_a
 
     def counting_iter_paths(adjacency, u, v, n):
-        enumerations.append(n)
+        oracle_enumerations.append(n)
         return iter_paths(adjacency, u, v, n)
 
     def recording_split(p, n):
         splits.append((n, p))
         return split(p, n)
 
-    monkeypatch.setattr(complete, "iter_paths", counting_iter_paths)
+    monkeypatch.setattr(oracles, "iter_paths", counting_iter_paths)
     monkeypatch.setattr(complete, "decompose_left_a", recording_split)
     for u, v in iter_intervals(4):
         iv = build_interval(u, v)
@@ -268,9 +275,9 @@ def test_shelling_enumerates_nothing_and_splits_exactly_at_first_label_ranks(mon
                 (n, restricted_by_filter(iv, n, order.sequence[r - 1], order))
                 for r in ranks[:-1]
             ]
-        enumerations.clear()
+        oracle_enumerations.clear()
         sums = path_sums(iv, order)
-        assert enumerations == degree_range(iv.length_diff), (u, v)
+        assert oracle_enumerations == degree_range(iv.length_diff), (u, v)
         index = complete_cd_index(u, v, sums)
         enumerations.clear()
         splits.clear()

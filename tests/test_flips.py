@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from cdindex.complete import degree_range
 from cdindex.errors import FlipUndefinedError
 from cdindex.flips import (
     TSetTable,
@@ -13,6 +14,7 @@ from cdindex.flips import (
     flip_pairing,
     path_contribution,
     position_factor,
+    sum_contributions,
 )
 from cdindex.intervals import (
     BruhatPath,
@@ -25,6 +27,9 @@ from cdindex.intervals import (
 from cdindex.ncpoly import ad_form, cd_monomials
 from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import identity, length, parse_perm
+from cdindex.verify import iter_intervals
+
+from .oracles import first_label_sums, walked_contribution_sum, walked_flip_condition
 
 
 def names(paths, order):
@@ -402,3 +407,121 @@ def test_empty_word_t_set_is_the_single_edge_path(example_table):
     w = parse_perm("4312")
     paths = example_table.t_set(w, "")
     assert len(paths) == 1 and paths[0].n == 0
+
+
+DP_ORDERS = [
+    pytest.param(4, "lex", id="s4-lex"),
+    pytest.param(4, "rev", id="s4-rev"),
+    pytest.param(4, [1, 2, 1, 3, 2, 1], id="s4-word"),
+    pytest.param(5, [2, 1, 3, 4, 3, 2, 3, 1, 4, 2], id="s5-word"),
+]
+
+
+def order_of(n, spec):
+    if spec == "lex":
+        return lex_order(n)
+    if spec == "rev":
+        return lex_order(n).reversed()
+    return order_from_reduced_word(n, spec)
+
+
+@pytest.mark.parametrize("n, spec", DP_ORDERS)
+def test_sums_dp_equals_the_sums_of_the_table_paths(n, spec):
+    """For every sink, cone vertex and path length: the sums DP holds the
+    first-label sums of the table's paths, bucket for bucket and in the
+    same rank order, and `graded_sums` collects the degrees of [w, sink]."""
+    order = order_of(n, spec)
+    for sink in itertools.permutations(range(1, n + 1)):
+        table = TSetTable(sink, order)
+        for w, gap in table.gaps.items():
+            for k in range(-1, gap + 1):
+                expected = first_label_sums(table.paths(w, k), order)
+                assert list(table.sums(w, k).items()) == list(expected.items()), (sink, w, k)
+            assert table.graded_sums(w) == {k: table.sums(w, k) for k in degree_range(gap)}
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the message of the FlipUndefinedError it raises."""
+    try:
+        return "value", fn(*args)
+    except FlipUndefinedError as exc:
+        return "raise", str(exc)
+
+
+def assert_checks_match_the_walks(u, monomial, table):
+    got = outcome(sum_contributions, u, monomial, table)
+    assert got == outcome(walked_contribution_sum, u, monomial, table), (u, monomial)
+    walked = walked_flip_condition(u, monomial, table)
+    assert check_flip_condition(u, monomial, table) == walked, (u, monomial)
+    return got, walked
+
+
+@pytest.mark.parametrize("n, spec", DP_ORDERS)
+def test_dp_checks_equal_the_path_walks(n, spec):
+    """`sum_contributions` and `check_flip_condition`, read off the flip DP,
+    against the walks over every path: on every interval of S_4 (also on
+    the reverse-order twin, which shares the primal's out-edges), and on
+    the S_5 intervals of gap <= 5.  These orders have no violation, so the
+    DP finds no -1 anywhere and answers every check without a walk."""
+    order = order_of(n, spec)
+    tables = {}
+    for u, v in iter_intervals(n, 5 if n == 5 else None):
+        if v not in tables:
+            tables = {v: TSetTable(v, order)}
+        table = tables[v]
+        checked = [table] if n == 5 else [table, table.reversed_table()]
+        for each in checked:
+            for k in degree_range(each.gaps[u]):
+                for monomial in cd_monomials(k):
+                    assert not each.has_minus_one(u, ad_form(monomial)), (u, v, monomial)
+                    assert_checks_match_the_walks(u, monomial, each)
+
+
+def collapse_flips(monkeypatch):
+    """Mutate every flip to send each T path to the first T-bar path in
+    primal lex order; T-sets then change too, because they read flips."""
+    real = TSetTable.flip
+
+    def collapsed(self, w, gamma):
+        mapping = real(self, w, gamma)
+        first = next(iter(mapping.values()), None)
+        return {x: first for x in mapping}
+
+    monkeypatch.setattr(TSetTable, "flip", collapsed)
+
+
+# Intervals of S_5 on which the collapsed flip breaks the flip condition
+# (V) or leaves a contribution sum undefined (U) under lex, found by a
+# sweep of the S_5 gaps <= 7; the last one stays clean.
+COLLAPSED_CASES = [
+    ("12435", "45231"),  # V cddc, U ddd
+    ("13425", "45231"),  # V ddc
+    ("13425", "45321"),  # V ddcc, U ddd
+    ("31245", "54312"),  # U ddd
+    ("12345", "23451"),
+]
+
+
+def test_collapsed_flip_checks_equal_the_path_walks(monkeypatch):
+    """Under a wrong flip the DP still agrees with the walks on every
+    (u, monomial): each -1 it finds, or undefined flip it meets, hands the
+    check to the walk, which names the same witness or raises the same
+    error; where it finds no -1 the walk finds none either."""
+    collapse_flips(monkeypatch)
+    order = lex_order(5)
+    for u, v in COLLAPSED_CASES:
+        u, v = parse_perm(u), parse_perm(v)
+        table = TSetTable(v, order)
+        for k in degree_range(table.gaps[u]):
+            for monomial in cd_monomials(k):
+                _, walked = assert_checks_match_the_walks(u, monomial, table)
+                dp = outcome(table.has_minus_one, u, ad_form(monomial))
+                if walked is not None and walked.kind == "minus-one-at-m":
+                    assert dp != ("value", False), (u, monomial)
+    u, v = parse_perm("12435"), parse_perm("45231")
+    table = TSetTable(v, order)
+    witness = check_flip_condition(u, "cddc", table)
+    assert witness.kind == "minus-one-at-m"
+    assert table.has_minus_one(u, ad_form("cddc"))
+    with pytest.raises(FlipUndefinedError):
+        sum_contributions(u, "ddd", table)

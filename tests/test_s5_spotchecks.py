@@ -11,11 +11,13 @@ import itertools
 import random
 
 from cdindex import TSetTable, build_interval, complete_cd_index, lex_order
-from cdindex.complete import degree_range, path_sums
+from cdindex.complete import degree_range
 from cdindex.flips import check_flip_condition
 from cdindex.ncpoly import cd_monomials
 from cdindex.perms import bruhat_leq, length
 from cdindex.verify import verify_coefficient
+
+from .oracles import path_sums
 
 
 def sample_intervals(gaps, count, seed):
