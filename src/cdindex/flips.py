@@ -9,11 +9,14 @@ The tails being flipped always lie in the T-set of the suffix monomial on
 the shorter interval [x_m, v], so the whole construction is recursive in
 (interval length, monomial degree) and is memoized here per sink vertex.
 
-Every query is keyed by (vertex, suffix word), and so is the path store
-the T-sets read: `word_paths(w, gamma)` holds only the paths w -> v whose
-word is gamma, built by suffix sharing from the word paths of gamma[1:]
-out of each upper neighbour of w.  No T-set enumerates all paths or
-recomputes a word.
+Every query is keyed by (vertex, suffix word).  A path (t, x) + tau lies
+in T(w, gamma) exactly when tau lies in T(x, gamma[1:]) and its first
+factor is +1, and that factor reads only three first-label ranks: of t,
+of tau and of flip(tau).  So `t_set(w, gamma)` is built from the suffix
+T-sets of the upper neighbours of w, keeping the tails that pass; it
+enumerates no other paths, recomputes no word and calls no
+`position_factor`.  Each T-set caches its first-label ranks
+(`first_ranks`), which the restricted counts and `plus_one_count` read.
 
 The scan reads no other paths.  Its graded first-label sums come from a
 DP over (vertex, length): `sums(w, n)` extends every bucket of each upper
@@ -33,16 +36,15 @@ by lexicographic position under the primal order.  Lex order on the
 equal-length rank sequences runs backwards under the reversed order, and
 a path is fixed by its source and labels, so the reverse-order table reads
 the primal's paths in reverse, and T-bar in primal lex order is its T-set
-reversed.  Reversing the order also swaps ascents and descents, so the
-twin's word paths of gamma are the primal's of gamma with A and D swapped,
-reversed.  |T| = |T-bar| is conjectured; a mismatch raises
-FlipUndefinedError and is surfaced, never patched.
+reversed.  The twin builds its T-sets from its own suffix T-sets,
+walking the shared out-edges in reverse.  |T| = |T-bar| is conjectured; a
+mismatch raises FlipUndefinedError and is surfaced, never patched.
 
 `position_factor` is the one definition of the per-position factor
-(+1, 0 or -1): the T-set splice test, `path_contribution` (the product of
-the factors from right to left, with an early exit on zero) and the flip
-condition (no factor -1 where the tail lies in its suffix T-set) all read
-it; the DPs restate its two rank comparisons on first labels.  Under the
+(+1, 0 or -1): `path_contribution` (the product of the factors from right
+to left, with an early exit on zero) and the walked flip condition (no
+factor -1 where the tail lies in its suffix T-set) read it; `t_set` and
+the DPs restate its two rank comparisons on first labels.  Under the
 flip condition no -1 survives to the final product, which is what makes
 |T_M| the coefficient.
 
@@ -54,6 +56,8 @@ The cone is the down-closure of v in the process's one Bruhat graph
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,9 +67,6 @@ from .intervals import BruhatPath, ad_word, bruhat_graph, label_string
 from .ncpoly import ADPolynomial, ad_form
 from .orders import ReflectionOrder
 from .perms import Perm, format_perm
-
-_BAR = str.maketrans("AD", "DA")
-
 
 class TSetTable:
     """Memoized T-sets, memberships and flips for one sink vertex and order.
@@ -81,18 +82,20 @@ class TSetTable:
       by label ranks under the table's order (only the witness replay of
       the checks reads these);
     - ``gaps[w]``: the length gap l(v) - l(w), for every w in the cone;
-    - ``word_paths(w, gamma)``: the length-|gamma| paths w -> v whose
-      AD-word is ``gamma``, in the same order;
-    - ``t_set(w, gamma)``: the T-set for the AD-word ``gamma``, a subset of
-      ``word_paths(w, gamma)`` and read from nothing else;
-    - ``flip(w, gamma)``: the pairing dict T -> T-bar.
+    - ``t_set(w, gamma)``: the T-set for the AD-word ``gamma``, lex-sorted,
+      built from the suffix T-sets of w's upper neighbours;
+      ``first_ranks(w, gamma)`` holds its first-label ranks, nondecreasing;
+    - ``flip(w, gamma)``: the pairing dict T -> T-bar;
+    - ``members(w, gamma)``: the T-set as a frozenset, built only when the
+      witness replay asks.
 
     ``reversed_table()`` returns the twin table under the reversed order;
     T-bar sets are the twin's T-sets.  The twin enumerates nothing: its
-    ``paths(w, n)`` is this table's tuple reversed, and its
-    ``word_paths(w, gamma)`` this table's for the barred word, reversed,
-    same path objects.  It shares this table's out-edges, in this table's
-    rank order, which only the order-free DPs read.
+    ``paths(w, n)`` is this table's tuple reversed.  It shares this
+    table's out-edges, in this table's rank order, and walks them in
+    reverse for its T-sets.  It holds this table through a weak reference,
+    so the pair forms no reference cycle and a dropped table is freed at
+    once; keep the primal alive while using the twin.
     Evaluation is demand-driven recursion over strictly smaller
     sub-problems, so preconditions on sub-interval flips hold by
     construction.  After a call completes, all entries it touched are
@@ -116,18 +119,27 @@ class TSetTable:
         else:
             self._adjacency = _twin._adjacency
             self.gaps = _twin.gaps
-            self._twin = _twin
+            self._primal = weakref.ref(_twin)
         self._sums: dict[tuple[Perm, int], dict[int, ADPolynomial]] = {}
         self._minus_one: dict[tuple[Perm, str], bool] = {}
         self._pairs: dict[tuple[Perm, str], tuple[tuple[int, int], ...]] = {}
         self._paths: dict[tuple[Perm, int], tuple[BruhatPath, ...]] = {}
-        self._word_paths: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
+        self._spans: dict[tuple[Perm, str], tuple[int, int]] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
+        self._first_ranks: dict[tuple[Perm, str], tuple[int, ...]] = {}
         self._members: dict[tuple[Perm, str], frozenset[BruhatPath]] = {}
         self._flips: dict[tuple[Perm, str], dict[BruhatPath, BruhatPath]] = {}
 
     def reversed_table(self) -> "TSetTable":
-        return self._twin
+        """The twin under the reversed order.  The primal holds its twin and
+        the twin holds its primal weakly, so a dropped table is freed at
+        once; a twin whose primal is gone raises ReferenceError."""
+        if self._is_primal:
+            return self._twin
+        primal = self._primal()
+        if primal is None:
+            raise ReferenceError("the primal table of this reverse-order twin was freed")
+        return primal
 
     def sums(self, w: Perm, n: int) -> dict[int, ADPolynomial]:
         """Word sums of the length-n paths w -> sink, keyed by ascending
@@ -217,7 +229,8 @@ class TSetTable:
         for t, x in self._adjacency[w]:
             r = rank(t)
             if gamma[0] == "A":
-                total += sum(1 for p in self.t_set(x, rest) if r < rank(p.labels[0]))
+                ranks = self.first_ranks(x, rest)
+                total += len(ranks) - bisect_right(ranks, r)
             else:
                 total += sum(1 for a, b in self._pair_ranks(x, rest) if a <= r < b)
         return total
@@ -246,7 +259,7 @@ class TSetTable:
         hit = self._paths.get(key)
         if hit is None:
             if not self._is_primal:
-                hit = self._twin.paths(w, n)[::-1]
+                hit = self.reversed_table().paths(w, n)[::-1]
             elif not self._reaches(w, n + 1):
                 hit = ()
             elif n == 0:
@@ -271,73 +284,101 @@ class TSetTable:
             BruhatPath((w, y), (t,)) for t, y in self._adjacency[w] if y == self.sink
         )
 
-    def word_paths(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
-        """The paths w -> sink whose AD-word is gamma, lex-sorted by label ranks.
-
-        A path with word gamma is an edge (t, y) out of w followed by a path
-        from y with word gamma[1:] whose first label ascends from t exactly
-        when gamma starts with A.  Out-edges are walked in rank order and
-        each suffix tuple is lex-sorted, so the result needs no sort.
-        """
-        key = (w, gamma)
-        hit = self._word_paths.get(key)
-        if hit is None:
-            if not self._is_primal:
-                hit = self._twin.word_paths(w, gamma.translate(_BAR))[::-1]
-            else:
-                hit = self._extend(w, gamma)
-            self._word_paths[key] = hit
-        return hit
-
-    def _extend(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
-        if not self._reaches(w, len(gamma) + 1):
-            return ()
-        if not gamma:
-            return self._edges_to_sink(w)
-        rank = self.order.rank
-        ascent = gamma[0] == "A"
-        out = []
-        for t, y in self._adjacency[w]:
-            r = rank(t)
-            for p in self.word_paths(y, gamma[1:]):
-                if (r < rank(p.labels[0])) == ascent:
-                    out.append(BruhatPath((w,) + p.vertices, (t,) + p.labels))
-        return tuple(out)
-
     def word(self, path: BruhatPath) -> str:
         """Ascent-descent word of a path under this table's order."""
         return ad_word(path, self.order)
 
     def t_set(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
-        """T-set of the AD-word gamma on [w, sink], lex-sorted."""
+        """T-set of the AD-word gamma on [w, sink], lex-sorted by label ranks.
+
+        A path (t, x) + tau lies in T(w, gamma) exactly when tau lies in
+        T(x, gamma[1:]) and the first factor is +1: with r = rank(t) and a
+        and b the first-label ranks of tau and flip(tau), r < a where gamma
+        starts with A, and a <= r < b where it starts with D.  The suffix
+        ranks are nondecreasing, so the A tails are a suffix and the D
+        candidates a prefix, both found by bisection.  Out-edges are walked
+        in rank order (the twin walks the shared edges in reverse), so the
+        result needs no sort.  A suffix T-set is read only where some path
+        with word gamma crosses the edge (`_word_span`), and a flip only
+        where a kept D candidate exists, so the sub-problems evaluated, and
+        any FlipUndefinedError raised, are those of filtering the paths with
+        word gamma by suffix membership and `position_factor`.
+        """
         key = (w, gamma)
         hit = self._tsets.get(key)
         if hit is not None:
             return hit
-        n = len(gamma)
-        out = []
-        for path in self.word_paths(w, gamma):
-            if n > 0:
-                if path.tail() not in self.members(path.vertices[1], gamma[1:]):
-                    continue
-                if position_factor(path, 1, gamma, self) != 1:
-                    continue
-            out.append(path)
+        rank = self.order.rank
+        out: list[BruhatPath] = []
+        ranks: list[int] = []
+        if self._reaches(w, len(gamma) + 1):
+            edges = self._adjacency[w] if self._is_primal else reversed(self._adjacency[w])
+            rest = gamma[1:]
+            ascent = gamma[:1] == "A"
+            for t, x in edges:
+                r = rank(t)
+                if not gamma:
+                    kept = [BruhatPath((w, x), (t,))] if x == self.sink else []
+                else:
+                    lo, hi = self._word_span(x, rest)
+                    if (hi <= r) if ascent else (lo > r):
+                        continue
+                    tails = self.t_set(x, rest)
+                    k = bisect_right(self.first_ranks(x, rest), r)
+                    if ascent:
+                        kept = tails[k:]
+                    else:
+                        pairs = self._pair_ranks(x, rest) if k else ()
+                        kept = [tau for tau, (_, b) in zip(tails[:k], pairs) if r < b]
+                    kept = [BruhatPath((w,) + tau.vertices, (t,) + tau.labels) for tau in kept]
+                out += kept
+                ranks += [r] * len(kept)
         result = tuple(out)
         self._tsets[key] = result
-        self._members[key] = frozenset(result)
+        self._first_ranks[key] = tuple(ranks)
         return result
 
-    def members(self, w: Perm, gamma: str) -> frozenset[BruhatPath]:
-        got = self._members.get((w, gamma))
-        if got is None:
+    def first_ranks(self, w: Perm, gamma: str) -> tuple[int, ...]:
+        """The first-label ranks of T(w, gamma), in its order: nondecreasing."""
+        hit = self._first_ranks.get((w, gamma))
+        if hit is None:
             self.t_set(w, gamma)
-            got = self._members[(w, gamma)]
+            hit = self._first_ranks[(w, gamma)]
+        return hit
+
+    def _word_span(self, w: Perm, gamma: str) -> tuple[int, int]:
+        """(lowest, highest) first-label rank of the paths w -> sink whose
+        AD-word is gamma; (rank count + 1, 0) when there are none."""
+        key = (w, gamma)
+        hit = self._spans.get(key)
+        if hit is None:
+            lo, hi = len(self.order.sequence) + 1, 0
+            if self._reaches(w, len(gamma) + 1):
+                rank = self.order.rank
+                for t, x in self._adjacency[w]:
+                    r = rank(t)
+                    if gamma:
+                        x_lo, x_hi = self._word_span(x, gamma[1:])
+                        if (x_hi <= r) if gamma[0] == "A" else (x_lo > r):
+                            continue
+                    elif x != self.sink:
+                        continue
+                    lo, hi = min(lo, r), max(hi, r)
+            hit = self._spans[key] = (lo, hi)
+        return hit
+
+    def members(self, w: Perm, gamma: str) -> frozenset[BruhatPath]:
+        """T(w, gamma) as a set, built on first use; only the witness replay
+        of the flip checks tests membership."""
+        key = (w, gamma)
+        got = self._members.get(key)
+        if got is None:
+            got = self._members[key] = frozenset(self.t_set(w, gamma))
         return got
 
     def t_bar_set(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
         """The same construction under the reversed order, sorted by its lex."""
-        return self._twin.t_set(w, gamma)
+        return self.reversed_table().t_set(w, gamma)
 
     def flip(self, w: Perm, gamma: str) -> dict[BruhatPath, BruhatPath]:
         """Lex-preserving pairing T -> T-bar on [w, sink] for gamma.
@@ -351,7 +392,7 @@ class TSetTable:
         if hit is not None:
             return hit
         t = self.t_set(w, gamma)
-        tbar = self._twin.t_set(w, gamma)
+        tbar = self.reversed_table().t_set(w, gamma)
         if len(t) != len(tbar):
             raise FlipUndefinedError(w, gamma, self.sink, len(t), len(tbar))
         mapping = dict(zip(t, reversed(tbar)))

@@ -23,7 +23,9 @@ split, come from the sink table's sums DP and its length gaps; the
 contribution sums and flip conditions come from the table's flip DP, and
 only a violation or an undefined flip makes a check walk the table's
 paths.  So a scan builds no interval, runs no depth-first enumeration, and
-on clean intervals reads no path store beyond the T-sets' word paths.
+on clean intervals holds no paths beyond the T-sets themselves.  The
+restricted counts read the T-sets' cached first-label ranks, which come
+sorted.
 `iter_intervals` reads every pair off the down-closures in the group's one
 Bruhat graph, which the tables share.  The CLI streams the records to
 JSON-lines.
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from heapq import merge
+from itertools import groupby
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -171,13 +175,15 @@ def check_restricted_counts(
     """
     gamma = ad_form(monomial)
     order = table.order
-    rank = order.rank
-    t_ranks = sorted(rank(p.labels[0]) for p in table.t_set(u, gamma))
-    tbar_ranks = sorted(rank(p.labels[0]) for p in table.t_bar_set(u, gamma))
+    t_ranks = table.first_ranks(u, gamma)
+    # The twin lists T-bar in reversed-order lex, so its ranks, read
+    # backwards and mapped back to the primal order, are nondecreasing too.
+    top = len(order.sequence) + 1
+    tbar_ranks = [top - r for r in reversed(table.reversed_table().first_ranks(u, gamma))]
     steps = splits.get(cd_degree(monomial), [])
     k = 0
     coeffs = (0, 0)
-    for r in sorted({r for r, _ in steps}.union(t_ranks, tbar_ranks)):
+    for r, _ in groupby(merge([r for r, _ in steps], t_ranks, tbar_ranks)):
         if k < len(steps) and steps[k][0] == r:
             f, g = steps[k][1]
             k += 1

@@ -10,19 +10,22 @@ Bruhat test over all of S_n), `restricted_count_reports` (one report
 per reflection, each split read with `split_at`), `first_label_sums` and
 `path_sums` (the graded sums read off enumerated paths), and
 `walked_contribution_sum` and `walked_flip_condition` (the contribution
-sum and the flip condition by a walk over every path).
+sum and the flip condition by a walk over every path), and
+`word_path_t_set` (a T-set as the paths of its word filtered by suffix
+membership and `position_factor`, read from the store `word_paths`).
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from bisect import bisect_right
 from fractions import Fraction
 
 from cdindex.complete import degree_range, split_at
 from cdindex.errors import FlipUndefinedError
 from cdindex.flips import FlipWitness, path_contribution, position_factor
-from cdindex.intervals import iter_paths, rank_word
+from cdindex.intervals import BruhatPath, iter_paths, rank_word
 from cdindex.ncpoly import ADPolynomial, ad_form, cd_degree
 from cdindex.perms import bruhat_leq, length
 from cdindex.verify import RestrictedCountReport
@@ -325,3 +328,49 @@ def walked_flip_condition(u, monomial, table):
     except FlipUndefinedError as exc:
         return FlipWitness("size-mismatch", monomial, detail=str(exc))
     return None
+
+
+_BAR = str.maketrans("AD", "DA")
+_WORD_PATHS = weakref.WeakKeyDictionary()
+
+
+def word_paths(table, w, gamma):
+    """The paths w -> table.sink whose AD-word is gamma, lex-sorted by label
+    ranks, stored per primal table.  The twin reads its primal's tuple for
+    the barred word, reversed: the same path objects."""
+    if not table._is_primal:
+        return word_paths(table.reversed_table(), w, gamma.translate(_BAR))[::-1]
+    store = _WORD_PATHS.setdefault(table, {})
+    hit = store.get((w, gamma))
+    if hit is None:
+        hit = store[(w, gamma)] = _extend(table, w, gamma)
+    return hit
+
+
+def _extend(table, w, gamma):
+    """An edge (t, y) out of w, then a path from y with word gamma[1:] whose
+    first label ascends from t exactly when gamma starts with A."""
+    if not table._reaches(w, len(gamma) + 1):
+        return ()
+    if not gamma:
+        return table._edges_to_sink(w)
+    rank = table.order.rank
+    ascent = gamma[0] == "A"
+    return tuple(
+        BruhatPath((w,) + p.vertices, (t,) + p.labels)
+        for t, y in table._adjacency[w]
+        for p in word_paths(table, y, gamma[1:])
+        if (rank(t) < rank(p.labels[0])) == ascent
+    )
+
+
+def word_path_t_set(table, w, gamma):
+    """T(w, gamma) by the word-path route: the paths with word gamma whose
+    tail lies in the table's suffix T-set and whose first factor is +1."""
+    return tuple(
+        p for p in word_paths(table, w, gamma)
+        if not gamma or (
+            p.tail() in table.members(p.vertices[1], gamma[1:])
+            and position_factor(p, 1, gamma, table) == 1
+        )
+    )

@@ -1,8 +1,11 @@
+import gc
 import itertools
 import sys
+import weakref
 
 import pytest
 
+from cdindex import flips
 from cdindex.complete import degree_range
 from cdindex.errors import FlipUndefinedError
 from cdindex.flips import (
@@ -29,7 +32,14 @@ from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import identity, length, parse_perm
 from cdindex.verify import iter_intervals
 
-from .oracles import first_label_sums, walked_contribution_sum, walked_flip_condition
+from . import oracles
+from .oracles import (
+    first_label_sums,
+    walked_contribution_sum,
+    walked_flip_condition,
+    word_path_t_set,
+    word_paths,
+)
 
 
 def names(paths, order):
@@ -237,8 +247,8 @@ def word_problems(sink):
 
 @pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
 def test_word_paths_are_the_paths_filtered_by_word_on_s4(order):
-    """The suffix-shared store against the old route: all length-n paths,
-    in rank-lex order, filtered by their recomputed word."""
+    """The oracle's suffix-shared word-path store against the plain route:
+    all length-n paths, in rank-lex order, filtered by their recomputed word."""
     for sink in s4_sinks():
         primal = TSetTable(sink, order)
         for table in (primal, primal.reversed_table()):
@@ -247,28 +257,78 @@ def test_word_paths_are_the_paths_filtered_by_word_on_s4(order):
                     p for p in table.paths(w, len(gamma))
                     if ad_word(p, table.order) == gamma
                 )
-                assert table.word_paths(w, gamma) == expected, (sink, w, gamma)
+                assert word_paths(table, w, gamma) == expected, (sink, w, gamma)
 
 
 @pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
 def test_twin_word_paths_are_the_primal_barred_tuples_reversed(order, monkeypatch):
     extended, extensions = [], 0
-    real = TSetTable._extend
+    real = oracles._extend
     monkeypatch.setattr(
-        TSetTable, "_extend", lambda self, *a: extended.append(self) or real(self, *a)
+        oracles, "_extend", lambda table, *a: extended.append(table) or real(table, *a)
     )
     for sink in s4_sinks():
         table = TSetTable(sink, order)
         twin = table.reversed_table()
         for w, gamma in word_problems(sink):
-            shared = twin.word_paths(w, gamma)
-            primal = table.word_paths(w, bar(gamma))
+            shared = word_paths(twin, w, gamma)
+            primal = word_paths(table, w, bar(gamma))
             assert len(shared) == len(primal)
             assert all(a is b for a, b in zip(shared, reversed(primal))), (sink, w, gamma)
         assert all(t is table for t in extended), sink
         extensions += len(extended)
         extended.clear()
     assert extensions > 100
+
+
+def test_t_sets_build_each_path_once_from_the_suffix_t_sets(monkeypatch, s4_lex):
+    """Over every (w, gamma) of the S_4 w0 table and its twin, T-sets and
+    flips construct one BruhatPath per T-set path, and call neither
+    `paths`, `iter_paths` nor `position_factor`."""
+    built = []
+    monkeypatch.setattr(
+        flips, "BruhatPath", lambda *a: built.append(a) or BruhatPath(*a)
+    )
+    enumerations = count_calls(monkeypatch, iter_paths)
+    factors = count_calls(monkeypatch, position_factor)
+    all_paths = []
+    real_paths = TSetTable.paths
+    monkeypatch.setattr(
+        TSetTable, "paths", lambda self, *a: all_paths.append(a) or real_paths(self, *a)
+    )
+    sink = parse_perm("4321")
+    table = TSetTable(sink, s4_lex)
+    sizes = 0
+    for w, gamma in word_problems(sink):
+        sizes += len(table.t_set(w, gamma)) + len(table.t_bar_set(w, gamma))
+        table.flip(w, gamma)
+    assert sizes > 0
+    assert len(built) == sizes
+    assert enumerations == [] and factors == [] and all_paths == []
+
+
+def test_a_dropped_table_is_freed_without_the_collector(s4_lex):
+    """The twin holds its primal weakly, so dropping the last reference to
+    a table frees it and its twin at once, with the collector off."""
+    sink, u = parse_perm("4321"), parse_perm("2134")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        table = TSetTable(sink, s4_lex)
+        twin = table.reversed_table()
+        assert twin.reversed_table() is table
+        for monomial in cd_monomials(4):
+            check_flip_condition(u, monomial, twin)
+            sum_contributions(u, monomial, twin)
+        refs = [weakref.ref(table), weakref.ref(twin)]
+        del table, twin
+        assert [ref() for ref in refs] == [None, None]
+        orphan = TSetTable(sink, s4_lex).reversed_table()
+        with pytest.raises(ReferenceError):
+            orphan.flip(u, "AA")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_t_sets_enumerate_no_paths_and_recompute_no_words(monkeypatch, s4_lex):
@@ -525,3 +585,45 @@ def test_collapsed_flip_checks_equal_the_path_walks(monkeypatch):
     assert table.has_minus_one(u, ad_form("cddc"))
     with pytest.raises(FlipUndefinedError):
         sum_contributions(u, "ddd", table)
+
+
+def assert_t_sets_equal_the_word_path_route(sink, order):
+    """`t_set` against `word_path_t_set` on every (w, gamma) of the sink's
+    table and of its twin, in value or in the FlipUndefinedError message;
+    returns the outcome kinds, one per case."""
+    table = TSetTable(sink, order)
+    kinds = []
+    for each in (table, table.reversed_table()):
+        for w, gamma in word_problems(sink):
+            expected = outcome(word_path_t_set, each, w, gamma)
+            assert outcome(each.t_set, w, gamma) == expected, (sink, w, gamma)
+            kinds.append(expected[0])
+    return kinds
+
+
+@pytest.mark.parametrize("n, spec", [
+    pytest.param(4, "lex", id="s4-lex"),
+    pytest.param(4, "rev", id="s4-rev"),
+    pytest.param(4, [1, 2, 1, 3, 2, 1], id="s4-word"),
+    pytest.param(5, [2, 1, 3, 4, 3, 2, 3, 1, 4, 2], id="s5-w0-word"),
+])
+def test_t_sets_equal_the_word_path_route(n, spec):
+    """Every S_4 sink, or the S_5 sink w0: T-sets read off the suffix T-sets
+    are the word paths filtered by membership and `position_factor`."""
+    order = order_of(n, spec)
+    sinks = s4_sinks() if n == 4 else [tuple(range(n, 0, -1))]
+    for v in sinks:
+        assert "raise" not in assert_t_sets_equal_the_word_path_route(v, order)
+
+
+def test_collapsed_t_sets_equal_the_word_path_route(monkeypatch):
+    """Under the collapsed flip the T-sets change and some flips are
+    undefined; `t_set` still reads exactly the sub-problems the word-path
+    route reads, so it returns the same set or raises the same error."""
+    collapse_flips(monkeypatch)
+    kinds = []
+    for v in s4_sinks():
+        kinds += assert_t_sets_equal_the_word_path_route(v, lex_order(4))
+    for v in sorted({parse_perm(v) for _, v in COLLAPSED_CASES}):
+        kinds += assert_t_sets_equal_the_word_path_route(v, lex_order(5))
+    assert len(kinds) == 25318 and kinds.count("raise") == 842
