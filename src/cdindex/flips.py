@@ -102,24 +102,24 @@ class TSetTable:
     cached; instances are cheap to share but not thread-safe while growing.
     """
 
-    def __init__(self, sink: Perm, order: ReflectionOrder, _twin: "TSetTable | None" = None):
+    def __init__(self, sink: Perm, order: ReflectionOrder, _primal: "TSetTable | None" = None):
         if order.n != len(sink):
             raise ValueError("order and sink vertex live in different groups")
         self.sink = sink
         self.order = order
-        self._is_primal = _twin is None
-        if _twin is None:
+        self._is_primal = _primal is None
+        if _primal is None:
             graph = bruhat_graph(len(sink))
             cone = graph.cone(sink)
             up = graph.sorted_adjacency(order)
             self._adjacency = {x: tuple(ty for ty in up[x] if ty[1] in cone) for x in cone}
             top = graph.lengths[sink]
             self.gaps = {x: top - graph.lengths[x] for x in cone}
-            self._twin = TSetTable(sink, order.reversed(), _twin=self)
+            self._twin = TSetTable(sink, order.reversed(), _primal=self)
         else:
-            self._adjacency = _twin._adjacency
-            self.gaps = _twin.gaps
-            self._primal = weakref.ref(_twin)
+            self._adjacency = _primal._adjacency
+            self.gaps = _primal.gaps
+            self._primal = weakref.ref(_primal)
         self._sums: dict[tuple[Perm, int], dict[int, ADPolynomial]] = {}
         self._minus_one: dict[tuple[Perm, str], bool] = {}
         self._pairs: dict[tuple[Perm, str], tuple[tuple[int, int], ...]] = {}

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from heapq import merge
-from itertools import groupby
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -183,7 +181,7 @@ def check_restricted_counts(
     steps = splits.get(cd_degree(monomial), [])
     k = 0
     coeffs = (0, 0)
-    for r, _ in groupby(merge([r for r, _ in steps], t_ranks, tbar_ranks)):
+    for r in sorted({r for r, _ in steps}.union(t_ranks, tbar_ranks)):
         if k < len(steps) and steps[k][0] == r:
             f, g = steps[k][1]
             k += 1

@@ -332,7 +332,7 @@ def test_a_dropped_table_is_freed_without_the_collector(s4_lex):
 
 
 def test_t_sets_enumerate_no_paths_and_recompute_no_words(monkeypatch, s4_lex):
-    """T-sets and flips read only the word paths: no enumeration, no call
+    """T-sets and flips read only the suffix T-sets: no enumeration, no call
     to `paths`, and no word recomputed."""
     enumerations = count_calls(monkeypatch, iter_paths)
     words, all_paths = [], []
