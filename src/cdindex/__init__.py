@@ -14,7 +14,6 @@ from .complete import (
 from .errors import (
     CdIndexError,
     FlipUndefinedError,
-    InconsistentExpansionError,
     NotDecomposableError,
     NotInSubringError,
 )
@@ -23,9 +22,6 @@ from .flips import (
     TSetTable,
     check_flip_condition,
     check_strong_flip_condition,
-    compute_t_bar_set,
-    compute_t_set,
-    flip_pairing,
     path_contribution,
     position_factor,
     sum_contributions,
@@ -45,7 +41,6 @@ from .ncpoly import (
     ad_to_cd,
     bar,
     cd_monomials,
-    d_power_expansion,
     decompose_left_a,
     expand_cd,
     parse_cd_monomial,

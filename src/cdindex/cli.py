@@ -76,11 +76,6 @@ def check_comparable(u, v) -> None:
         raise UserError(f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order")
 
 
-def interval_or_fail(u, v):
-    check_comparable(u, v)
-    return build_interval(u, v)
-
-
 def cmd_compute(args) -> int:
     u, v = parse_perm_arg(args.u), parse_perm_arg(args.v)
     check_comparable(u, v)  # the sink's table holds every path u -> v
@@ -146,7 +141,8 @@ def cmd_tset(args) -> int:
 
 def cmd_dot(args) -> int:
     u, v = parse_perm_arg(args.u), parse_perm_arg(args.v)
-    iv = interval_or_fail(u, v)
+    check_comparable(u, v)
+    iv = build_interval(u, v)
     order = resolve_order(args.order, len(u))
     text = export_dot(iv, order)
     if args.out:

@@ -11,10 +11,6 @@ class NotInSubringError(CdIndexError):
     """An AD-polynomial has no expression in the variables c, d."""
 
 
-class InconsistentExpansionError(CdIndexError):
-    """An AD-polynomial has no expansion into cd-parts times powers of D."""
-
-
 class NotDecomposableError(CdIndexError):
     """An AD-polynomial has no expression of the form f + A*g with f, g in c, d."""
 

@@ -16,7 +16,7 @@ of tau and of flip(tau).  So `t_set(w, gamma)` is built from the suffix
 T-sets of the upper neighbours of w, keeping the tails that pass; it
 enumerates no other paths, recomputes no word and calls no
 `position_factor`.  Each T-set caches its first-label ranks
-(`first_ranks`), which the restricted counts and `plus_one_count` read.
+(`first_ranks`), which the restricted counts also read.
 
 The scan reads no other paths.  Its graded first-label sums come from a
 DP over (vertex, length): `sums(w, n)` extends every bucket of each upper
@@ -25,11 +25,11 @@ signed contribution sum come from a boolean DP over (vertex, suffix word),
 `has_minus_one`, which reads only the first-label ranks of the suffix flip
 pairs.  When no path has a factor -1 whose tail lies in its T-set, the
 condition holds and every path contributes 1 if it lies in T and 0
-otherwise, so the sum is |T|, counted edge by edge by `plus_one_count`.
-Only when the DP finds a -1, or meets an undefined flip, do the checks
-walk `paths(w, n)`, the store of all length-n paths, to name the witness
-or the undefined sum; it is built by suffix sharing too, so the table
-runs no depth-first enumeration.
+otherwise, so the sum is |T|, the length of the T-set.  Only when the DP
+finds a -1, or meets an undefined flip, do the checks walk `paths(w, n)`,
+the store of all length-n paths, to name the witness or the undefined
+sum; it is built by suffix sharing too, so the table runs no depth-first
+enumeration.
 
 The flip on a sub-problem pairs T with its reverse-order counterpart T-bar
 by lexicographic position under the primal order.  Lex order on the
@@ -39,6 +39,12 @@ the primal's paths in reverse, and T-bar in primal lex order is its T-set
 reversed.  The twin builds its T-sets from its own suffix T-sets,
 walking the shared out-edges in reverse.  |T| = |T-bar| is conjectured; a
 mismatch raises FlipUndefinedError and is surfaced, never patched.
+T-sets and the flip DP need only the first-label ranks of each flip
+pair, so they read them off the two rank tuples (`_pair_ranks`): tau's
+rank from `first_ranks` and its image's from the twin's `first_ranks`,
+reversed (`t_bar_ranks`).  The flip as a dict of paths (`flip`) is built
+only where paths are the output: `tset`, the strong flip condition and
+the witness replay.
 
 `position_factor` is the one definition of the per-position factor
 (+1, 0 or -1): `path_contribution` (the product of the factors from right
@@ -59,7 +65,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .complete import GradedSums, degree_range
 from .errors import FlipUndefinedError
@@ -76,16 +82,17 @@ class TSetTable:
 
     - ``sums(w, n)``: the AD-word sum of the length-n paths w -> v, bucketed
       by first-label rank; ``graded_sums(w)`` holds every degree of [w, v];
-    - ``has_minus_one(w, gamma)`` and ``plus_one_count(w, gamma)``: the
-      flip-condition DP and the contribution sum it licenses;
+    - ``has_minus_one(w, gamma)``: the flip-condition DP;
     - ``paths(w, n)``: all length-n paths w -> v, sorted lexicographically
       by label ranks under the table's order (only the witness replay of
       the checks reads these);
     - ``gaps[w]``: the length gap l(v) - l(w), for every w in the cone;
     - ``t_set(w, gamma)``: the T-set for the AD-word ``gamma``, lex-sorted,
       built from the suffix T-sets of w's upper neighbours;
-      ``first_ranks(w, gamma)`` holds its first-label ranks, nondecreasing;
-    - ``flip(w, gamma)``: the pairing dict T -> T-bar;
+      ``first_ranks(w, gamma)`` holds its first-label ranks, nondecreasing,
+      and ``t_bar_ranks(w, gamma)`` those of T-bar, in this table's ranks;
+    - ``flip(w, gamma)``: the pairing dict T -> T-bar, built only for
+      ``tset``, the strong flip condition and the witness replay;
     - ``members(w, gamma)``: the T-set as a frozenset, built only when the
       witness replay asks.
 
@@ -122,7 +129,6 @@ class TSetTable:
             self._primal = weakref.ref(_primal)
         self._sums: dict[tuple[Perm, int], dict[int, ADPolynomial]] = {}
         self._minus_one: dict[tuple[Perm, str], bool] = {}
-        self._pairs: dict[tuple[Perm, str], tuple[tuple[int, int], ...]] = {}
         self._paths: dict[tuple[Perm, int], tuple[BruhatPath, ...]] = {}
         self._spans: dict[tuple[Perm, str], tuple[int, int]] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
@@ -208,45 +214,25 @@ class TSetTable:
             self._minus_one[key] = hit
         return hit
 
-    def plus_one_count(self, w: Perm, gamma: str) -> int:
-        """The number of (out-edge (t, x), tail tau in T(x, gamma[1:])) pairs
-        whose first factor is +1, with a and b the first-label ranks of tau
-        and flip(tau): rank(t) < a where gamma starts with A, and
-        a <= rank(t) < b where it starts with D; for the empty word, the
-        edges w -> sink.
+    def t_bar_ranks(self, w: Perm, gamma: str) -> tuple[int, ...]:
+        """The first-label ranks of T-bar(w, gamma) under this table's order,
+        with T-bar in this table's lex order: nondecreasing.  The twin lists
+        T-bar in its own lex order, the reverse, so this is its
+        `first_ranks` read backwards, each rank r mapped back to N + 1 - r."""
+        top = len(self.order.sequence) + 1
+        return tuple(top - r for r in reversed(self.reversed_table().first_ranks(w, gamma)))
 
-        This is |T(w, gamma)| counted from the suffix T-sets.  When
-        `has_minus_one(w, gamma)` is false, no path has a -1 factor, so it
-        is also the signed contribution sum.
-        """
-        if not self._reaches(w, len(gamma) + 1):
-            return 0
-        if not gamma:
-            return sum(1 for _, y in self._adjacency[w] if y == self.sink)
-        rank = self.order.rank
-        rest = gamma[1:]
-        total = 0
-        for t, x in self._adjacency[w]:
-            r = rank(t)
-            if gamma[0] == "A":
-                ranks = self.first_ranks(x, rest)
-                total += len(ranks) - bisect_right(ranks, r)
-            else:
-                total += sum(1 for a, b in self._pair_ranks(x, rest) if a <= r < b)
-        return total
-
-    def _pair_ranks(self, w: Perm, gamma: str) -> tuple[tuple[int, int], ...]:
+    def _pair_ranks(self, w: Perm, gamma: str) -> Iterator[tuple[int, int]]:
         """(first-label rank of tau, first-label rank of flip(tau)) for every
-        tau in T(w, gamma), in T's order."""
-        key = (w, gamma)
-        hit = self._pairs.get(key)
-        if hit is None:
-            rank = self.order.rank
-            hit = tuple(
-                (rank(x.labels[0]), rank(y.labels[0])) for x, y in self.flip(w, gamma).items()
-            )
-            self._pairs[key] = hit
-        return hit
+        tau in T(w, gamma), in T's order.  The flip pairs T with T-bar by
+        position in this table's lex order, so these are `first_ranks` and
+        `t_bar_ranks` side by side.  Raises FlipUndefinedError, as `flip`
+        does, when |T| != |T-bar|."""
+        a = self.first_ranks(w, gamma)
+        b = self.t_bar_ranks(w, gamma)
+        if len(a) != len(b):
+            raise FlipUndefinedError(w, gamma, self.sink, len(a), len(b))
+        return zip(a, b)
 
     def paths(self, w: Perm, n: int) -> tuple[BruhatPath, ...]:
         """All length-n paths from w to the sink, lex-sorted by label ranks.
@@ -299,10 +285,10 @@ class TSetTable:
         candidates a prefix, both found by bisection.  Out-edges are walked
         in rank order (the twin walks the shared edges in reverse), so the
         result needs no sort.  A suffix T-set is read only where some path
-        with word gamma crosses the edge (`_word_span`), and a flip only
-        where a kept D candidate exists, so the sub-problems evaluated, and
-        any FlipUndefinedError raised, are those of filtering the paths with
-        word gamma by suffix membership and `position_factor`.
+        with word gamma crosses the edge (`_word_span`), and the flip pairs
+        (`_pair_ranks`) only where a D candidate exists, so the sub-problems
+        evaluated, and any FlipUndefinedError raised, are those of filtering
+        the paths with word gamma by suffix membership and `position_factor`.
         """
         key = (w, gamma)
         hit = self._tsets.get(key)
@@ -400,25 +386,6 @@ class TSetTable:
         return mapping
 
 
-def compute_t_set(
-    table: TSetTable, w: Perm, monomial: str
-) -> tuple[BruhatPath, ...]:
-    """T-set of a cd-monomial on [w, table.sink]."""
-    return table.t_set(w, ad_form(monomial))
-
-
-def compute_t_bar_set(
-    table: TSetTable, w: Perm, monomial: str
-) -> tuple[BruhatPath, ...]:
-    return table.t_bar_set(w, ad_form(monomial))
-
-
-def flip_pairing(
-    table: TSetTable, w: Perm, monomial: str
-) -> dict[BruhatPath, BruhatPath]:
-    return table.flip(w, ad_form(monomial))
-
-
 def position_factor(
     path: BruhatPath, m: int, gamma: str, table: TSetTable
 ) -> int:
@@ -480,12 +447,13 @@ def sum_contributions(u: Perm, monomial: str, table: TSetTable) -> int:
 
     With a flip compatible with the order this equals the coefficient of
     the monomial in the complete cd-index.  When `has_minus_one` rules out
-    every -1 factor the sum is `plus_one_count`; otherwise the paths are
-    walked, and a needed flip that is undefined raises FlipUndefinedError.
+    every -1 factor, every path in T contributes 1 and every other path 0,
+    so the sum is |T|; otherwise the paths are walked, and a needed flip
+    that is undefined raises FlipUndefinedError.
     """
     gamma = ad_form(monomial)
     if _no_minus_one(u, gamma, table):
-        return table.plus_one_count(u, gamma)
+        return len(table.t_set(u, gamma))
     return sum(_signed_product(path, gamma, table) for path in table.paths(u, len(gamma)))
 
 

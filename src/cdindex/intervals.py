@@ -81,7 +81,6 @@ class BruhatInterval:
     u: Perm
     v: Perm
     elements: frozenset[Perm]
-    edges: tuple[tuple[Perm, Perm, Reflection], ...]
     adjacency: dict[Perm, tuple[tuple[Reflection, Perm], ...]]
 
     @property
@@ -124,11 +123,7 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
                 out.append((t, y))
             adjacency[x] = tuple(out)
         frontier = nxt
-    edges = sorted(
-        ((x, y, t) for x, out in adjacency.items() for t, y in out),
-        key=lambda e: (length(e[0]), e[0], e[2]),
-    )
-    return BruhatInterval(u, v, frozenset(elements), tuple(edges), adjacency)
+    return BruhatInterval(u, v, frozenset(elements), adjacency)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +279,11 @@ def export_dot(iv: BruhatInterval, order: ReflectionOrder) -> str:
     lines = ["digraph bruhat_interval {", "  rankdir=BT;"]
     for x in sorted(iv.elements, key=lambda p: (length(p), p)):
         lines.append(f'  "{format_perm(x)}";')
-    for x, y, t in sorted(
-        iv.edges, key=lambda e: (length(e[0]), e[0], length(e[1]), e[1], e[2])
-    ):
+    edges = sorted(
+        ((x, y, t) for x, out in iv.adjacency.items() for t, y in out),
+        key=lambda e: (length(e[0]), e[0], length(e[1]), e[1], e[2]),
+    )
+    for x, y, t in edges:
         lines.append(
             f'  "{format_perm(x)}" -> "{format_perm(y)}" [label="{order.rank(t)}"];'
         )

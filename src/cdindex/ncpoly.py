@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 
-from .errors import InconsistentExpansionError, NotDecomposableError, NotInSubringError
+from .errors import NotDecomposableError, NotInSubringError
 
 _BAR = str.maketrans("AD", "DA")
 
@@ -306,38 +306,6 @@ def _peel(terms: dict[str, int], n: int) -> dict[str, int] | None:
     out = {"c" + m: c for m, c in cx.items()}
     out.update({"d" + m: c for m, c in cy.items()})
     return out
-
-
-def d_power_expansion(p: ADPolynomial, n: int) -> tuple[CDPolynomial, ...]:
-    """Expansion p = f_n + f_{n-1} D + f_{n-2} D^2 + ... + f_0 D^n.
-
-    p must be homogeneous of degree n.  The f_i are cd-polynomials of degree
-    i and the expansion, when it exists, is unique.  Only f_m contributes
-    words ending in A to the degree-m remainder; if those are u*A with
-    u = Q + R*D, then f_m = Q*c + R*d expands to u*A + bar(u)*D, which goes
-    through `ad_to_cd`.  Not every AD-polynomial admits an expansion
-    (already in degree 3 the candidate monomials span a proper subspace),
-    in which case InconsistentExpansionError is raised.
-
-    >>> d_power_expansion(ADPolynomial({"D": 1}), 1)
-    (0, 1)
-    """
-    if p and (not p.is_homogeneous() or p.degree() != n):
-        raise ValueError(f"polynomial is not homogeneous of degree {n}")
-    fs: list[CDPolynomial] = []
-    rest = dict(p.items())
-    for _ in range(n):
-        u = {w[:-1]: c for w, c in rest.items() if w[-1] == "A"}
-        level = {w + "A": c for w, c in u.items()}
-        level.update({w.translate(_BAR) + "D": c for w, c in u.items()})
-        try:
-            fs.append(ad_to_cd(ADPolynomial(level)))
-        except NotInSubringError as exc:
-            raise InconsistentExpansionError(f"no D-power expansion: {exc}") from exc
-        # the words ending in A cancel, so every word left ends in D
-        rest = {w[:-1]: c for w, c in _sub(rest, level).items()}
-    fs.append(CDPolynomial({"": rest.get("", 0)}))
-    return tuple(fs)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -4,8 +4,11 @@ Cross-checks between the path-counting and coefficient computations.
 For every interval and monomial the four numbers |T_M|, |T-bar_M|, the
 coefficient of M in the complete cd-index, and the signed contribution sum
 must coincide whenever the flip condition holds; `verify_coefficient`
-computes all four independently and reports disagreement rather than
-raising, so sweeps can finish and surface every inconsistency at once.
+reports disagreement rather than raising, so sweeps can finish and surface
+every inconsistency at once.  The first three are computed independently.
+The fourth is not: where the flip DP finds no -1 factor, the contribution
+sum is |T_M| by the DP's licence, and only where it finds one are the
+signed products of the paths summed.
 
 `check_restricted_counts` does the analogous comparison after restricting
 to paths with first reflection <= t: |T-bar_M restricted| against the
@@ -60,7 +63,7 @@ from .perms import Perm, Reflection, format_perm
 
 @dataclass(frozen=True)
 class CoefficientReport:
-    """The four independently computed values for one (interval, monomial)."""
+    """The four values compared for one (interval, monomial)."""
 
     u: Perm
     v: Perm
@@ -78,18 +81,6 @@ class CoefficientReport:
             and self.t_size == self.tbar_size == self.coefficient == self.contribution_sum
         )
 
-    def to_json(self) -> dict:
-        return {
-            "u": format_perm(self.u),
-            "v": format_perm(self.v),
-            "monomial": self.monomial or "1",
-            "t_size": self.t_size,
-            "tbar_size": self.tbar_size,
-            "coefficient": self.coefficient,
-            "contribution_sum": self.contribution_sum,
-            "consistent": self.consistent,
-        }
-
 
 def verify_coefficient(
     u: Perm,
@@ -97,7 +88,8 @@ def verify_coefficient(
     table: TSetTable,
     cd_index: CompleteCdIndex,
 ) -> CoefficientReport:
-    """Compare |T_M|, |T-bar_M|, the cd-index coefficient and the signed sum."""
+    """Compare |T_M|, |T-bar_M|, the cd-index coefficient and the signed sum,
+    which is |T_M| itself wherever the flip DP finds no -1 factor."""
     gamma = ad_form(monomial)
     t_size = len(table.t_set(u, gamma))
     tbar_size = len(table.t_bar_set(u, gamma))
@@ -139,19 +131,6 @@ class RestrictedCountReport:
             and self.t_restricted == self.coeff_f_plus_cg
         )
 
-    def to_json(self) -> dict:
-        return {
-            "u": format_perm(self.u),
-            "v": format_perm(self.v),
-            "monomial": self.monomial or "1",
-            "t": list(self.t),
-            "t_restricted": self.t_restricted,
-            "tbar_restricted": self.tbar_restricted,
-            "coeff_f": self.coeff_f,
-            "coeff_f_plus_cg": self.coeff_f_plus_cg,
-            "consistent": self.consistent,
-        }
-
 
 def check_restricted_counts(
     u: Perm,
@@ -174,10 +153,7 @@ def check_restricted_counts(
     gamma = ad_form(monomial)
     order = table.order
     t_ranks = table.first_ranks(u, gamma)
-    # The twin lists T-bar in reversed-order lex, so its ranks, read
-    # backwards and mapped back to the primal order, are nondecreasing too.
-    top = len(order.sequence) + 1
-    tbar_ranks = [top - r for r in reversed(table.reversed_table().first_ranks(u, gamma))]
+    tbar_ranks = table.t_bar_ranks(u, gamma)
     steps = splits.get(cd_degree(monomial), [])
     k = 0
     coeffs = (0, 0)

@@ -10,9 +10,11 @@ Bruhat test over all of S_n), `restricted_count_reports` (one report
 per reflection, each split read with `split_at`), `first_label_sums` and
 `path_sums` (the graded sums read off enumerated paths), and
 `walked_contribution_sum` and `walked_flip_condition` (the contribution
-sum and the flip condition by a walk over every path), and
+sum and the flip condition by a walk over every path),
 `word_path_t_set` (a T-set as the paths of its word filtered by suffix
-membership and `position_factor`, read from the store `word_paths`).
+membership and `position_factor`, read from the store `word_paths`), and
+`flip_dict_pair_ranks` (the first-label ranks of the flip pairs, read off
+the flip as a dict of paths).
 """
 
 from __future__ import annotations
@@ -147,27 +149,6 @@ def solve_ad_to_cd(ad_terms, degree):
         return None
     assert all(x.denominator == 1 for x in sol)
     return {m: int(x) for m, x in zip(basis, sol) if x}
-
-
-def solve_d_power_expansion(ad_terms, degree):
-    """All (f_i) with p = sum expand(f_i) D^{degree-i}, by one joint solve."""
-    basis = []
-    columns = []
-    for k in range(degree + 1):
-        for m in cd_monomials_of_degree(degree - k):
-            basis.append((k, m))
-            columns.append(
-                {w + "D" * k: c for w, c in expand_cd_monomial(m).items()}
-            )
-    sol = rref_solve(columns, ad_terms)
-    if sol is None:
-        return None
-    assert all(x.denominator == 1 for x in sol)
-    levels = [dict() for _ in range(degree + 1)]
-    for (k, m), x in zip(basis, sol):
-        if x:
-            levels[k][m] = int(x)
-    return levels
 
 
 def solve_decompose_left_a(ad_terms, degree):
@@ -373,4 +354,13 @@ def word_path_t_set(table, w, gamma):
             p.tail() in table.members(p.vertices[1], gamma[1:])
             and position_factor(p, 1, gamma, table) == 1
         )
+    )
+
+
+def flip_dict_pair_ranks(table, w, gamma):
+    """(first-label rank of tau, first-label rank of flip(tau)) for every
+    tau in T(w, gamma), in T's order, read off the path flip dict."""
+    rank = table.order.rank
+    return tuple(
+        (rank(x.labels[0]), rank(y.labels[0])) for x, y in table.flip(w, gamma).items()
     )

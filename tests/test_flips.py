@@ -12,9 +12,6 @@ from cdindex.flips import (
     TSetTable,
     check_flip_condition,
     check_strong_flip_condition,
-    compute_t_bar_set,
-    compute_t_set,
-    flip_pairing,
     path_contribution,
     position_factor,
     sum_contributions,
@@ -30,11 +27,12 @@ from cdindex.intervals import (
 from cdindex.ncpoly import ad_form, cd_monomials
 from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import identity, length, parse_perm
-from cdindex.verify import iter_intervals
+from cdindex.verify import iter_intervals, scan_interval
 
 from . import oracles
 from .oracles import (
     first_label_sums,
+    flip_dict_pair_ranks,
     walked_contribution_sum,
     walked_flip_condition,
     word_path_t_set,
@@ -106,17 +104,19 @@ def test_table_paths_are_the_depth_first_enumeration_in_order(n, word):
 
 def test_t_sets_of_the_running_example(example_table, s4_lex):
     u = parse_perm("2134")
-    assert names(compute_t_set(example_table, u, "cc"), s4_lex) == ["235", "346"]
-    assert names(compute_t_set(example_table, u, "cccc"), s4_lex) == ["23456"]
-    assert names(compute_t_set(example_table, u, "d"), s4_lex) == ["436"]
-    assert names(compute_t_set(example_table, u, "dd"), s4_lex) == ["41516"]
+    t_set = example_table.t_set
+    assert names(t_set(u, ad_form("cc")), s4_lex) == ["235", "346"]
+    assert names(t_set(u, ad_form("cccc")), s4_lex) == ["23456"]
+    assert names(t_set(u, ad_form("d")), s4_lex) == ["436"]
+    assert names(t_set(u, ad_form("dd")), s4_lex) == ["41516"]
 
 
 def test_t_bar_sets_of_the_running_example(example_table, s4_lex):
     u = parse_perm("2134")
-    assert names(compute_t_bar_set(example_table, u, "cc"), s4_lex) == ["521", "652"]
-    assert names(compute_t_bar_set(example_table, u, "d"), s4_lex) == ["462"]
-    assert names(compute_t_bar_set(example_table, u, "dd"), s4_lex) == ["45361"]
+    t_bar_set = example_table.t_bar_set
+    assert names(t_bar_set(u, ad_form("cc")), s4_lex) == ["521", "652"]
+    assert names(t_bar_set(u, ad_form("d")), s4_lex) == ["462"]
+    assert names(t_bar_set(u, ad_form("dd")), s4_lex) == ["45361"]
 
 
 def test_intermediate_t_sets_with_ad_word_ada(example_table, s4_lex):
@@ -162,7 +162,7 @@ def test_flip_images_from_the_dd_computation(example_table, s4_lex):
 
 def test_flip_pairing_is_lex_monotone(example_table, s4_lex):
     u = parse_perm("2134")
-    pairing = flip_pairing(example_table, u, "cc")
+    pairing = example_table.flip(u, ad_form("cc"))
     named = {label_string(k, s4_lex): label_string(v, s4_lex) for k, v in pairing.items()}
     assert named == {"235": "521", "346": "652"}
 
@@ -381,7 +381,7 @@ def test_flip_equals_the_sorted_pairing(order):
 def test_t_sets_are_sorted_lexicographically(example_table):
     u = parse_perm("2134")
     for monomial in ("cc", "dd", "cdc", "ccd"):
-        paths = compute_t_set(example_table, u, monomial)
+        paths = example_table.t_set(u, ad_form(monomial))
         keys = [rank_sequence(p, example_table.order) for p in paths]
         assert keys == sorted(keys)
 
@@ -396,7 +396,7 @@ def test_path_contribution_values(example_table, s4_lex):
     assert path_contribution(by_name["62646"], "dd", example_table) == 0
     # a word mismatch at an A-position exits with 0
     assert path_contribution(by_name["23456"], "dd", example_table) == 0
-    for p in compute_t_set(example_table, u, "dd"):
+    for p in example_table.t_set(u, ad_form("dd")):
         assert path_contribution(p, "dd", example_table) == 1
 
 
@@ -418,7 +418,7 @@ def test_position_factor_basics(example_table, s4_lex):
 
 def test_path_length_mismatch_is_rejected(example_table):
     u = parse_perm("2134")
-    (path,) = compute_t_set(example_table, u, "d")
+    (path,) = example_table.t_set(u, ad_form("d"))
     with pytest.raises(ValueError):
         path_contribution(path, "dd", example_table)
 
@@ -539,15 +539,24 @@ def test_dp_checks_equal_the_path_walks(n, spec):
 
 def collapse_flips(monkeypatch):
     """Mutate every flip to send each T path to the first T-bar path in
-    primal lex order; T-sets then change too, because they read flips."""
+    primal lex order, both the path dict and its first-label ranks, after
+    the real size check; T-sets then change too, because they read the
+    ranks of the flip pairs."""
     real = TSetTable.flip
+    real_ranks = TSetTable._pair_ranks
 
     def collapsed(self, w, gamma):
         mapping = real(self, w, gamma)
         first = next(iter(mapping.values()), None)
         return {x: first for x in mapping}
 
+    def collapsed_ranks(self, w, gamma):
+        pairs = list(real_ranks(self, w, gamma))
+        first = pairs[0][1] if pairs else None
+        return [(a, first) for a, _ in pairs]
+
     monkeypatch.setattr(TSetTable, "flip", collapsed)
+    monkeypatch.setattr(TSetTable, "_pair_ranks", collapsed_ranks)
 
 
 # Intervals of S_5 on which the collapsed flip breaks the flip condition
@@ -601,19 +610,58 @@ def assert_t_sets_equal_the_word_path_route(sink, order):
     return kinds
 
 
-@pytest.mark.parametrize("n, spec", [
+# Every S_4 sink under three orders, or the S_5 sink w0 under one.
+SINK_CASES = [
     pytest.param(4, "lex", id="s4-lex"),
     pytest.param(4, "rev", id="s4-rev"),
     pytest.param(4, [1, 2, 1, 3, 2, 1], id="s4-word"),
     pytest.param(5, [2, 1, 3, 4, 3, 2, 3, 1, 4, 2], id="s5-w0-word"),
-])
+]
+
+
+def case_sinks(n):
+    return s4_sinks() if n == 4 else [tuple(range(n, 0, -1))]
+
+
+@pytest.mark.parametrize("n, spec", SINK_CASES)
 def test_t_sets_equal_the_word_path_route(n, spec):
     """Every S_4 sink, or the S_5 sink w0: T-sets read off the suffix T-sets
     are the word paths filtered by membership and `position_factor`."""
     order = order_of(n, spec)
-    sinks = s4_sinks() if n == 4 else [tuple(range(n, 0, -1))]
-    for v in sinks:
+    for v in case_sinks(n):
         assert "raise" not in assert_t_sets_equal_the_word_path_route(v, order)
+
+
+@pytest.mark.parametrize("n, spec", SINK_CASES)
+def test_pair_ranks_equal_the_flip_dict_ranks(n, spec):
+    """Every S_4 sink, or the S_5 sink w0, on the table and on its twin: the
+    rank pairs that T-sets and the flip DP read, `first_ranks` beside
+    `t_bar_ranks`, are the first-label ranks of each T path and its image
+    in the path flip dict, in value or in the FlipUndefinedError message."""
+    order = order_of(n, spec)
+    for v in case_sinks(n):
+        table = TSetTable(v, order)
+        for each in (table, table.reversed_table()):
+            for w, gamma in word_problems(v):
+                got = outcome(lambda *a: tuple(each._pair_ranks(*a)), w, gamma)
+                assert got == outcome(flip_dict_pair_ranks, each, w, gamma), (v, w, gamma)
+
+
+def test_a_clean_scan_builds_flip_dicts_only_for_the_strong_check(s4_lex):
+    """T-sets and the flip DP read rank pairs, so a clean scan of every
+    interval under the S_4 sink w0 builds only the strong flip condition's
+    flip dicts: one per (u, M) with M starting with c, none in the twin."""
+    v = parse_perm("4321")
+    table = TSetTable(v, s4_lex)
+    strong = set()
+    for u in table.gaps:
+        if u == v:
+            continue
+        record = scan_interval(u, v, s4_lex, "lex", table)
+        assert record["clean"], u
+        strong |= {(u, ad_form(m)) for m in record["monomials"] if m.startswith("c")}
+    assert strong and set(table._flips) == strong
+    assert table.reversed_table()._flips == {}
 
 
 def test_collapsed_t_sets_equal_the_word_path_route(monkeypatch):

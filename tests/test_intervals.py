@@ -35,16 +35,17 @@ def test_single_point_interval():
     u = parse_perm("2134")
     iv = build_interval(u, u)
     assert iv.elements == frozenset({u})
-    assert iv.edges == ()
+    assert iv.adjacency == {u: ()}
     assert enumerate_paths(iv, 0) == []
 
 
 def test_covering_pair_interval():
     iv = build_interval(parse_perm("1234"), parse_perm("2134"))
     assert len(iv.elements) == 2
-    assert len(iv.edges) == 1
-    x, y, t = iv.edges[0]
-    assert (x, y, t) == (parse_perm("1234"), parse_perm("2134"), Reflection(1, 2))
+    assert iv.adjacency == {
+        parse_perm("1234"): ((Reflection(1, 2), parse_perm("2134")),),
+        parse_perm("2134"): (),
+    }
 
 
 def test_build_interval_rejects_incomparable():
@@ -55,8 +56,9 @@ def test_build_interval_rejects_incomparable():
 def test_example_interval_shape(example_interval):
     # frozen after exhaustive recomputation over S4
     assert len(example_interval.elements) == 18
-    assert len(example_interval.edges) == 45
-    for x, y, t in example_interval.edges:
+    edges = [(x, y, t) for x, out in example_interval.adjacency.items() for t, y in out]
+    assert len(edges) == 45
+    for x, y, t in edges:
         assert edge_reflection(x, y) == t
         assert bruhat_leq(example_interval.u, x) and bruhat_leq(y, example_interval.v)
 
@@ -105,7 +107,7 @@ def test_path_counts_match_dp_on_all_s4_intervals(s4_elements):
 
 def test_build_interval_matches_the_edge_relation_oracles_on_s4(s4_elements):
     """Every interval and cone of S_4 (u = identity), the single points
-    included: elements, edge tuple and adjacency equal those read off the
+    included: elements and adjacency equal those read off the
     transitive closure of the edge relation and its up-neighbours."""
     below = {
         (a, b) for a in s4_elements for b in s4_elements if bruhat_leq_closure(a, b)
@@ -119,12 +121,6 @@ def test_build_interval_matches_the_edge_relation_oracles_on_s4(s4_elements):
             for x in elements
         }
         assert iv.adjacency == {x: tuple(edges) for x, edges in out.items()}, (u, v)
-        edges = [
-            (x, y, t)
-            for x in sorted(elements, key=lambda p: (length(p), p))
-            for t, y in out[x]
-        ]
-        assert iv.edges == tuple(edges), (u, v)
 
 
 def test_max_length_paths_are_the_maximal_chains(s4_elements):
@@ -192,8 +188,9 @@ def test_export_dot_trivia(s4_lex):
 def test_export_dot_matches_edge_list_and_is_deterministic(example_interval, s4_lex):
     text = export_dot(example_interval, s4_lex)
     assert text == export_dot(example_interval, s4_lex)
-    assert text.count("->") == len(example_interval.edges)
-    for x, y, t in example_interval.edges:
+    edges = [(y, t) for out in example_interval.adjacency.values() for t, y in out]
+    assert text.count("->") == len(edges)
+    for y, t in edges:
         needle = f'-> "{"".join(map(str, y))}" [label="{s4_lex.rank(t)}"];'
         assert needle in text
 

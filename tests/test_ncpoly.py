@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdindex.errors import InconsistentExpansionError, NotDecomposableError, NotInSubringError
+from cdindex.errors import NotDecomposableError, NotInSubringError
 from cdindex.ncpoly import (
     ADPolynomial,
     CDPolynomial,
@@ -13,7 +13,6 @@ from cdindex.ncpoly import (
     bar,
     cd_degree,
     cd_monomials,
-    d_power_expansion,
     decompose_left_a,
     expand_cd,
     parse_cd_monomial,
@@ -22,17 +21,8 @@ from cdindex.ncpoly import (
 from .oracles import (
     expand_cd_monomial,
     solve_ad_to_cd,
-    solve_d_power_expansion,
     solve_decompose_left_a,
 )
-
-
-def assemble_d_power(fs):
-    """Inverse of d_power_expansion: sum of expand_cd(f_i) * D^k."""
-    acc = ADPolynomial()
-    for k, f in enumerate(fs):
-        acc = acc + ADPolynomial({w + "D" * k: c for w, c in expand_cd(f).items()})
-    return acc
 
 
 def ad_monomials(n):
@@ -114,43 +104,6 @@ def test_ad_to_cd_agrees_with_solver_oracle(poly, perturb, data):
             ad_to_cd(ADPolynomial(terms))
     else:
         assert dict(ad_to_cd(ADPolynomial(terms)).items()) == oracle
-
-
-def test_d_power_expansion_fixed_cases():
-    f = d_power_expansion(expand_cd(CDPolynomial({"c": 1})), 1)
-    assert f == (CDPolynomial({"c": 1}), CDPolynomial())
-    f = d_power_expansion(ADPolynomial({"D": 1}), 1)
-    assert f == (CDPolynomial(), CDPolynomial({"": 1}))
-
-
-def test_d_power_expansion_of_ad_matches_solver_oracle():
-    p = ADPolynomial({"AD": 1})
-    levels = solve_d_power_expansion(dict(p.items()), 2)
-    assert levels == [{}, {"c": 1}, {"": -1}]  # AD = cD - D^2
-    got = d_power_expansion(p, 2)
-    assert [dict(f.items()) for f in got] == levels
-    assert assemble_d_power(got) == p
-
-
-@given(st.lists(st.integers(-5, 5), min_size=8, max_size=8))
-@settings(max_examples=60)
-def test_d_power_expansion_round_trip_or_consistent_failure(coeffs):
-    n = 3
-    p = ADPolynomial(dict(zip(ad_monomials(n), coeffs)))
-    oracle = solve_d_power_expansion(dict(p.items()), n)
-    if oracle is None:
-        with pytest.raises(InconsistentExpansionError):
-            d_power_expansion(p, n)
-    else:
-        got = d_power_expansion(p, n)
-        assert [dict(f.items()) for f in got] == oracle
-        assert assemble_d_power(got) == p
-
-
-def test_d_power_expansion_does_not_exist_for_all_words():
-    # candidate monomials span a proper subspace from degree 3 on
-    with pytest.raises(InconsistentExpansionError):
-        d_power_expansion(ADPolynomial({"AAA": 1}), 3)
 
 
 def test_decompose_left_a_fixed_cases():

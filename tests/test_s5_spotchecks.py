@@ -44,7 +44,7 @@ def test_coefficient_identities_hold_on_deep_s5_intervals():
         for n in degree_range(iv.length_diff):
             for monomial in cd_monomials(n):
                 report = verify_coefficient(u, monomial, table, idx)
-                assert report.consistent, report.to_json()
+                assert report.consistent, report
                 if monomial.count("d") >= 2:
                     assert check_flip_condition(u, monomial, table) is None
                     two_d_checks += 1

@@ -83,7 +83,7 @@ def test_restricted_counts_for_d_at_every_t(example_interval, example_table):
     reports = restricted_reports(example_interval, "d", example_table)
     assert list(reports) == list(order.sequence)
     for rep in reports.values():
-        assert rep.consistent, rep.to_json()
+        assert rep.consistent, rep
 
 
 def test_restricted_counts_read_c_times_g_off_g(example_interval, example_table):
