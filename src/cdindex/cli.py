@@ -16,7 +16,7 @@ import sys
 from .complete import complete_cd_index
 from .errors import CdIndexError, FlipUndefinedError, NotInSubringError
 from .flips import TSetTable
-from .intervals import bruhat_graph, build_interval, export_dot, label_string, path_json
+from .intervals import build_interval, export_dot, label_string, path_json
 from .ncpoly import ad_form, parse_cd_monomial
 from .orders import ReflectionOrder, lex_order, order_from_reduced_word
 from .perms import bruhat_leq, format_perm, parse_perm
@@ -157,26 +157,22 @@ def cmd_dot(args) -> int:
     return 0
 
 
-_WORKER_TABLES: dict = {}
+def _scan_sink(job) -> list[tuple[str, bool]]:
+    """Worker: the intervals of one sink -> their JSON lines, each with
+    whether its record is clean, in the order of `sources`.
 
-
-def _scan_one(job) -> tuple[str, bool]:
-    """Worker: one interval -> its JSON line and whether the record is clean.
-
-    Jobs arrive grouped by sink, so keeping exactly one sink's memoized
-    table per process gives full reuse with bounded memory.  Every table of
-    a process reads its cone off that process's one Bruhat graph.  The
+    A job holds every source of its sink, so the sink's memoized table is
+    built once, read by all of them, and dropped with the job.  Every table
+    of a process reads its cone off that process's one Bruhat graph.  The
     order is resolved once by the caller and travels in the job.
     """
-    u, v, order, order_spec = job
-    key = (v, order_spec)
-    table = _WORKER_TABLES.get(key)
-    if table is None:
-        _WORKER_TABLES.clear()
-        table = TSetTable(v, order)
-        _WORKER_TABLES[key] = table
-    record = scan_interval(u, v, order, order_spec, table)
-    return json.dumps(record, sort_keys=True), record["clean"]
+    v, sources, order, order_spec = job
+    table = TSetTable(v, order)
+    lines = []
+    for u in sources:
+        record = scan_interval(u, v, order, order_spec, table)
+        lines.append((json.dumps(record, sort_keys=True), record["clean"]))
+    return lines
 
 
 def cmd_scan(args) -> int:
@@ -184,7 +180,6 @@ def cmd_scan(args) -> int:
         raise UserError("scan supports 2 <= n <= 6")
     order = resolve_order(args.order, args.n)
     done: set[tuple[str, str, str]] = set()
-    existing_lines: list[str] = []
     if args.resume and args.out and os.path.exists(args.out):
         try:
             with open(args.out, "r", encoding="utf-8") as fh:
@@ -194,33 +189,31 @@ def cmd_scan(args) -> int:
                         continue
                     rec = json.loads(line)
                     done.add((rec["u"], rec["v"], rec["order"]))
-                    existing_lines.append(line)
         except (OSError, json.JSONDecodeError, KeyError) as exc:
             print(f"error reading resume file: {exc}", file=sys.stderr)
             return EXIT_IO
 
-    lengths = bruhat_graph(args.n).lengths
-    merge_keys = {}
-    for u, v in iter_intervals(args.n, args.max_length):
-        if done and (format_perm(u), format_perm(v), args.order) in done:
-            continue
-        merge_keys[(u, v)] = (lengths[v] - lengths[u], u, v)
-    # process grouped by sink for table reuse; emit in merge order
-    pairs = sorted(merge_keys, key=lambda uv: (uv[1], merge_keys[uv]))
-    jobs = [(u, v, order, args.order) for u, v in pairs]
+    pairs = [
+        (u, v)
+        for u, v in iter_intervals(args.n, args.max_length)
+        if not done or (format_perm(u), format_perm(v), args.order) not in done
+    ]
+    # one job per sink, for table reuse; emit in the order of iter_intervals
+    sinks: dict = {}
+    for u, v in pairs:
+        sinks.setdefault(v, []).append(u)
+    jobs = [(v, sources, order, args.order) for v, sources in sinks.items()]
 
     try:
         if args.workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=args.workers) as executor:
-                results = list(executor.map(_scan_one, jobs, chunksize=4))
+                results = list(executor.map(_scan_sink, jobs))
         else:
-            results = [_scan_one(job) for job in jobs]
-        produced = [
-            result
-            for _, result in sorted(zip(pairs, results), key=lambda pr: merge_keys[pr[0]])
-        ]
+            results = [_scan_sink(job) for job in jobs]
+        by_sink = {v: iter(lines) for v, lines in zip(sinks, results)}
+        produced = [next(by_sink[v]) for _, v in pairs]
         violations = sum(1 for _, clean in produced if not clean)
         if args.out:
             with open(args.out, "a", encoding="utf-8") as out:

@@ -26,19 +26,19 @@ signed contribution sum come from a boolean DP over (vertex, suffix word),
 pairs.  When no path has a factor -1 whose tail lies in its T-set, the
 condition holds and every path contributes 1 if it lies in T and 0
 otherwise, so the sum is |T|, the length of the T-set.  Only when the DP
-finds a -1, or meets an undefined flip, do the checks walk `paths(w, n)`,
-the store of all length-n paths, to name the witness or the undefined
-sum; it is built by suffix sharing too, so the table runs no depth-first
-enumeration.
+finds a -1, or meets an undefined flip, do the checks walk the length-n
+paths, lazily and in lex order, with `intervals.iter_paths` over the
+table's rank-sorted out-edges, to name the witness or the undefined sum.
+The table stores no paths but its T-sets.
 
 The flip on a sub-problem pairs T with its reverse-order counterpart T-bar
 by lexicographic position under the primal order.  Lex order on the
-equal-length rank sequences runs backwards under the reversed order, and
-a path is fixed by its source and labels, so the reverse-order table reads
-the primal's paths in reverse, and T-bar in primal lex order is its T-set
-reversed.  The twin builds its T-sets from its own suffix T-sets,
-walking the shared out-edges in reverse.  |T| = |T-bar| is conjectured; a
-mismatch raises FlipUndefinedError and is surfaced, never patched.
+equal-length rank sequences runs backwards under the reversed order, so
+T-bar in primal lex order is the twin's T-set reversed.  The twin holds
+the primal's out-edge lists reversed, which sorts them by its own ranks,
+and builds its T-sets from its own suffix T-sets exactly as the primal
+does.  |T| = |T-bar| is conjectured; a mismatch raises FlipUndefinedError
+and is surfaced, never patched.
 T-sets and the flip DP need only the first-label ranks of each flip
 pair, so they read them off the two rank tuples (`_pair_ranks`): tau's
 rank from `first_ranks` and its image's from the twin's `first_ranks`,
@@ -69,7 +69,7 @@ from typing import Iterator, Optional
 
 from .complete import GradedSums, degree_range
 from .errors import FlipUndefinedError
-from .intervals import BruhatPath, ad_word, bruhat_graph, label_string
+from .intervals import BruhatPath, ad_word, bruhat_graph, iter_paths, label_string
 from .ncpoly import ADPolynomial, ad_form
 from .orders import ReflectionOrder
 from .perms import Perm, format_perm
@@ -83,9 +83,6 @@ class TSetTable:
     - ``sums(w, n)``: the AD-word sum of the length-n paths w -> v, bucketed
       by first-label rank; ``graded_sums(w)`` holds every degree of [w, v];
     - ``has_minus_one(w, gamma)``: the flip-condition DP;
-    - ``paths(w, n)``: all length-n paths w -> v, sorted lexicographically
-      by label ranks under the table's order (only the witness replay of
-      the checks reads these);
     - ``gaps[w]``: the length gap l(v) - l(w), for every w in the cone;
     - ``t_set(w, gamma)``: the T-set for the AD-word ``gamma``, lex-sorted,
       built from the suffix T-sets of w's upper neighbours;
@@ -96,13 +93,15 @@ class TSetTable:
     - ``members(w, gamma)``: the T-set as a frozenset, built only when the
       witness replay asks.
 
+    The table stores no paths beyond its T-sets: the witness replay of the
+    checks walks `iter_paths` over ``_adjacency``, lazily and in lex order.
+
     ``reversed_table()`` returns the twin table under the reversed order;
-    T-bar sets are the twin's T-sets.  The twin enumerates nothing: its
-    ``paths(w, n)`` is this table's tuple reversed.  It shares this
-    table's out-edges, in this table's rank order, and walks them in
-    reverse for its T-sets.  It holds this table through a weak reference,
-    so the pair forms no reference cycle and a dropped table is freed at
-    once; keep the primal alive while using the twin.
+    T-bar sets are the twin's T-sets.  The twin holds this table's out-edge
+    lists reversed, so sorted by its own ranks, and reads the cone's gaps
+    from this table.  It holds this table through a weak reference, so the
+    pair forms no reference cycle and a dropped table is freed at once;
+    keep the primal alive while using the twin.
     Evaluation is demand-driven recursion over strictly smaller
     sub-problems, so preconditions on sub-interval flips hold by
     construction.  After a call completes, all entries it touched are
@@ -124,12 +123,11 @@ class TSetTable:
             self.gaps = {x: top - graph.lengths[x] for x in cone}
             self._twin = TSetTable(sink, order.reversed(), _primal=self)
         else:
-            self._adjacency = _primal._adjacency
+            self._adjacency = {x: out[::-1] for x, out in _primal._adjacency.items()}
             self.gaps = _primal.gaps
             self._primal = weakref.ref(_primal)
         self._sums: dict[tuple[Perm, int], dict[int, ADPolynomial]] = {}
         self._minus_one: dict[tuple[Perm, str], bool] = {}
-        self._paths: dict[tuple[Perm, int], tuple[BruhatPath, ...]] = {}
         self._spans: dict[tuple[Perm, str], tuple[int, int]] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
         self._first_ranks: dict[tuple[Perm, str], tuple[int, ...]] = {}
@@ -234,41 +232,11 @@ class TSetTable:
             raise FlipUndefinedError(w, gamma, self.sink, len(a), len(b))
         return zip(a, b)
 
-    def paths(self, w: Perm, n: int) -> tuple[BruhatPath, ...]:
-        """All length-n paths from w to the sink, lex-sorted by label ranks.
-
-        A length-n path is an edge (t, y) out of w followed by a length-(n-1)
-        path from y.  Out-edges are walked in rank order and each suffix
-        tuple is lex-sorted, so the result needs no sort.
-        """
-        key = (w, n)
-        hit = self._paths.get(key)
-        if hit is None:
-            if not self._is_primal:
-                hit = self.reversed_table().paths(w, n)[::-1]
-            elif not self._reaches(w, n + 1):
-                hit = ()
-            elif n == 0:
-                hit = self._edges_to_sink(w)
-            else:
-                hit = tuple(
-                    BruhatPath((w,) + p.vertices, (t,) + p.labels)
-                    for t, y in self._adjacency[w]
-                    for p in self.paths(y, n - 1)
-                )
-            self._paths[key] = hit
-        return hit
-
     def _reaches(self, w: Perm, edges: int) -> bool:
         """The dead-end test of `iter_paths`: `edges` edges from w, each
         raising the length by an odd amount, can end at the sink."""
         gap = self.gaps[w]
         return gap >= edges > 0 and (gap - edges) % 2 == 0
-
-    def _edges_to_sink(self, w: Perm) -> tuple[BruhatPath, ...]:
-        return tuple(
-            BruhatPath((w, y), (t,)) for t, y in self._adjacency[w] if y == self.sink
-        )
 
     def word(self, path: BruhatPath) -> str:
         """Ascent-descent word of a path under this table's order."""
@@ -283,12 +251,12 @@ class TSetTable:
         starts with A, and a <= r < b where it starts with D.  The suffix
         ranks are nondecreasing, so the A tails are a suffix and the D
         candidates a prefix, both found by bisection.  Out-edges are walked
-        in rank order (the twin walks the shared edges in reverse), so the
-        result needs no sort.  A suffix T-set is read only where some path
-        with word gamma crosses the edge (`_word_span`), and the flip pairs
-        (`_pair_ranks`) only where a D candidate exists, so the sub-problems
-        evaluated, and any FlipUndefinedError raised, are those of filtering
-        the paths with word gamma by suffix membership and `position_factor`.
+        in rank order, so the result needs no sort.  A suffix T-set is read
+        only where some path with word gamma crosses the edge (`_word_span`),
+        and the flip pairs (`_pair_ranks`) only where a D candidate exists,
+        so the sub-problems evaluated, and any FlipUndefinedError raised, are
+        those of filtering the paths with word gamma by suffix membership and
+        `position_factor`.
         """
         key = (w, gamma)
         hit = self._tsets.get(key)
@@ -298,10 +266,9 @@ class TSetTable:
         out: list[BruhatPath] = []
         ranks: list[int] = []
         if self._reaches(w, len(gamma) + 1):
-            edges = self._adjacency[w] if self._is_primal else reversed(self._adjacency[w])
             rest = gamma[1:]
             ascent = gamma[:1] == "A"
-            for t, x in edges:
+            for t, x in self._adjacency[w]:
                 r = rank(t)
                 if not gamma:
                     kept = [BruhatPath((w, x), (t,))] if x == self.sink else []
@@ -448,13 +415,14 @@ def sum_contributions(u: Perm, monomial: str, table: TSetTable) -> int:
     With a flip compatible with the order this equals the coefficient of
     the monomial in the complete cd-index.  When `has_minus_one` rules out
     every -1 factor, every path in T contributes 1 and every other path 0,
-    so the sum is |T|; otherwise the paths are walked, and a needed flip
-    that is undefined raises FlipUndefinedError.
+    so the sum is |T|; otherwise the paths are walked in lex order, and a
+    needed flip that is undefined raises FlipUndefinedError.
     """
     gamma = ad_form(monomial)
     if _no_minus_one(u, gamma, table):
         return len(table.t_set(u, gamma))
-    return sum(_signed_product(path, gamma, table) for path in table.paths(u, len(gamma)))
+    paths = iter_paths(table._adjacency, u, table.sink, len(gamma))
+    return sum(_signed_product(path, gamma, table) for path in paths)
 
 
 def _no_minus_one(u: Perm, gamma: str, table: TSetTable) -> bool:
@@ -501,8 +469,9 @@ def check_flip_condition(
     A violation at position m needs the tail from x_m inside the suffix
     T-set while the position-m factor is -1.  Monomials whose AD-form has
     no D hold vacuously, and so does every monomial `has_minus_one` clears.
-    Otherwise the paths are walked in lex order, and the first violation,
-    or the first undefined flip, is the witness.
+    Otherwise the paths are walked lazily in lex order, and the first
+    violation, or the first undefined flip, is the witness; the walk stops
+    there.
     """
     gamma = ad_form(monomial)
     n = len(gamma)
@@ -510,7 +479,7 @@ def check_flip_condition(
     if not d_positions or _no_minus_one(u, gamma, table):
         return None
     try:
-        for path in table.paths(u, n):
+        for path in iter_paths(table._adjacency, u, table.sink, n):
             for m in d_positions:
                 if path.tail_from(m) not in table.members(path.vertices[m], gamma[m:]):
                     continue

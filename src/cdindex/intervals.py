@@ -196,10 +196,12 @@ def iter_paths(
     v: Perm,
     n: int,
 ) -> Iterator[BruhatPath]:
-    """Depth-first enumeration of the length-n paths u -> v.
+    """Depth-first enumeration of the length-n paths u -> v, lazily.
 
     Paths come out in lexicographic order of their label sequences provided
-    the adjacency lists are sorted.
+    the adjacency lists are sorted.  This is the package's one path
+    enumeration: the witness replay of the flip checks walks it over a
+    T-set table's rank-sorted out-edges, and stops at the first witness.
 
     Each edge raises the Coxeter length by an odd amount, so a vertex at
     length distance d from v with e edges still to place is dead unless

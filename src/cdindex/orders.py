@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .perms import (
-    Perm,
     Reflection,
     all_reflections,
     as_reflection,
@@ -117,63 +116,15 @@ def order_from_reduced_word(n: int, word: Sequence[int]) -> ReflectionOrder:
 def dihedral_violation(order: ReflectionOrder) -> Optional[tuple[Reflection, ...]]:
     """First dihedral reflection subgroup on which `order` breaks, or None.
 
-    For each pair of reflections the subgroup they generate is closed up by
-    multiplication and its reflection set R' extracted.  The subgroup's two
-    canonical generators a, b are the reflections no other element of R'
-    shortens from the left; the restriction of the order to R' must be the
-    alternating chain a, aba, ababa, ..., b or its reverse.  (In S_n every
-    R' is a pair of disjoint transpositions, where the condition is empty,
-    or the three transpositions of a triple i < j < k, where it pins
-    (i k) to the middle.)  Returns R' sorted by the order for the first
-    failing pair, scanning pairs lexicographically.
+    Two transpositions of S_n generate a dihedral reflection subgroup: two
+    disjoint transpositions, where the condition is empty, or the three
+    transpositions of a triple i < j < k, whose alternating chain pins
+    (i k) to the middle.  Returns the first failing triple, in lex order of
+    (i, j, k), sorted by the order.
     """
-    n = order.n
-    perm_of = {t: reflection_perm(t, n) for t in order.sequence}
-    refl_of_perm = {p: t for t, p in perm_of.items()}
-    seen: set[frozenset[Reflection]] = set()
-    for a, b in itertools.combinations(all_reflections(n), 2):
-        subgroup = _close_subgroup(perm_of[a], perm_of[b])
-        refls = frozenset(refl_of_perm[p] for p in subgroup if p in refl_of_perm)
-        if refls in seen:
-            continue
-        seen.add(refls)
-        canonical = [
-            t
-            for t in refls
-            if not any(
-                s != t
-                and length(compose(perm_of[s], perm_of[t])) < length(perm_of[t])
-                for s in refls
-            )
-        ]
-        assert len(canonical) == 2, "dihedral subgroup must have two canonical generators"
-        lo, hi = (perm_of[t] for t in sorted(canonical, key=order.rank))
-        step = compose(lo, hi)
-        expected = []
-        acc = lo
-        for _ in range(len(refls)):
-            expected.append(refl_of_perm[acc])
-            acc = compose(step, acc)
-        # A valid restriction is the chain read from one canonical end; the
-        # ascending sort then starts at the order-smaller canonical, which is
-        # exactly how `expected` was built.
-        restriction = sorted(refls, key=order.rank)
-        if restriction != expected:
-            return tuple(restriction)
+    for i, j, k in itertools.combinations(range(1, order.n + 1), 3):
+        middle = Reflection(i, k)
+        triple = sorted((Reflection(i, j), middle, Reflection(j, k)), key=order.rank)
+        if triple[1] != middle:
+            return tuple(triple)
     return None
-
-
-def _close_subgroup(a: Perm, b: Perm) -> set[Perm]:
-    """Elements of the subgroup generated by two permutations (BFS closure)."""
-    elems = {a, b}
-    frontier = [a, b]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in (a, b):
-                y = compose(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems

@@ -23,12 +23,12 @@ Every check takes the source u and reads the sink from its `TSetTable`.
 `scan_interval` bundles everything into one JSON-ready record per interval.
 Its graded first-label sums, and with them the cd-index and every shelling
 split, come from the sink table's sums DP and its length gaps; the
-contribution sums and flip conditions come from the table's flip DP, and
-only a violation or an undefined flip makes a check walk the table's
-paths.  So a scan builds no interval, runs no depth-first enumeration, and
-on clean intervals holds no paths beyond the T-sets themselves.  The
-restricted counts read the T-sets' cached first-label ranks, which come
-sorted.
+contribution sums and flip conditions come from the table's flip DP.  A
+depth-first walk (`iter_paths` over the table's out-edges) runs only on a
+violation or an undefined flip, lazily, to name the witness.  So a scan
+builds no interval, and on clean intervals enumerates no paths and holds
+none beyond the T-sets themselves.  The restricted counts read the T-sets'
+cached first-label ranks, which come sorted.
 `iter_intervals` reads every pair off the down-closures in the group's one
 Bruhat graph, which the tables share.  The CLI streams the records to
 JSON-lines.

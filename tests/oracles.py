@@ -3,9 +3,11 @@
 Everything here is deliberately written from scratch against plain tuples,
 strings and dicts, without calling into the package, so that each checked
 operation has two genuinely different routes to the same number.  The
-exceptions are `enumerate_paths`, a list form of the package's own path
-enumeration that only the tests read, and the routes the package replaced
-with faster ones, kept as its reference: `interval_pairs` (the pairwise
+exceptions are `enumerate_paths` and `table_paths`, tuple forms of the
+package's own path enumeration over a built interval and over a T-set
+table's out-edges, and the routes the package replaced with faster ones,
+kept as its reference: `closure_dihedral_violation` (the generic
+subgroup-closure check of a reflection order), `interval_pairs` (the pairwise
 Bruhat test over all of S_n), `restricted_count_reports` (one report
 per reflection, each split read with `split_at`), `first_label_sums` and
 `path_sums` (the graded sums read off enumerated paths), and
@@ -195,22 +197,61 @@ def count_maximal_chains(u, v):
     return total
 
 
-def reflection_order_triple_violations(sequence):
-    """S_n-specific dihedral check: (i k) must sit between (i j) and (j k).
+def closure_dihedral_violation(sequence):
+    """The generic dihedral check, by subgroup closure over plain tuples.
 
-    Returns the list of violating triples; independent of the package's
-    generic subgroup-closure validator.
+    For each pair of reflections, in lexicographic order, close the
+    subgroup they generate and take its reflections R'.  Its two canonical
+    generators are the reflections that no other member of R' shortens from
+    the left, and the order's restriction to R' must be the alternating
+    chain a, aba, ababa, ..., b read from the order-smaller one.  Returns R'
+    sorted by the order for the first failing pair, or None.  Independent
+    of the package's S_n-specific triple rule.
     """
-    pos = {t: k for k, t in enumerate(sequence)}
-    n = max(j for _, j in sequence)
-    bad = []
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        lo, mid, hi = sorted(
-            [(i, j), (i, k), (j, k)], key=lambda t: pos[tuple(t)]
-        )
-        if mid != (i, k):
-            bad.append(((i, j), (i, k), (j, k)))
-    return bad
+    pos = {tuple(t): k for k, t in enumerate(sequence)}
+    n = max(j for _, j in pos)
+
+    def perm(t):
+        p = list(range(1, n + 1))
+        p[t[0] - 1], p[t[1] - 1] = t[1], t[0]
+        return tuple(p)
+
+    def mul(p, q):
+        return tuple(p[v - 1] for v in q)
+
+    refl_of = {perm(t): t for t in pos}
+    seen = set()
+    for a, b in itertools.combinations(sorted(pos), 2):
+        gens = (perm(a), perm(b))
+        group, frontier = set(gens), list(gens)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = mul(x, g)
+                    if y not in group:
+                        group.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        refls = frozenset(refl_of[p] for p in group if p in refl_of)
+        if refls in seen:
+            continue
+        seen.add(refls)
+        canonical = [
+            t for t in refls
+            if not any(s != t and inversions(mul(perm(s), perm(t))) < inversions(perm(t))
+                       for s in refls)
+        ]
+        assert len(canonical) == 2, "a dihedral subgroup has two canonical generators"
+        lo, hi = (perm(t) for t in sorted(canonical, key=pos.get))
+        expected, acc = [], lo
+        for _ in refls:
+            expected.append(refl_of[acc])
+            acc = mul(mul(lo, hi), acc)
+        restriction = sorted(refls, key=pos.get)
+        if restriction != expected:
+            return tuple(restriction)
+    return None
 
 
 def enumerate_paths(iv, n):
@@ -219,6 +260,12 @@ def enumerate_paths(iv, n):
     An n of the wrong parity (or n > length_diff - 1, or n < 0) gives [].
     """
     return list(iter_paths(iv.adjacency, iv.u, iv.v, n))
+
+
+def table_paths(table, w, n):
+    """All length-n paths w -> table.sink, lex-sorted by label ranks under
+    the table's order: `iter_paths` over its rank-sorted out-edges."""
+    return tuple(iter_paths(table._adjacency, w, table.sink, n))
 
 
 def interval_pairs(n, max_length=None):
@@ -288,7 +335,7 @@ def walked_contribution_sum(u, monomial, table):
 
     Raises FlipUndefinedError where a path needs an undefined flip."""
     n = len(ad_form(monomial))
-    return sum(path_contribution(p, monomial, table) for p in table.paths(u, n))
+    return sum(path_contribution(p, monomial, table) for p in table_paths(table, u, n))
 
 
 def walked_flip_condition(u, monomial, table):
@@ -298,7 +345,7 @@ def walked_flip_condition(u, monomial, table):
     gamma = ad_form(monomial)
     n = len(gamma)
     try:
-        for path in table.paths(u, n):
+        for path in table_paths(table, u, n):
             for m in range(1, n + 1):
                 if gamma[m - 1] != "D":
                     continue
@@ -334,7 +381,7 @@ def _extend(table, w, gamma):
     if not table._reaches(w, len(gamma) + 1):
         return ()
     if not gamma:
-        return table._edges_to_sink(w)
+        return table_paths(table, w, 0)
     rank = table.order.rank
     ascent = gamma[0] == "A"
     return tuple(

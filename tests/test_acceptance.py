@@ -34,7 +34,7 @@ from cdindex.verify import (
     verify_coefficient,
 )
 
-from .oracles import path_sums, restricted_count_reports
+from .oracles import path_sums, restricted_count_reports, table_paths
 from .test_complete import check_decomposition, shelling_of, splits_by_t
 from .test_verify import edge_reflections_below
 
@@ -106,7 +106,7 @@ def test_criterion_1_worked_example_exact(s4_tables):
 
     # the three DA-candidates and their spliced flips: 462 accepted, 521
     # and 652 rejected
-    candidates = [p for p in table.paths(u, 2) if table.word(p) == "DA"]
+    candidates = [p for p in table_paths(table, u, 2) if table.word(p) == "DA"]
     assert named(candidates) == ["436", "514", "625"]
     spliced = {}
     for p in candidates:

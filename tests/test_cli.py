@@ -7,6 +7,7 @@ import pytest
 from cdindex import cli, intervals
 from cdindex.errors import FlipUndefinedError, NotDecomposableError
 from cdindex.flips import TSetTable
+from cdindex.perms import format_perm
 
 
 def run(capsys, *argv):
@@ -275,6 +276,28 @@ def test_scan_reports_violations_with_exit_1(capsys, monkeypatch):
     code, out, err = run(capsys, "scan", "--n", "2")
     assert code == cli.EXIT_VIOLATION
     assert "inconsistent" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_builds_each_sink_table_once(capsys, monkeypatch, tmp_path, workers):
+    """A scan runs one job per sink, so each sink's table is built once,
+    in whichever process runs its job.  Worker processes fork from this
+    one and inherit the patch; every build appends its sink to one file."""
+    log = tmp_path / "builds.txt"
+    real = TSetTable.__init__
+
+    def logged(self, sink, order, _primal=None):
+        if _primal is None:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(format_perm(sink) + "\n")
+        real(self, sink, order, _primal)
+
+    monkeypatch.setattr(TSetTable, "__init__", logged)
+    code, out, _ = run(capsys, "scan", "--n", "4", "--workers", workers)
+    assert code == 0
+    sinks = {json.loads(line)["v"] for line in out.splitlines()}
+    assert len(sinks) == 23
+    assert sorted(log.read_text().split()) == sorted(sinks)
 
 
 # sha256 over the `scan --n 4` records in output order, each with elapsed_ms

@@ -35,6 +35,7 @@ from .oracles import (
     first_label_sums,
     path_sums,
     restricted_count_reports,
+    table_paths,
 )
 from .test_flips import count_calls
 
@@ -322,8 +323,9 @@ def test_top_split_is_the_index_part_and_zero_on_s4(word, monkeypatch):
 
 @pytest.mark.parametrize("word", [None, [1, 2, 1, 3, 2, 1]], ids=["lex", "word"])
 def test_table_paths_give_the_interval_path_sums_on_s4(word):
-    """The scan's source (its sink table's paths) against the streaming
-    enumeration of the built interval, bucket for bucket."""
+    """The paths over a sink table's out-edges, which the witness replay
+    walks, against the enumeration of the built interval, bucket for
+    bucket."""
     order = lex_order(4) if word is None else order_from_reduced_word(4, word)
     tables = {}
     for u, v in iter_intervals(4):
@@ -332,7 +334,7 @@ def test_table_paths_give_the_interval_path_sums_on_s4(word):
         iv = build_interval(u, v)
         expected = path_sums(iv, order)
         got = {
-            n: first_label_sums(tables[v].paths(u, n), order)
+            n: first_label_sums(table_paths(tables[v], u, n), order)
             for n in degree_range(iv.length_diff)
         }
         assert list(got) == list(expected), (u, v)

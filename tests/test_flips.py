@@ -33,6 +33,7 @@ from . import oracles
 from .oracles import (
     first_label_sums,
     flip_dict_pair_ranks,
+    table_paths,
     walked_contribution_sum,
     walked_flip_condition,
     word_path_t_set,
@@ -83,25 +84,6 @@ def test_table_cone_equals_the_built_cone(n, word):
         }
 
 
-@pytest.mark.parametrize("n, word", [
-    (4, None), (4, [1, 2, 1, 3, 2, 1]), (5, None), (5, [2, 1, 3, 4, 3, 2, 3, 1, 4, 2]),
-], ids=["s4-lex", "s4-word", "s5-lex", "s5-word"])
-def test_table_paths_are_the_depth_first_enumeration_in_order(n, word):
-    """For every sink, vertex of its cone and path length: the suffix-shared
-    paths equal iter_paths over the cone's rank-sorted out-edges, in order."""
-    order = lex_order(n) if word is None else order_from_reduced_word(n, word)
-    for sink in itertools.permutations(range(1, n + 1)):
-        table = TSetTable(sink, order)
-        adjacency = {
-            x: tuple(sorted(out, key=lambda ty: order.rank(ty[0])))
-            for x, out in build_interval(identity(n), sink).adjacency.items()
-        }
-        for w, gap in table.gaps.items():
-            for k in range(-1, gap + 1):
-                expected = tuple(iter_paths(adjacency, w, sink, k))
-                assert table.paths(w, k) == expected, (sink, w, k)
-
-
 def test_t_sets_of_the_running_example(example_table, s4_lex):
     u = parse_perm("2134")
     t_set = example_table.t_set
@@ -131,7 +113,7 @@ def test_candidates_for_d_and_their_flips(example_table, s4_lex):
     through the flip gives 462, 521, 652, and only the first reads AD."""
     u = parse_perm("2134")
     candidates = [
-        p for p in example_table.paths(u, 2) if example_table.word(p) == "DA"
+        p for p in table_paths(example_table, u, 2) if example_table.word(p) == "DA"
     ]
     assert names(candidates, s4_lex) == ["436", "514", "625"]
     flipped = {}
@@ -186,17 +168,18 @@ def test_t_bar_matches_a_freshly_built_reverse_table(example_table, s4_lex):
 
 @pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
 def test_twin_paths_match_a_fresh_reverse_order_enumeration(order):
+    """The twin's reversed out-edges are a fresh reverse-order table's, so
+    the paths a replay walks in the twin come in its own lex order: the
+    primal's, reversed."""
     rev = order.reversed()
     for sink in s4_sinks():
         table = TSetTable(sink, order)
         twin = table.reversed_table()
-        fresh = TSetTable(sink, rev)
+        assert twin._adjacency == TSetTable(sink, rev)._adjacency, sink
+        assert twin.gaps is table.gaps
         for w, n in cone_problems(sink):
-            shared = twin.paths(w, n)
-            assert shared == fresh.paths(w, n), (sink, w, n)
-            primal = table.paths(w, n)
-            assert len(shared) == len(primal)
-            assert all(a is b for a, b in zip(shared, reversed(primal)))
+            primal = table_paths(table, w, n)
+            assert table_paths(twin, w, n) == primal[::-1], (sink, w, n)
 
 
 def count_calls(monkeypatch, original):
@@ -209,26 +192,6 @@ def count_calls(monkeypatch, original):
             if value is original:
                 monkeypatch.setattr(module, attr, lambda *a: calls.append(a) or original(*a))
     return calls
-
-
-def test_twin_enumerates_no_paths(monkeypatch, s4_lex):
-    """Once the primal holds its paths, the twin's paths, T-sets and flips
-    build no path tuple: no enumeration, and no new entry in the primal."""
-    sink = parse_perm("4321")
-    table = TSetTable(sink, s4_lex)
-    problems = cone_problems(sink)
-    for w, n in problems:
-        table.paths(w, n)
-    calls = count_calls(monkeypatch, iter_paths)
-    stored = len(table._paths)
-    twin = table.reversed_table()
-    for w, n in problems:
-        twin.paths(w, n)
-        for monomial in cd_monomials(n):
-            twin.t_set(w, ad_form(monomial))
-            twin.flip(w, ad_form(monomial))
-    assert calls == []
-    assert len(table._paths) == stored
 
 
 def bar(gamma):
@@ -254,7 +217,7 @@ def test_word_paths_are_the_paths_filtered_by_word_on_s4(order):
         for table in (primal, primal.reversed_table()):
             for w, gamma in word_problems(sink):
                 expected = tuple(
-                    p for p in table.paths(w, len(gamma))
+                    p for p in table_paths(table, w, len(gamma))
                     if ad_word(p, table.order) == gamma
                 )
                 assert word_paths(table, w, gamma) == expected, (sink, w, gamma)
@@ -284,18 +247,13 @@ def test_twin_word_paths_are_the_primal_barred_tuples_reversed(order, monkeypatc
 def test_t_sets_build_each_path_once_from_the_suffix_t_sets(monkeypatch, s4_lex):
     """Over every (w, gamma) of the S_4 w0 table and its twin, T-sets and
     flips construct one BruhatPath per T-set path, and call neither
-    `paths`, `iter_paths` nor `position_factor`."""
+    `iter_paths` nor `position_factor`."""
     built = []
     monkeypatch.setattr(
         flips, "BruhatPath", lambda *a: built.append(a) or BruhatPath(*a)
     )
     enumerations = count_calls(monkeypatch, iter_paths)
     factors = count_calls(monkeypatch, position_factor)
-    all_paths = []
-    real_paths = TSetTable.paths
-    monkeypatch.setattr(
-        TSetTable, "paths", lambda self, *a: all_paths.append(a) or real_paths(self, *a)
-    )
     sink = parse_perm("4321")
     table = TSetTable(sink, s4_lex)
     sizes = 0
@@ -304,7 +262,7 @@ def test_t_sets_build_each_path_once_from_the_suffix_t_sets(monkeypatch, s4_lex)
         table.flip(w, gamma)
     assert sizes > 0
     assert len(built) == sizes
-    assert enumerations == [] and factors == [] and all_paths == []
+    assert enumerations == [] and factors == []
 
 
 def test_a_dropped_table_is_freed_without_the_collector(s4_lex):
@@ -332,14 +290,10 @@ def test_a_dropped_table_is_freed_without_the_collector(s4_lex):
 
 
 def test_t_sets_enumerate_no_paths_and_recompute_no_words(monkeypatch, s4_lex):
-    """T-sets and flips read only the suffix T-sets: no enumeration, no call
-    to `paths`, and no word recomputed."""
+    """T-sets and flips read only the suffix T-sets: no enumeration and no
+    word recomputed."""
     enumerations = count_calls(monkeypatch, iter_paths)
-    words, all_paths = [], []
-    real_paths = TSetTable.paths
-    monkeypatch.setattr(
-        TSetTable, "paths", lambda self, *a: all_paths.append(a) or real_paths(self, *a)
-    )
+    words = []
     real_word = TSetTable.word
     monkeypatch.setattr(
         TSetTable, "word", lambda self, p: words.append(p) or real_word(self, p)
@@ -353,7 +307,7 @@ def test_t_sets_enumerate_no_paths_and_recompute_no_words(monkeypatch, s4_lex):
             sizes += len(table.t_set(w, gamma)) + len(table.t_bar_set(w, gamma))
             table.flip(w, gamma)
     assert sizes > 0
-    assert enumerations == [] and words == [] and all_paths == []
+    assert enumerations == [] and words == []
 
 
 @pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
@@ -389,7 +343,7 @@ def test_t_sets_are_sorted_lexicographically(example_table):
 def test_path_contribution_values(example_table, s4_lex):
     u = parse_perm("2134")
     by_name = {
-        label_string(p, s4_lex): p for p in example_table.paths(u, 4)
+        label_string(p, s4_lex): p for p in table_paths(example_table, u, 4)
     }
     assert path_contribution(by_name["41516"], "dd", example_table) == 1
     # flipping 62646 at the inner d-position gives 62654, whose word fails
@@ -402,7 +356,7 @@ def test_path_contribution_values(example_table, s4_lex):
 
 def test_position_factor_basics(example_table, s4_lex):
     u = parse_perm("2134")
-    by_name = {label_string(p, s4_lex): p for p in example_table.paths(u, 4)}
+    by_name = {label_string(p, s4_lex): p for p in table_paths(example_table, u, 4)}
     # ascending path at an A-letter
     assert position_factor(by_name["23456"], 1, "AAAA", example_table) == 1
     # a descent at an A-letter
@@ -495,7 +449,7 @@ def test_sums_dp_equals_the_sums_of_the_table_paths(n, spec):
         table = TSetTable(sink, order)
         for w, gap in table.gaps.items():
             for k in range(-1, gap + 1):
-                expected = first_label_sums(table.paths(w, k), order)
+                expected = first_label_sums(table_paths(table, w, k), order)
                 assert list(table.sums(w, k).items()) == list(expected.items()), (sink, w, k)
             assert table.graded_sums(w) == {k: table.sums(w, k) for k in degree_range(gap)}
 
@@ -520,7 +474,7 @@ def assert_checks_match_the_walks(u, monomial, table):
 def test_dp_checks_equal_the_path_walks(n, spec):
     """`sum_contributions` and `check_flip_condition`, read off the flip DP,
     against the walks over every path: on every interval of S_4 (also on
-    the reverse-order twin, which shares the primal's out-edges), and on
+    the reverse-order twin, which holds the primal's out-edges reversed), and on
     the S_5 intervals of gap <= 5.  These orders have no violation, so the
     DP finds no -1 anywhere and answers every check without a walk."""
     order = order_of(n, spec)
@@ -594,6 +548,28 @@ def test_collapsed_flip_checks_equal_the_path_walks(monkeypatch):
     assert table.has_minus_one(u, ad_form("cddc"))
     with pytest.raises(FlipUndefinedError):
         sum_contributions(u, "ddd", table)
+
+
+def test_a_violating_replay_walks_the_paths_lazily_up_to_its_witness(monkeypatch):
+    """Under the collapsed flip, the replay of a violating flip condition
+    pulls the paths from `iter_paths` in lex order and stops at its witness,
+    short of the interval's last path."""
+    collapse_flips(monkeypatch)
+    pulled = []
+
+    def counting(*args):
+        for path in iter_paths(*args):
+            pulled.append(path)
+            yield path
+
+    monkeypatch.setattr(flips, "iter_paths", counting)
+    u, v = parse_perm("12435"), parse_perm("45231")
+    table = TSetTable(v, lex_order(5))
+    witness = check_flip_condition(u, "cddc", table)
+    assert witness.kind == "minus-one-at-m"
+    every = table_paths(table, u, len(ad_form("cddc")))
+    assert pulled == list(every[: every.index(witness.path) + 1])
+    assert 0 < len(pulled) < len(every)
 
 
 def assert_t_sets_equal_the_word_path_route(sink, order):

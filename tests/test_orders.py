@@ -10,7 +10,7 @@ from cdindex.orders import (
 )
 from cdindex.perms import Reflection, all_reflections
 
-from .oracles import reflection_order_triple_violations
+from .oracles import closure_dihedral_violation
 
 
 def test_lex_order_matches_the_standard_numbering():
@@ -87,25 +87,29 @@ def test_dihedral_violation_witness_is_the_broken_subgroup():
     object.__setattr__(order, "sequence", tuple(seq))
     object.__setattr__(order, "_rank", {t: k + 1 for k, t in enumerate(seq)})
     witness = dihedral_violation(order)
-    assert witness is not None
-    assert set(witness) == {Reflection(1, 3), Reflection(1, 4), Reflection(3, 4)}
-    # the independent triple-based oracle finds the same unique bad subgroup
-    bad = reflection_order_triple_violations(tuple(seq))
-    assert bad == [((1, 3), (1, 4), (3, 4))]
+    assert witness == (Reflection(1, 4), Reflection(1, 3), Reflection(3, 4))
+    # the independent subgroup-closure oracle names the same subgroup
+    assert closure_dihedral_violation(tuple(seq)) == witness
 
 
 def test_validator_agrees_with_triple_oracle_on_random_sequences():
+    """The triple rule against the subgroup-closure oracle, witness for
+    witness, on shuffled sequences of S_2 to S_6 and on reflection orders."""
     rng = random.Random(7)
-    for _ in range(40):
-        seq = list(all_reflections(4))
-        rng.shuffle(seq)
+    violated = 0
+    for trial in range(200):
+        n = 2 + trial % 5
+        seq = list(all_reflections(n))
+        if trial % 4:
+            rng.shuffle(seq)
         order = object.__new__(ReflectionOrder)
-        object.__setattr__(order, "n", 4)
+        object.__setattr__(order, "n", n)
         object.__setattr__(order, "sequence", tuple(seq))
         object.__setattr__(order, "_rank", {t: k + 1 for k, t in enumerate(seq)})
-        generic = dihedral_violation(order)
-        triples = reflection_order_triple_violations(tuple(seq))
-        assert (generic is None) == (not triples)
+        witness = dihedral_violation(order)
+        assert witness == closure_dihedral_violation(tuple(seq)), seq
+        violated += witness is not None
+    assert 50 < violated < 200
 
 
 def test_random_reduced_words_give_valid_orders():

@@ -265,17 +265,13 @@ def test_scan_interval_record_is_deterministic(example_table):
 
 def test_scan_interval_builds_no_interval_and_enumerates_only_in_the_table(monkeypatch):
     """With every sink's table built, scanning each S_4 interval calls
-    build_interval and iter_paths never: the table's suffix-shared
-    `paths` are the only path source."""
+    build_interval and iter_paths never: a clean scan runs no witness
+    replay, the one place that walks paths."""
     order = lex_order(4)
     pairs = list(iter_intervals(4))
     tables = {v: TSetTable(v, order) for _, v in pairs}
     builds = count_calls(monkeypatch, intervals.build_interval)
     enumerations = count_calls(monkeypatch, intervals.iter_paths)
-    reads = []
-    paths = TSetTable.paths
-    monkeypatch.setattr(TSetTable, "paths", lambda self, *a: reads.append(a) or paths(self, *a))
     for u, v in pairs:
         assert scan_interval(u, v, order, "lex", tables[v])["clean"], (u, v)
     assert builds == [] and enumerations == []
-    assert reads == []
