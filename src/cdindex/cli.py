@@ -179,29 +179,32 @@ def cmd_scan(args) -> int:
     if not 2 <= args.n <= 6:
         raise UserError("scan supports 2 <= n <= 6")
     order = resolve_order(args.order, args.n)
-    done: set[tuple[str, str, str]] = set()
+    old: dict = {}  # (u, v, order) -> (its first line in --out, verbatim; clean)
     if args.resume and args.out and os.path.exists(args.out):
         try:
             with open(args.out, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
+                lines = [line.strip() for line in fh if line.strip()]
+            for i, line in enumerate(lines):
+                try:
                     rec = json.loads(line)
-                    done.add((rec["u"], rec["v"], rec["order"]))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+                    old.setdefault((rec["u"], rec["v"], rec["order"]), (line, rec["clean"]))
+                except (ValueError, KeyError, TypeError):
+                    if i < len(lines) - 1:  # drop only a last line cut short by a kill
+                        raise
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error reading resume file: {exc}", file=sys.stderr)
             return EXIT_IO
 
+    # each interval with its old record, if any; `old` keeps those outside this sweep
     pairs = [
-        (u, v)
+        (u, v, old.pop((format_perm(u), format_perm(v), args.order), None) if old else None)
         for u, v in iter_intervals(args.n, args.max_length)
-        if not done or (format_perm(u), format_perm(v), args.order) not in done
     ]
     # one job per sink, for table reuse; emit in the order of iter_intervals
     sinks: dict = {}
-    for u, v in pairs:
-        sinks.setdefault(v, []).append(u)
+    for u, v, done in pairs:
+        if done is None:
+            sinks.setdefault(v, []).append(u)
     jobs = [(v, sources, order, args.order) for v, sources in sinks.items()]
 
     try:
@@ -213,12 +216,13 @@ def cmd_scan(args) -> int:
         else:
             results = [_scan_sink(job) for job in jobs]
         by_sink = {v: iter(lines) for v, lines in zip(sinks, results)}
-        produced = [next(by_sink[v]) for _, v in pairs]
+        produced = list(old.values()) + [done or next(by_sink[v]) for _, v, done in pairs]
         violations = sum(1 for _, clean in produced if not clean)
         if args.out:
-            with open(args.out, "a", encoding="utf-8") as out:
-                for line, _ in produced:
-                    out.write(line + "\n")
+            tmp = args.out + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as out:
+                out.writelines(line + "\n" for line, _ in produced)
+            os.replace(tmp, args.out)
         else:
             for line, _ in produced:
                 print(line)

@@ -39,12 +39,13 @@ the primal's out-edge lists reversed, which sorts them by its own ranks,
 and builds its T-sets from its own suffix T-sets exactly as the primal
 does.  |T| = |T-bar| is conjectured; a mismatch raises FlipUndefinedError
 and is surfaced, never patched.
-T-sets and the flip DP need only the first-label ranks of each flip
-pair, so they read them off the two rank tuples (`_pair_ranks`): tau's
-rank from `first_ranks` and its image's from the twin's `first_ranks`,
-reversed (`t_bar_ranks`).  The flip as a dict of paths (`flip`) is built
-only where paths are the output: `tset`, the strong flip condition and
-the witness replay.
+T-sets, the flip DP and the witness replay read each flip pair off two
+nondecreasing rank tuples (`_pair_ranks`): a = `first_ranks` of T and
+b = `t_bar_ranks`, the twin's reversed, so the i-th path of T flips to
+first-label rank b[i] (the replay finds i in `positions`).  A D at an edge
+of rank r keeps the tails [#{b <= r}, #{a <= r}), and a -1 exists exactly
+when #{b <= r} > #{a <= r}.  The path flip dict (`flip`) is built only for
+`tset` and the strong flip condition.
 
 `position_factor` is the one definition of the per-position factor
 (+1, 0 or -1): `path_contribution` (the product of the factors from right
@@ -65,7 +66,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .complete import GradedSums, degree_range
 from .errors import FlipUndefinedError
@@ -75,7 +76,7 @@ from .orders import ReflectionOrder
 from .perms import Perm, format_perm
 
 class TSetTable:
-    """Memoized T-sets, memberships and flips for one sink vertex and order.
+    """Memoized T-sets, positions and flips for one sink vertex and order.
 
     The table reads the lower cone {x <= v} off the group's Bruhat graph
     once, with each out-edge list sorted by rank, and hands out:
@@ -89,9 +90,9 @@ class TSetTable:
       ``first_ranks(w, gamma)`` holds its first-label ranks, nondecreasing,
       and ``t_bar_ranks(w, gamma)`` those of T-bar, in this table's ranks;
     - ``flip(w, gamma)``: the pairing dict T -> T-bar, built only for
-      ``tset``, the strong flip condition and the witness replay;
-    - ``members(w, gamma)``: the T-set as a frozenset, built only when the
-      witness replay asks.
+      ``tset`` and the strong flip condition;
+    - ``positions(w, gamma)``: each path of the T-set mapped to its index,
+      built only when the witness replay asks.
 
     The table stores no paths beyond its T-sets: the witness replay of the
     checks walks `iter_paths` over ``_adjacency``, lazily and in lex order.
@@ -131,7 +132,8 @@ class TSetTable:
         self._spans: dict[tuple[Perm, str], tuple[int, int]] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
         self._first_ranks: dict[tuple[Perm, str], tuple[int, ...]] = {}
-        self._members: dict[tuple[Perm, str], frozenset[BruhatPath]] = {}
+        self._t_bar_ranks: dict[tuple[Perm, str], tuple[int, ...]] = {}
+        self._positions: dict[tuple[Perm, str], dict[BruhatPath, int]] = {}
         self._flips: dict[tuple[Perm, str], dict[BruhatPath, BruhatPath]] = {}
 
     def reversed_table(self) -> "TSetTable":
@@ -189,10 +191,10 @@ class TSetTable:
 
         A path is an edge (t, x) followed by a tail from x: its -1 lies in
         the tail, or at the first position when gamma starts with D and
-        the tail tau lies in T(x, gamma[1:]).  There the factor is -1
-        exactly when rank(t) is below the first-label rank a of tau and not
-        below the first-label rank b of flip(tau).  Raises
-        FlipUndefinedError when a flip it reads is undefined.
+        the tail tau lies in T(x, gamma[1:]).  There the factor is -1 when
+        b <= rank(t) < a, for the first-label ranks a of tau and b of
+        flip(tau), so for some tau exactly when more b than a are <= rank(t).
+        Raises FlipUndefinedError when a flip it reads is undefined.
         """
         key = (w, gamma)
         hit = self._minus_one.get(key)
@@ -206,7 +208,8 @@ class TSetTable:
                         hit = True
                     elif gamma[0] == "D":
                         r = rank(t)
-                        hit = any(b <= r < a for a, b in self._pair_ranks(x, rest))
+                        a, b = self._pair_ranks(x, rest)
+                        hit = bisect_right(b, r) > bisect_right(a, r)
                     if hit:
                         break
             self._minus_one[key] = hit
@@ -217,20 +220,24 @@ class TSetTable:
         with T-bar in this table's lex order: nondecreasing.  The twin lists
         T-bar in its own lex order, the reverse, so this is its
         `first_ranks` read backwards, each rank r mapped back to N + 1 - r."""
-        top = len(self.order.sequence) + 1
-        return tuple(top - r for r in reversed(self.reversed_table().first_ranks(w, gamma)))
+        hit = self._t_bar_ranks.get((w, gamma))
+        if hit is None:
+            top = len(self.order.sequence) + 1
+            ranks = self.reversed_table().first_ranks(w, gamma)
+            hit = self._t_bar_ranks[(w, gamma)] = tuple(top - r for r in reversed(ranks))
+        return hit
 
-    def _pair_ranks(self, w: Perm, gamma: str) -> Iterator[tuple[int, int]]:
-        """(first-label rank of tau, first-label rank of flip(tau)) for every
-        tau in T(w, gamma), in T's order.  The flip pairs T with T-bar by
-        position in this table's lex order, so these are `first_ranks` and
-        `t_bar_ranks` side by side.  Raises FlipUndefinedError, as `flip`
-        does, when |T| != |T-bar|."""
+    def _pair_ranks(self, w: Perm, gamma: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(a, b): the first-label ranks of T(w, gamma) and of the flip
+        images, both nondecreasing.  The flip pairs T with T-bar by position
+        in this table's lex order, so the i-th path of T flips to a path of
+        first-label rank b[i]: a is `first_ranks` and b is `t_bar_ranks`.
+        Raises FlipUndefinedError, as `flip` does, when |T| != |T-bar|."""
         a = self.first_ranks(w, gamma)
         b = self.t_bar_ranks(w, gamma)
         if len(a) != len(b):
             raise FlipUndefinedError(w, gamma, self.sink, len(a), len(b))
-        return zip(a, b)
+        return a, b
 
     def _reaches(self, w: Perm, edges: int) -> bool:
         """The dead-end test of `iter_paths`: `edges` edges from w, each
@@ -248,9 +255,9 @@ class TSetTable:
         A path (t, x) + tau lies in T(w, gamma) exactly when tau lies in
         T(x, gamma[1:]) and the first factor is +1: with r = rank(t) and a
         and b the first-label ranks of tau and flip(tau), r < a where gamma
-        starts with A, and a <= r < b where it starts with D.  The suffix
-        ranks are nondecreasing, so the A tails are a suffix and the D
-        candidates a prefix, both found by bisection.  Out-edges are walked
+        starts with A, and a <= r < b where it starts with D.  Both rank
+        tuples are nondecreasing, so bisection finds the A tails [#{a <= r},
+        |T|) and the D tails [#{b <= r}, #{a <= r}).  Out-edges are walked
         in rank order, so the result needs no sort.  A suffix T-set is read
         only where some path with word gamma crosses the edge (`_word_span`),
         and the flip pairs (`_pair_ranks`) only where a D candidate exists,
@@ -281,8 +288,7 @@ class TSetTable:
                     if ascent:
                         kept = tails[k:]
                     else:
-                        pairs = self._pair_ranks(x, rest) if k else ()
-                        kept = [tau for tau, (_, b) in zip(tails[:k], pairs) if r < b]
+                        kept = tails[bisect_right(self._pair_ranks(x, rest)[1], r):k] if k else ()
                     kept = [BruhatPath((w,) + tau.vertices, (t,) + tau.labels) for tau in kept]
                 out += kept
                 ranks += [r] * len(kept)
@@ -320,13 +326,13 @@ class TSetTable:
             hit = self._spans[key] = (lo, hi)
         return hit
 
-    def members(self, w: Perm, gamma: str) -> frozenset[BruhatPath]:
-        """T(w, gamma) as a set, built on first use; only the witness replay
-        of the flip checks tests membership."""
+    def positions(self, w: Perm, gamma: str) -> dict[BruhatPath, int]:
+        """Each path of T(w, gamma) mapped to its index, built on first use;
+        only the witness replay of the flip checks reads it."""
         key = (w, gamma)
-        got = self._members.get(key)
+        got = self._positions.get(key)
         if got is None:
-            got = self._members[key] = frozenset(self.t_set(w, gamma))
+            got = self._positions[key] = {tau: i for i, tau in enumerate(self.t_set(w, gamma))}
         return got
 
     def t_bar_set(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
@@ -372,13 +378,14 @@ def position_factor(
     if gamma[m - 1] == "A":
         return 1 if ascent else 0
     x_m = path.vertices[m]
-    image = table.flip(x_m, gamma[m:]).get(path.tail_from(m))
-    if image is None:
+    _, image_ranks = table._pair_ranks(x_m, gamma[m:])
+    i = table.positions(x_m, gamma[m:]).get(path.tail_from(m))
+    if i is None:
         raise FlipUndefinedError(
             x_m, gamma[m:], table.sink,
             reason="tail is outside the T-set the flip is defined on",
         )
-    spliced_ascent = before < rank(image.labels[0])
+    spliced_ascent = before < image_ranks[i]
     if spliced_ascent == ascent:
         return 0
     return 1 if spliced_ascent else -1
@@ -395,11 +402,6 @@ def path_contribution(path: BruhatPath, monomial: str, table: TSetTable) -> int:
     gamma = ad_form(monomial)
     if path.n != len(gamma):
         raise ValueError(f"path length {path.n} does not match degree {len(gamma)}")
-    return _signed_product(path, gamma, table)
-
-
-def _signed_product(path: BruhatPath, gamma: str, table: TSetTable) -> int:
-    """The product of the position factors of a path whose length is |gamma|."""
     sign = 1
     for m in range(len(gamma), 0, -1):
         factor = position_factor(path, m, gamma, table)
@@ -422,7 +424,7 @@ def sum_contributions(u: Perm, monomial: str, table: TSetTable) -> int:
     if _no_minus_one(u, gamma, table):
         return len(table.t_set(u, gamma))
     paths = iter_paths(table._adjacency, u, table.sink, len(gamma))
-    return sum(_signed_product(path, gamma, table) for path in paths)
+    return sum(path_contribution(path, monomial, table) for path in paths)
 
 
 def _no_minus_one(u: Perm, gamma: str, table: TSetTable) -> bool:
@@ -481,7 +483,7 @@ def check_flip_condition(
     try:
         for path in iter_paths(table._adjacency, u, table.sink, n):
             for m in d_positions:
-                if path.tail_from(m) not in table.members(path.vertices[m], gamma[m:]):
+                if path.tail_from(m) not in table.positions(path.vertices[m], gamma[m:]):
                     continue
                 if position_factor(path, m, gamma, table) == -1:
                     return FlipWitness(

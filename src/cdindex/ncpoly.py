@@ -62,9 +62,6 @@ class _WordPolynomial:
     def items(self) -> Iterator[tuple[str, int]]:
         return iter(sorted(self._terms.items()))
 
-    def monomials(self) -> list[str]:
-        return sorted(self._terms)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -92,14 +89,6 @@ class _WordPolynomial:
         for w, c in other._terms.items():
             acc[w] = acc.get(w, 0) - c
         return self._of(acc)
-
-    def __neg__(self):
-        return self._of({w: -c for w, c in self._terms.items()})
-
-    def __rmul__(self, scalar: int):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return self._of({w: scalar * c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if type(other) is not type(self):

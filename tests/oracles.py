@@ -3,9 +3,9 @@
 Everything here is deliberately written from scratch against plain tuples,
 strings and dicts, without calling into the package, so that each checked
 operation has two genuinely different routes to the same number.  The
-exceptions are `enumerate_paths` and `table_paths`, tuple forms of the
-package's own path enumeration over a built interval and over a T-set
-table's out-edges, and the routes the package replaced with faster ones,
+exceptions are `enumerate_paths`, a tuple form of the package's own path
+enumeration over a built interval, and the routes the package replaced
+with faster ones,
 kept as its reference: `closure_dihedral_violation` (the generic
 subgroup-closure check of a reflection order), `interval_pairs` (the pairwise
 Bruhat test over all of S_n), `restricted_count_reports` (one report
@@ -16,7 +16,9 @@ sum and the flip condition by a walk over every path),
 `word_path_t_set` (a T-set as the paths of its word filtered by suffix
 membership and `position_factor`, read from the store `word_paths`), and
 `flip_dict_pair_ranks` (the first-label ranks of the flip pairs, read off
-the flip as a dict of paths).
+the flip as a dict of paths).  `table_paths` builds the paths of a T-set
+table from its out-edges, one tuple per (vertex, length) from the suffix
+tuples, independently of `iter_paths`, the walk the witness replay uses.
 """
 
 from __future__ import annotations
@@ -262,10 +264,44 @@ def enumerate_paths(iv, n):
     return list(iter_paths(iv.adjacency, iv.u, iv.v, n))
 
 
+_TABLE_PATHS = weakref.WeakKeyDictionary()
+
+
 def table_paths(table, w, n):
     """All length-n paths w -> table.sink, lex-sorted by label ranks under
-    the table's order: `iter_paths` over its rank-sorted out-edges."""
-    return tuple(iter_paths(table._adjacency, w, table.sink, n))
+    the table's order, stored per table and sharing suffixes: the (w, n)
+    tuple is built once, from the (y, n - 1) tuples of the out-edges (t, y)
+    of w, which the table holds in rank order."""
+    store = _TABLE_PATHS.setdefault(table, {})
+    hit = store.get((w, n))
+    if hit is None:
+        if n <= 0:
+            hit = tuple(
+                BruhatPath((w, y), (t,)) for t, y in table._adjacency[w]
+                if n == 0 and y == table.sink
+            )
+        else:
+            hit = tuple(
+                BruhatPath((w,) + p.vertices, (t,) + p.labels)
+                for t, y in table._adjacency[w]
+                for p in table_paths(table, y, n - 1)
+            )
+        store[(w, n)] = hit
+    return hit
+
+
+def t_set_members(table):
+    """A lookup members(w, gamma): frozenset(table.t_set(w, gamma)), each
+    set built once."""
+    sets = {}
+
+    def members(w, gamma):
+        hit = sets.get((w, gamma))
+        if hit is None:
+            hit = sets[(w, gamma)] = frozenset(table.t_set(w, gamma))
+        return hit
+
+    return members
 
 
 def interval_pairs(n, max_length=None):
@@ -312,10 +348,10 @@ def first_inconsistent(reports):
 
 def first_label_sums(paths, order):
     """Word sums of same-length paths, keyed by ascending first-label rank."""
-    rank = order.rank
+    rank = {t: order.rank(t) for t in order.sequence}
     buckets = {}
     for path in paths:
-        ranks = [rank(t) for t in path.labels]
+        ranks = [rank[t] for t in path.labels]
         acc = buckets.setdefault(ranks[0], {})
         w = rank_word(ranks)
         acc[w] = acc.get(w, 0) + 1
@@ -344,12 +380,13 @@ def walked_flip_condition(u, monomial, table):
     factor is -1, or the first undefined flip, as a witness; else None."""
     gamma = ad_form(monomial)
     n = len(gamma)
+    members = t_set_members(table)
     try:
         for path in table_paths(table, u, n):
             for m in range(1, n + 1):
                 if gamma[m - 1] != "D":
                     continue
-                if path.tail_from(m) not in table.members(path.vertices[m], gamma[m:]):
+                if path.tail_from(m) not in members(path.vertices[m], gamma[m:]):
                     continue
                 if position_factor(path, m, gamma, table) == -1:
                     return FlipWitness("minus-one-at-m", monomial, path, m)
@@ -395,10 +432,11 @@ def _extend(table, w, gamma):
 def word_path_t_set(table, w, gamma):
     """T(w, gamma) by the word-path route: the paths with word gamma whose
     tail lies in the table's suffix T-set and whose first factor is +1."""
+    members = t_set_members(table)
     return tuple(
         p for p in word_paths(table, w, gamma)
         if not gamma or (
-            p.tail() in table.members(p.vertices[1], gamma[1:])
+            p.tail() in members(p.vertices[1], gamma[1:])
             and position_factor(p, 1, gamma, table) == 1
         )
     )

@@ -204,6 +204,12 @@ def test_scan_s2_trivial(capsys):
     assert records[0]["cd_index"] == {"0": {"1": 1}}
 
 
+def strip_elapsed(line):
+    record = json.loads(line)
+    record.pop("elapsed_ms")
+    return json.dumps(record, sort_keys=True)
+
+
 def test_scan_s3_clean_and_resume(capsys, tmp_path):
     out_file = tmp_path / "scan.jsonl"
     code, _, _ = run(capsys, "scan", "--n", "3", "--out", str(out_file))
@@ -213,20 +219,79 @@ def test_scan_s3_clean_and_resume(capsys, tmp_path):
     assert len(records) == 13
     assert all(r["clean"] for r in records)
 
-    # truncate to half and resume; the record set must come back identical
+    # truncate to half and resume; the records must come back in order
     keep = lines[:6]
     out_file.write_text("\n".join(keep) + "\n")
     code, _, _ = run(capsys, "scan", "--n", "3", "--out", str(out_file), "--resume")
     assert code == 0
-    resumed = [json.loads(line) for line in out_file.read_text().splitlines()]
-    assert len(resumed) == 13
+    resumed = out_file.read_text().splitlines()
+    assert resumed[:6] == keep
+    assert list(map(strip_elapsed, resumed)) == list(map(strip_elapsed, lines))
 
-    def strip(rec):
-        rec = dict(rec)
-        rec.pop("elapsed_ms")
-        return json.dumps(rec, sort_keys=True)
+    # a sweep under another order keeps these records, ahead of its own
+    args = ("scan", "--n", "3", "--order", "rev", "--out", str(out_file), "--resume")
+    code, _, _ = run(capsys, *args)
+    assert code == 0
+    both = out_file.read_text().splitlines()
+    assert both[:13] == resumed
+    assert [json.loads(line)["order"] for line in both[13:]] == ["rev"] * 13
 
-    assert sorted(map(strip, resumed)) == sorted(map(strip, records))
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_scan_cut_mid_record_resumes_in_merge_order(capsys, tmp_path, workers):
+    """A file cut mid-line at about half, as a kill leaves it, resumes to
+    the records of an uninterrupted run, in order, keeping the old lines
+    verbatim; the partial last line is dropped and its record rescanned."""
+    out_file = tmp_path / "s4.jsonl"
+    code, _, _ = run(capsys, "scan", "--n", "4", "--out", str(out_file))
+    assert code == 0
+    full = out_file.read_text()
+    cut = full[: len(full) // 2]
+    assert not cut.endswith("\n")
+    out_file.write_text(cut)
+    code, _, _ = run(
+        capsys, "scan", "--n", "4", "--out", str(out_file), "--resume", "--workers", workers
+    )
+    assert code == 0
+    resumed = out_file.read_text().splitlines()
+    kept = cut.splitlines()[:-1]
+    assert resumed[: len(kept)] == kept
+    assert list(map(strip_elapsed, resumed)) == list(map(strip_elapsed, full.splitlines()))
+    assert not (tmp_path / "s4.jsonl.tmp").exists()
+
+
+def test_a_scan_without_resume_rewrites_its_output(capsys, tmp_path):
+    out_file = tmp_path / "s4.jsonl"
+    for _ in range(2):
+        code, _, _ = run(capsys, "scan", "--n", "4", "--out", str(out_file))
+        assert code == 0
+    assert len(out_file.read_text().splitlines()) == 189
+
+
+def test_resume_rejects_an_unparsable_line_before_the_last(capsys, tmp_path):
+    out_file = tmp_path / "s3.jsonl"
+    run(capsys, "scan", "--n", "3", "--out", str(out_file))
+    lines = out_file.read_text().splitlines()
+    before = "\n".join([lines[0][:-1]] + lines[1:]) + "\n"
+    out_file.write_text(before)
+    code, _, err = run(capsys, "scan", "--n", "3", "--out", str(out_file), "--resume")
+    assert code == cli.EXIT_IO
+    assert "resume file" in err
+    assert out_file.read_text() == before
+
+
+def test_resume_counts_the_unclean_old_records(capsys, tmp_path):
+    out_file = tmp_path / "s3.jsonl"
+    run(capsys, "scan", "--n", "3", "--out", str(out_file))
+    lines = out_file.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["clean"] = False
+    lines[2] = json.dumps(record, sort_keys=True)
+    out_file.write_text("\n".join(lines[:7]) + "\n")
+    code, _, err = run(capsys, "scan", "--n", "3", "--out", str(out_file), "--resume")
+    assert code == cli.EXIT_VIOLATION
+    assert "1 inconsistent" in err
+    assert out_file.read_text().splitlines()[2] == lines[2]
 
 
 def test_scan_max_length_filter(capsys):

@@ -178,8 +178,9 @@ def test_twin_paths_match_a_fresh_reverse_order_enumeration(order):
         assert twin._adjacency == TSetTable(sink, rev)._adjacency, sink
         assert twin.gaps is table.gaps
         for w, n in cone_problems(sink):
-            primal = table_paths(table, w, n)
-            assert table_paths(twin, w, n) == primal[::-1], (sink, w, n)
+            walked = tuple(iter_paths(twin._adjacency, w, sink, n))
+            assert walked == table_paths(table, w, n)[::-1], (sink, w, n)
+            assert table_paths(twin, w, n) == walked, (sink, w, n)
 
 
 def count_calls(monkeypatch, original):
@@ -478,17 +479,18 @@ def test_dp_checks_equal_the_path_walks(n, spec):
     the S_5 intervals of gap <= 5.  These orders have no violation, so the
     DP finds no -1 anywhere and answers every check without a walk."""
     order = order_of(n, spec)
-    tables = {}
+    sinks = {}
     for u, v in iter_intervals(n, 5 if n == 5 else None):
-        if v not in tables:
-            tables = {v: TSetTable(v, order)}
-        table = tables[v]
+        sinks.setdefault(v, []).append(u)
+    for v, sources in sinks.items():
+        table = TSetTable(v, order)
         checked = [table] if n == 5 else [table, table.reversed_table()]
-        for each in checked:
-            for k in degree_range(each.gaps[u]):
-                for monomial in cd_monomials(k):
-                    assert not each.has_minus_one(u, ad_form(monomial)), (u, v, monomial)
-                    assert_checks_match_the_walks(u, monomial, each)
+        for u in sources:
+            for each in checked:
+                for k in degree_range(each.gaps[u]):
+                    for monomial in cd_monomials(k):
+                        assert not each.has_minus_one(u, ad_form(monomial)), (u, v, monomial)
+                        assert_checks_match_the_walks(u, monomial, each)
 
 
 def collapse_flips(monkeypatch):
@@ -505,9 +507,8 @@ def collapse_flips(monkeypatch):
         return {x: first for x in mapping}
 
     def collapsed_ranks(self, w, gamma):
-        pairs = list(real_ranks(self, w, gamma))
-        first = pairs[0][1] if pairs else None
-        return [(a, first) for a, _ in pairs]
+        a, b = real_ranks(self, w, gamma)
+        return a, b[:1] * len(b)
 
     monkeypatch.setattr(TSetTable, "flip", collapsed)
     monkeypatch.setattr(TSetTable, "_pair_ranks", collapsed_ranks)
@@ -548,6 +549,23 @@ def test_collapsed_flip_checks_equal_the_path_walks(monkeypatch):
     assert table.has_minus_one(u, ad_form("cddc"))
     with pytest.raises(FlipUndefinedError):
         sum_contributions(u, "ddd", table)
+
+
+def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
+    """The witness replay reads each flip image's first-label rank off the
+    rank tuples by the tail's position in T, so replaying every check of
+    the collapsed cases, violations and undefined flips included, builds
+    no path flip dict in the table or in its twin."""
+    collapse_flips(monkeypatch)
+    order = lex_order(5)
+    for u, v in COLLAPSED_CASES:
+        u, v = parse_perm(u), parse_perm(v)
+        table = TSetTable(v, order)
+        for k in degree_range(table.gaps[u]):
+            for monomial in cd_monomials(k):
+                outcome(sum_contributions, u, monomial, table)
+                check_flip_condition(u, monomial, table)
+        assert table._flips == {} and table.reversed_table()._flips == {}, (u, v)
 
 
 def test_a_violating_replay_walks_the_paths_lazily_up_to_its_witness(monkeypatch):
@@ -619,7 +637,7 @@ def test_pair_ranks_equal_the_flip_dict_ranks(n, spec):
         table = TSetTable(v, order)
         for each in (table, table.reversed_table()):
             for w, gamma in word_problems(v):
-                got = outcome(lambda *a: tuple(each._pair_ranks(*a)), w, gamma)
+                got = outcome(lambda *a: tuple(zip(*each._pair_ranks(*a))), w, gamma)
                 assert got == outcome(flip_dict_pair_ranks, each, w, gamma), (v, w, gamma)
 
 
