@@ -219,13 +219,14 @@ def test_scan_s3_clean_and_resume(capsys, tmp_path):
     assert len(records) == 13
     assert all(r["clean"] for r in records)
 
-    # truncate to half and resume; the records must come back in order
-    keep = lines[:6]
+    # drop every other record and resume; each kept line stays verbatim in
+    # its slot and the records come back in merge order
+    keep = lines[1::2]
     out_file.write_text("\n".join(keep) + "\n")
     code, _, _ = run(capsys, "scan", "--n", "3", "--out", str(out_file), "--resume")
     assert code == 0
     resumed = out_file.read_text().splitlines()
-    assert resumed[:6] == keep
+    assert resumed[1::2] == keep
     assert list(map(strip_elapsed, resumed)) == list(map(strip_elapsed, lines))
 
     # a sweep under another order keeps these records, ahead of its own

@@ -558,14 +558,17 @@ def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
     no path flip dict in the table or in its twin."""
     collapse_flips(monkeypatch)
     order = lex_order(5)
+    kinds = set()
     for u, v in COLLAPSED_CASES:
         u, v = parse_perm(u), parse_perm(v)
         table = TSetTable(v, order)
         for k in degree_range(table.gaps[u]):
             for monomial in cd_monomials(k):
-                outcome(sum_contributions, u, monomial, table)
-                check_flip_condition(u, monomial, table)
+                kinds.add(outcome(sum_contributions, u, monomial, table)[0])
+                witness = check_flip_condition(u, monomial, table)
+                kinds.add(witness and witness.kind)
         assert table._flips == {} and table.reversed_table()._flips == {}, (u, v)
+    assert {"raise", "minus-one-at-m", "size-mismatch"} <= kinds
 
 
 def test_a_violating_replay_walks_the_paths_lazily_up_to_its_witness(monkeypatch):
