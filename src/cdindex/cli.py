@@ -178,6 +178,10 @@ def _scan_sink(job) -> list[tuple[str, bool]]:
 def cmd_scan(args) -> int:
     if not 2 <= args.n <= 6:
         raise UserError("scan supports 2 <= n <= 6")
+    if args.workers < 1:
+        raise UserError("--workers must be at least 1")
+    if args.max_length is not None and args.max_length < 1:
+        raise UserError("--max-length must be at least 1")
     order = resolve_order(args.order, args.n)
     old: dict = {}  # (u, v, order) -> (its first line in --out, verbatim; clean)
     if args.resume and args.out and os.path.exists(args.out):

@@ -9,51 +9,51 @@ The tails being flipped always lie in the T-set of the suffix monomial on
 the shorter interval [x_m, v], so the whole construction is recursive in
 (interval length, monomial degree) and is memoized here per sink vertex.
 
-Every query is keyed by (vertex, suffix word).  A path (t, x) + tau lies
-in T(w, gamma) exactly when tau lies in T(x, gamma[1:]) and its first
-factor is +1, and that factor reads only three first-label ranks: of t,
-of tau and of flip(tau).  So `t_set(w, gamma)` is built from the suffix
-T-sets of the upper neighbours of w, keeping the tails that pass; it
-enumerates no other paths, recomputes no word and calls no
-`position_factor`.  Each T-set caches its first-label ranks
-(`first_ranks`), which the restricted counts also read.
-
-The scan reads no other paths.  Its graded first-label sums come from a
-DP over (vertex, length): `sums(w, n)` extends every bucket of each upper
-neighbour by the letter read across the edge.  The flip condition and the
-signed contribution sum come from a boolean DP over (vertex, suffix word),
-`has_minus_one`, which reads only the first-label ranks of the suffix flip
-pairs.  When no path has a factor -1 whose tail lies in its T-set, the
-condition holds and every path contributes 1 if it lies in T and 0
-otherwise, so the sum is |T|, the length of the T-set.  Only when the DP
-finds a -1, or meets an undefined flip, do the checks walk the length-n
-paths, lazily and in lex order, with `intervals.iter_paths` over the
-table's rank-sorted out-edges, to name the witness or the undefined sum.
-The table stores no paths but its T-sets.
-
 The flip on a sub-problem pairs T with its reverse-order counterpart T-bar
-by lexicographic position under the primal order.  Lex order on the
-equal-length rank sequences runs backwards under the reversed order, so
-T-bar in primal lex order is the twin's T-set reversed.  The twin holds
-the primal's out-edge lists reversed, which sorts them by its own ranks,
-and builds its T-sets from its own suffix T-sets exactly as the primal
-does.  |T| = |T-bar| is conjectured; a mismatch raises FlipUndefinedError
-and is surfaced, never patched.
-T-sets, the flip DP and the witness replay read each flip pair off two
-nondecreasing rank tuples (`_pair_ranks`): a = `first_ranks` of T and
-b = `t_bar_ranks`, the twin's reversed, so the i-th path of T flips to
-first-label rank b[i] (the replay finds i in `positions`).  A D at an edge
-of rank r keeps the tails [#{b <= r}, #{a <= r}), and a -1 exists exactly
-when #{b <= r} > #{a <= r}.  The path flip dict (`flip`) is built only for
-`tset` and the strong flip condition.
+by lexicographic position under the primal order.  T-bar is the same
+construction under the reversed order, so one table holds both sides: the
+T-bar side walks each out-edge list backwards and reads each rank r as
+N + 1 - r, for N reflections.  Lex order on equal-length rank sequences
+runs backwards under the reversed order, so T-bar in primal lex order is
+the T-bar side's own lex order reversed.  |T| = |T-bar| is conjectured; a
+mismatch raises FlipUndefinedError and is surfaced, never patched.
+
+Both sides list their tails with nondecreasing first-label ranks, so every
+question about a flip pair depends only on how many members of each side
+have a first label of rank <= r.  `counts(w, gamma, bar)` holds those
+cumulative counts, r = 0..N.  A path (t, x) + tau lies in T(w, gamma)
+exactly when tau lies in T(x, gamma[1:]) and its first factor is +1; with
+r = rank(t), p the counts of T(x, gamma[1:]) and q those of its flip images
+(`pair_counts`), the tails kept at the edge are the index range
+[p[r], p[N]) after an A and [q[r], p[r]) after a D, and a -1 factor with
+its tail in the T-set exists exactly when q[r] > p[r].  The counts record
+these ranges, so `t_set` builds the paths of a T-set by slicing the suffix
+T-sets; only `tset`, the strong flip condition (`flip`) and the witness
+replay (`positions`) ask for paths.  A suffix is read only where some path
+with word gamma crosses the edge (`_word_span`), and the other side only
+where a D candidate exists, so the sub-problems evaluated, and any
+FlipUndefinedError raised, are those of filtering the paths with word
+gamma by suffix membership and `position_factor`.
+
+The scan reads no paths on a clean interval.  Its graded first-label sums
+come from a DP over (vertex, length): `sums(w, n)` extends every bucket of
+each upper neighbour by the letter read across the edge.  The flip
+condition and the signed contribution sum come from a boolean DP over
+(vertex, suffix word), `has_minus_one`, which reads the suffix counts.
+When no path has a factor -1 whose tail lies in its T-set, the condition
+holds and every path contributes 1 if it lies in T and 0 otherwise, so the
+sum is |T|.  Only when the DP finds a -1, or meets an undefined flip, do
+the checks walk the length-n paths, lazily and in lex order, with
+`intervals.iter_paths` over the table's rank-sorted out-edges, to name the
+witness or the undefined sum.
 
 `position_factor` is the one definition of the per-position factor
 (+1, 0 or -1): `path_contribution` (the product of the factors from right
 to left, with an early exit on zero) and the walked flip condition (no
-factor -1 where the tail lies in its suffix T-set) read it; `t_set` and
-the DPs restate its two rank comparisons on first labels.  Under the
-flip condition no -1 survives to the final product, which is what makes
-|T_M| the coefficient.
+factor -1 where the tail lies in its suffix T-set) read it; the counts
+restate its two rank comparisons on first labels.  Under the flip
+condition no -1 survives to the final product, which is what makes |T_M|
+the coefficient.
 
 The checks take the source u and read the sink v from the table: every
 path u -> v lies in the cone [e, v] it holds, so [u, v] is never built.
@@ -63,9 +63,8 @@ The cone is the down-closure of v in the process's one Bruhat graph
 
 from __future__ import annotations
 
-import weakref
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .complete import GradedSums, degree_range
@@ -73,10 +72,13 @@ from .errors import FlipUndefinedError
 from .intervals import BruhatPath, ad_word, bruhat_graph, iter_paths, label_string
 from .ncpoly import ADPolynomial, ad_form
 from .orders import ReflectionOrder
-from .perms import Perm, format_perm
+from .perms import Perm, Reflection, format_perm
+
+_BAR = str.maketrans("AD", "DA")
+
 
 class TSetTable:
-    """Memoized T-sets, positions and flips for one sink vertex and order.
+    """Memoized T-sets, counts and flips for one sink vertex and order.
 
     The table reads the lower cone {x <= v} off the group's Bruhat graph
     once, with each out-edge list sorted by rank, and hands out:
@@ -85,67 +87,47 @@ class TSetTable:
       by first-label rank; ``graded_sums(w)`` holds every degree of [w, v];
     - ``has_minus_one(w, gamma)``: the flip-condition DP;
     - ``gaps[w]``: the length gap l(v) - l(w), for every w in the cone;
-    - ``t_set(w, gamma)``: the T-set for the AD-word ``gamma``, lex-sorted,
-      built from the suffix T-sets of w's upper neighbours;
-      ``first_ranks(w, gamma)`` holds its first-label ranks, nondecreasing,
-      and ``t_bar_ranks(w, gamma)`` those of T-bar, in this table's ranks;
+    - ``counts(w, gamma, bar)``: the cumulative first-label counts of
+      T(w, gamma), or of T-bar(w, gamma) in the reversed order's ranks;
+      ``pair_counts(w, gamma)`` those of T and of its flip images, after
+      the |T| = |T-bar| check;
+    - ``t_set(w, gamma, bar)``: the T-set (or T-bar set) for the AD-word
+      ``gamma``, sorted by its side's lex order, sliced from the suffix
+      T-sets by the ranges the counts record; ``t_bar_set(w, gamma)`` is
+      the T-bar side;
     - ``flip(w, gamma)``: the pairing dict T -> T-bar, built only for
       ``tset`` and the strong flip condition;
     - ``positions(w, gamma)``: each path of the T-set mapped to its index,
       built only when the witness replay asks.
 
-    The table stores no paths beyond its T-sets: the witness replay of the
-    checks walks `iter_paths` over ``_adjacency``, lazily and in lex order.
-
-    ``reversed_table()`` returns the twin table under the reversed order;
-    T-bar sets are the twin's T-sets.  The twin holds this table's out-edge
-    lists reversed, so sorted by its own ranks, and reads the cone's gaps
-    from this table.  It holds this table through a weak reference, so the
-    pair forms no reference cycle and a dropped table is freed at once;
-    keep the primal alive while using the twin.
-    Evaluation is demand-driven recursion over strictly smaller
-    sub-problems, so preconditions on sub-interval flips hold by
-    construction.  After a call completes, all entries it touched are
-    cached; instances are cheap to share but not thread-safe while growing.
+    The witness replay of the checks walks `iter_paths` over
+    ``_adjacency``, lazily and in lex order.  Evaluation is demand-driven
+    recursion over strictly smaller sub-problems, so preconditions on
+    sub-interval flips hold by construction.  After a call completes, all
+    entries it touched are cached; instances are cheap to share but not
+    thread-safe while growing.
     """
 
-    def __init__(self, sink: Perm, order: ReflectionOrder, _primal: "TSetTable | None" = None):
+    def __init__(self, sink: Perm, order: ReflectionOrder):
         if order.n != len(sink):
             raise ValueError("order and sink vertex live in different groups")
         self.sink = sink
         self.order = order
-        self._is_primal = _primal is None
-        if _primal is None:
-            graph = bruhat_graph(len(sink))
-            cone = graph.cone(sink)
-            up = graph.sorted_adjacency(order)
-            self._adjacency = {x: tuple(ty for ty in up[x] if ty[1] in cone) for x in cone}
-            top = graph.lengths[sink]
-            self.gaps = {x: top - graph.lengths[x] for x in cone}
-            self._twin = TSetTable(sink, order.reversed(), _primal=self)
-        else:
-            self._adjacency = {x: out[::-1] for x, out in _primal._adjacency.items()}
-            self.gaps = _primal.gaps
-            self._primal = weakref.ref(_primal)
+        graph = bruhat_graph(len(sink))
+        cone = graph.cone(sink)
+        up = graph.sorted_adjacency(order)
+        self._adjacency = {x: tuple(ty for ty in up[x] if ty[1] in cone) for x in cone}
+        top = graph.lengths[sink]
+        self.gaps = {x: top - graph.lengths[x] for x in cone}
         self._sums: dict[tuple[Perm, int], dict[int, ADPolynomial]] = {}
         self._minus_one: dict[tuple[Perm, str], bool] = {}
         self._spans: dict[tuple[Perm, str], tuple[int, int]] = {}
+        self._counts: dict[tuple[Perm, str, bool], tuple[int, ...]] = {}
+        self._kept: dict[tuple[Perm, str, bool], tuple[tuple[Reflection, Perm, int, int], ...]] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
-        self._first_ranks: dict[tuple[Perm, str], tuple[int, ...]] = {}
-        self._t_bar_ranks: dict[tuple[Perm, str], tuple[int, ...]] = {}
+        self._t_bar_sets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
         self._positions: dict[tuple[Perm, str], dict[BruhatPath, int]] = {}
         self._flips: dict[tuple[Perm, str], dict[BruhatPath, BruhatPath]] = {}
-
-    def reversed_table(self) -> "TSetTable":
-        """The twin under the reversed order.  The primal holds its twin and
-        the twin holds its primal weakly, so a dropped table is freed at
-        once; a twin whose primal is gone raises ReferenceError."""
-        if self._is_primal:
-            return self._twin
-        primal = self._primal()
-        if primal is None:
-            raise ReferenceError("the primal table of this reverse-order twin was freed")
-        return primal
 
     def sums(self, w: Perm, n: int) -> dict[int, ADPolynomial]:
         """Word sums of the length-n paths w -> sink, keyed by ascending
@@ -193,7 +175,8 @@ class TSetTable:
         the tail, or at the first position when gamma starts with D and
         the tail tau lies in T(x, gamma[1:]).  There the factor is -1 when
         b <= rank(t) < a, for the first-label ranks a of tau and b of
-        flip(tau), so for some tau exactly when more b than a are <= rank(t).
+        flip(tau), so for some tau exactly when more images than tails
+        start at a rank <= rank(t): q[r] > p[r] in `pair_counts`.
         Raises FlipUndefinedError when a flip it reads is undefined.
         """
         key = (w, gamma)
@@ -208,36 +191,71 @@ class TSetTable:
                         hit = True
                     elif gamma[0] == "D":
                         r = rank(t)
-                        a, b = self._pair_ranks(x, rest)
-                        hit = bisect_right(b, r) > bisect_right(a, r)
+                        p, q = self.pair_counts(x, rest)
+                        hit = q[r] > p[r]
                     if hit:
                         break
             self._minus_one[key] = hit
         return hit
 
-    def t_bar_ranks(self, w: Perm, gamma: str) -> tuple[int, ...]:
-        """The first-label ranks of T-bar(w, gamma) under this table's order,
-        with T-bar in this table's lex order: nondecreasing.  The twin lists
-        T-bar in its own lex order, the reverse, so this is its
-        `first_ranks` read backwards, each rank r mapped back to N + 1 - r."""
-        hit = self._t_bar_ranks.get((w, gamma))
+    def counts(self, w: Perm, gamma: str, bar: bool = False) -> tuple[int, ...]:
+        """Entry r, for r = 0..N, is the number of paths of T(w, gamma), or
+        of T-bar(w, gamma) with `bar`, whose first label has rank <= r in
+        that side's order: the table's, or the reversed one.
+
+        Each out-edge (t, x), in the side's rank order, leads the tails of
+        T(x, gamma[1:]) in one index range, which ``_kept`` records: with
+        r the side's rank of t and p, q the suffix's `pair_counts`, it is
+        [p[r], p[N]) after an A and [q[r], p[r]) after a D, and the other
+        side is read only where p[r] > 0.  An edge is read only where some
+        path with word gamma crosses it; under the reversed order that is
+        the barred word in this table's ranks.
+        """
+        key = (w, gamma, bar)
+        hit = self._counts.get(key)
         if hit is None:
-            top = len(self.order.sequence) + 1
-            ranks = self.reversed_table().first_ranks(w, gamma)
-            hit = self._t_bar_ranks[(w, gamma)] = tuple(top - r for r in reversed(ranks))
+            top = len(self.order.sequence)
+            buckets = [0] * (top + 1)
+            kept = []
+            if self._reaches(w, len(gamma) + 1):
+                rank = self.order.rank
+                rest = gamma[1:]
+                word = gamma.translate(_BAR) if bar else gamma
+                edges = self._adjacency[w]
+                for t, x in reversed(edges) if bar else edges:
+                    r = rank(t)
+                    if not self._crosses(r, x, word):
+                        continue
+                    if bar:
+                        r = top + 1 - r
+                    if not gamma:
+                        lo, hi = 0, 1
+                    else:
+                        p = self.counts(x, rest, bar)
+                        if gamma[0] == "A":
+                            lo, hi = p[r], p[top]
+                        elif p[r]:
+                            lo, hi = self.pair_counts(x, rest, bar)[1][r], p[r]
+                        else:
+                            continue
+                    if lo < hi:
+                        buckets[r] += hi - lo
+                        kept.append((t, x, lo, hi))
+            hit = self._counts[key] = tuple(accumulate(buckets))
+            self._kept[key] = tuple(kept)
         return hit
 
-    def _pair_ranks(self, w: Perm, gamma: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(a, b): the first-label ranks of T(w, gamma) and of the flip
-        images, both nondecreasing.  The flip pairs T with T-bar by position
-        in this table's lex order, so the i-th path of T flips to a path of
-        first-label rank b[i]: a is `first_ranks` and b is `t_bar_ranks`.
-        Raises FlipUndefinedError, as `flip` does, when |T| != |T-bar|."""
-        a = self.first_ranks(w, gamma)
-        b = self.t_bar_ranks(w, gamma)
-        if len(a) != len(b):
-            raise FlipUndefinedError(w, gamma, self.sink, len(a), len(b))
-        return a, b
+    def pair_counts(self, w: Perm, gamma: str, bar: bool = False) -> tuple[tuple[int, ...], ...]:
+        """(p, q): the counts of this side's T-set and of its flip images,
+        both in this side's ranks.  The images are the other side's set, and
+        a rank r of one side is N + 1 - r of the other, so q[r] counts the
+        other side's paths of its rank >= N + 1 - r.  Raises
+        FlipUndefinedError, as `flip` does, when |T| != |T-bar|."""
+        p = self.counts(w, gamma, bar)
+        other = self.counts(w, gamma, not bar)
+        if p[-1] != other[-1]:
+            raise FlipUndefinedError(w, gamma, self.sink, p[-1], other[-1])
+        return p, tuple([p[-1] - c for c in reversed(other)])
 
     def _reaches(self, w: Perm, edges: int) -> bool:
         """The dead-end test of `iter_paths`: `edges` edges from w, each
@@ -249,61 +267,36 @@ class TSetTable:
         """Ascent-descent word of a path under this table's order."""
         return ad_word(path, self.order)
 
-    def t_set(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
-        """T-set of the AD-word gamma on [w, sink], lex-sorted by label ranks.
+    def t_set(self, w: Perm, gamma: str, bar: bool = False) -> tuple[BruhatPath, ...]:
+        """T-set of the AD-word gamma on [w, sink], or with `bar` the T-bar
+        set, lex-sorted by label ranks in its side's order.
 
-        A path (t, x) + tau lies in T(w, gamma) exactly when tau lies in
-        T(x, gamma[1:]) and the first factor is +1: with r = rank(t) and a
-        and b the first-label ranks of tau and flip(tau), r < a where gamma
-        starts with A, and a <= r < b where it starts with D.  Both rank
-        tuples are nondecreasing, so bisection finds the A tails [#{a <= r},
-        |T|) and the D tails [#{b <= r}, #{a <= r}).  Out-edges are walked
-        in rank order, so the result needs no sort.  A suffix T-set is read
-        only where some path with word gamma crosses the edge (`_word_span`),
-        and the flip pairs (`_pair_ranks`) only where a D candidate exists,
-        so the sub-problems evaluated, and any FlipUndefinedError raised, are
-        those of filtering the paths with word gamma by suffix membership and
-        `position_factor`.
+        Each out-edge the counts keep, in rank order, carries the index
+        range of the suffix T-set whose tails it leads, so the result is
+        their concatenation and needs no sort or filter.
         """
-        key = (w, gamma)
-        hit = self._tsets.get(key)
-        if hit is not None:
-            return hit
-        rank = self.order.rank
-        out: list[BruhatPath] = []
-        ranks: list[int] = []
-        if self._reaches(w, len(gamma) + 1):
-            rest = gamma[1:]
-            ascent = gamma[:1] == "A"
-            for t, x in self._adjacency[w]:
-                r = rank(t)
-                if not gamma:
-                    kept = [BruhatPath((w, x), (t,))] if x == self.sink else []
-                else:
-                    lo, hi = self._word_span(x, rest)
-                    if (hi <= r) if ascent else (lo > r):
-                        continue
-                    tails = self.t_set(x, rest)
-                    k = bisect_right(self.first_ranks(x, rest), r)
-                    if ascent:
-                        kept = tails[k:]
-                    else:
-                        kept = tails[bisect_right(self._pair_ranks(x, rest)[1], r):k] if k else ()
-                    kept = [BruhatPath((w,) + tau.vertices, (t,) + tau.labels) for tau in kept]
-                out += kept
-                ranks += [r] * len(kept)
-        result = tuple(out)
-        self._tsets[key] = result
-        self._first_ranks[key] = tuple(ranks)
-        return result
-
-    def first_ranks(self, w: Perm, gamma: str) -> tuple[int, ...]:
-        """The first-label ranks of T(w, gamma), in its order: nondecreasing."""
-        hit = self._first_ranks.get((w, gamma))
+        memo = self._t_bar_sets if bar else self._tsets
+        hit = memo.get((w, gamma))
         if hit is None:
-            self.t_set(w, gamma)
-            hit = self._first_ranks[(w, gamma)]
+            self.counts(w, gamma, bar)
+            rest = gamma[1:]
+            out: list[BruhatPath] = []
+            for t, x, lo, hi in self._kept[(w, gamma, bar)]:
+                if not gamma:
+                    out.append(BruhatPath((w, x), (t,)))
+                else:
+                    tails = self.t_set(x, rest, bar)[lo:hi]
+                    out += [BruhatPath((w,) + tau.vertices, (t,) + tau.labels) for tau in tails]
+            hit = memo[(w, gamma)] = tuple(out)
         return hit
+
+    def _crosses(self, r: int, x: Perm, word: str) -> bool:
+        """Whether some path with AD-word `word` starts with an edge of rank
+        r into x."""
+        if not word:
+            return x == self.sink
+        lo, hi = self._word_span(x, word[1:])
+        return r < hi if word[0] == "A" else lo <= r
 
     def _word_span(self, w: Perm, gamma: str) -> tuple[int, int]:
         """(lowest, highest) first-label rank of the paths w -> sink whose
@@ -316,13 +309,8 @@ class TSetTable:
                 rank = self.order.rank
                 for t, x in self._adjacency[w]:
                     r = rank(t)
-                    if gamma:
-                        x_lo, x_hi = self._word_span(x, gamma[1:])
-                        if (x_hi <= r) if gamma[0] == "A" else (x_lo > r):
-                            continue
-                    elif x != self.sink:
-                        continue
-                    lo, hi = min(lo, r), max(hi, r)
+                    if self._crosses(r, x, gamma):
+                        lo, hi = min(lo, r), max(hi, r)
             hit = self._spans[key] = (lo, hi)
         return hit
 
@@ -337,7 +325,7 @@ class TSetTable:
 
     def t_bar_set(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
         """The same construction under the reversed order, sorted by its lex."""
-        return self.reversed_table().t_set(w, gamma)
+        return self.t_set(w, gamma, bar=True)
 
     def flip(self, w: Perm, gamma: str) -> dict[BruhatPath, BruhatPath]:
         """Lex-preserving pairing T -> T-bar on [w, sink] for gamma.
@@ -351,7 +339,7 @@ class TSetTable:
         if hit is not None:
             return hit
         t = self.t_set(w, gamma)
-        tbar = self.reversed_table().t_set(w, gamma)
+        tbar = self.t_bar_set(w, gamma)
         if len(t) != len(tbar):
             raise FlipUndefinedError(w, gamma, self.sink, len(t), len(tbar))
         mapping = dict(zip(t, reversed(tbar)))
@@ -378,14 +366,16 @@ def position_factor(
     if gamma[m - 1] == "A":
         return 1 if ascent else 0
     x_m = path.vertices[m]
-    _, image_ranks = table._pair_ranks(x_m, gamma[m:])
+    _, images = table.pair_counts(x_m, gamma[m:])
     i = table.positions(x_m, gamma[m:]).get(path.tail_from(m))
     if i is None:
         raise FlipUndefinedError(
             x_m, gamma[m:], table.sink,
             reason="tail is outside the T-set the flip is defined on",
         )
-    spliced_ascent = before < image_ranks[i]
+    # the i-th tail's image starts above `before` exactly when at most i
+    # images start at a rank <= before
+    spliced_ascent = images[before] <= i
     if spliced_ascent == ascent:
         return 0
     return 1 if spliced_ascent else -1
@@ -422,7 +412,7 @@ def sum_contributions(u: Perm, monomial: str, table: TSetTable) -> int:
     """
     gamma = ad_form(monomial)
     if _no_minus_one(u, gamma, table):
-        return len(table.t_set(u, gamma))
+        return table.counts(u, gamma)[-1]
     paths = iter_paths(table._adjacency, u, table.sink, len(gamma))
     return sum(path_contribution(path, monomial, table) for path in paths)
 

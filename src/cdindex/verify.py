@@ -14,10 +14,10 @@ signed products of the paths summed.
 to paths with first reflection <= t: |T-bar_M restricted| against the
 coefficient of M in f_n, and |T_M restricted| against the coefficient in
 f_n + c*g_{n-1}, with (f_n, g_{n-1}) from the shelling decomposition, at
-every t in one call.  All three are step functions of rank(t), so one
-merged walk visits only the ranks where one of them can change: the
-degree's split steps and the first-label ranks of T_M and T-bar_M.  A
-report is built only for the first t where a count fails.
+every t in one call.  Both restricted sizes are read off the table's
+cumulative first-label counts, so one walk over the ranks r = 1..N meets
+each split step in turn.  A report is built only for the first t where a
+count fails.
 
 Every check takes the source u and reads the sink from its `TSetTable`.
 `scan_interval` bundles everything into one JSON-ready record per interval.
@@ -26,9 +26,10 @@ split, come from the sink table's sums DP and its length gaps; the
 contribution sums and flip conditions come from the table's flip DP.  A
 depth-first walk (`iter_paths` over the table's out-edges) runs only on a
 violation or an undefined flip, lazily, to name the witness.  So a scan
-builds no interval, and on clean intervals enumerates no paths and holds
-none beyond the T-sets themselves.  The restricted counts read the T-sets'
-cached first-label ranks, which come sorted.
+builds no interval, and on clean intervals enumerates no paths; |T_M|,
+|T-bar_M| and the restricted counts are read off the table's cumulative
+first-label counts, and only the strong flip condition builds the T-sets
+as paths.
 `iter_intervals` reads every pair off the down-closures in the group's one
 Bruhat graph, which the tables share.  The CLI streams the records to
 JSON-lines.
@@ -37,7 +38,6 @@ JSON-lines.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -91,8 +91,8 @@ def verify_coefficient(
     """Compare |T_M|, |T-bar_M|, the cd-index coefficient and the signed sum,
     which is |T_M| itself wherever the flip DP finds no -1 factor."""
     gamma = ad_form(monomial)
-    t_size = len(table.t_set(u, gamma))
-    tbar_size = len(table.t_bar_set(u, gamma))
+    t_size = table.counts(u, gamma)[-1]
+    tbar_size = table.counts(u, gamma, bar=True)[-1]
     try:
         contribution = sum_contributions(u, monomial, table)
         undefined = False
@@ -145,27 +145,28 @@ def check_restricted_counts(
     order for both T and T-bar, matching the single definition of the
     restricted path set.
 
-    The two counts and the split's coefficients are step functions of the
-    bound, 0 below their first step, so the walk visits only the change
-    points: the degree's populated ranks and the first-label ranks of T
-    and T-bar.  Each split is read once, at its own step.
+    At the bound r, T holds p[r] such paths, for p the table's counts of
+    T.  T-bar's counts q are in the reversed order's ranks, where the
+    bound reads N + 1 - r, so T-bar holds q[N] - q[N - r].  The split's
+    coefficients change only at its steps, each read once, in turn.
     """
     gamma = ad_form(monomial)
     order = table.order
-    t_ranks = table.first_ranks(u, gamma)
-    tbar_ranks = table.t_bar_ranks(u, gamma)
+    p = table.counts(u, gamma)
+    q = table.counts(u, gamma, bar=True)
+    top = len(p) - 1
     steps = splits.get(cd_degree(monomial), [])
     k = 0
     coeffs = (0, 0)
-    for r in sorted({r for r, _ in steps}.union(t_ranks, tbar_ranks)):
+    for r in range(1, top + 1):
         if k < len(steps) and steps[k][0] == r:
             f, g = steps[k][1]
             k += 1
             coeff_f = f.coefficient(monomial)
             coeff_cg = g.coefficient(monomial[1:]) if monomial.startswith("c") else 0
             coeffs = (coeff_f, coeff_f + coeff_cg)
-        t_restricted = bisect_right(t_ranks, r)
-        tbar_restricted = bisect_right(tbar_ranks, r)
+        t_restricted = p[r]
+        tbar_restricted = q[top] - q[top - r]
         if (tbar_restricted, t_restricted) != coeffs:
             t = order.sequence[r - 1]
             return RestrictedCountReport(

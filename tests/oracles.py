@@ -15,10 +15,12 @@ per reflection, each split read with `split_at`), `first_label_sums` and
 sum and the flip condition by a walk over every path),
 `word_path_t_set` (a T-set as the paths of its word filtered by suffix
 membership and `position_factor`, read from the store `word_paths`), and
-`flip_dict_pair_ranks` (the first-label ranks of the flip pairs, read off
-the flip as a dict of paths).  `table_paths` builds the paths of a T-set
-table from its out-edges, one tuple per (vertex, length) from the suffix
-tuples, independently of `iter_paths`, the walk the witness replay uses.
+`flip_dict_counts` (the cumulative first-label counts of T and of the
+flip images, read off the flip as a dict of paths).  `table_paths` builds
+the paths of a T-set table from its out-edges, one tuple per (vertex,
+length) from the suffix tuples, independently of `iter_paths`, the walk
+the witness replay uses; `table_path_words` lists the first-label rank and
+word of each of those paths the same way, one entry per path.
 """
 
 from __future__ import annotations
@@ -349,13 +351,45 @@ def first_inconsistent(reports):
 def first_label_sums(paths, order):
     """Word sums of same-length paths, keyed by ascending first-label rank."""
     rank = {t: order.rank(t) for t in order.sequence}
+    return word_buckets(
+        (rank[path.labels[0]], rank_word([rank[t] for t in path.labels])) for path in paths
+    )
+
+
+def word_buckets(ranked_words):
+    """Word sums keyed by ascending first-label rank, one (rank, word) pair
+    per path, each counted once."""
     buckets = {}
-    for path in paths:
-        ranks = [rank[t] for t in path.labels]
-        acc = buckets.setdefault(ranks[0], {})
-        w = rank_word(ranks)
+    for r, w in ranked_words:
+        acc = buckets.setdefault(r, {})
         acc[w] = acc.get(w, 0) + 1
     return {r: ADPolynomial(buckets[r]) for r in sorted(buckets)}
+
+
+_TABLE_WORDS = weakref.WeakKeyDictionary()
+
+
+def table_path_words(table, w, n):
+    """(first-label rank, AD-word) of each path of `table_paths(table, w,
+    n)`, in its order, stored per table: a path is an out-edge (t, y) of w
+    followed by a path from y, so its word is the letter read across the
+    splice in front of that path's word."""
+    store = _TABLE_WORDS.setdefault(table, {})
+    hit = store.get((w, n))
+    if hit is None:
+        rank = table.order.rank
+        if n <= 0:
+            hit = tuple(
+                (rank(t), "") for t, y in table._adjacency[w] if n == 0 and y == table.sink
+            )
+        else:
+            hit = tuple(
+                (r, ("A" if r < r_tail else "D") + word)
+                for r, y in ((rank(t), y) for t, y in table._adjacency[w])
+                for r_tail, word in table_path_words(table, y, n - 1)
+            )
+        store[(w, n)] = hit
+    return hit
 
 
 def path_sums(iv, order):
@@ -399,12 +433,13 @@ _BAR = str.maketrans("AD", "DA")
 _WORD_PATHS = weakref.WeakKeyDictionary()
 
 
-def word_paths(table, w, gamma):
+def word_paths(table, w, gamma, bar=False):
     """The paths w -> table.sink whose AD-word is gamma, lex-sorted by label
-    ranks, stored per primal table.  The twin reads its primal's tuple for
-    the barred word, reversed: the same path objects."""
-    if not table._is_primal:
-        return word_paths(table.reversed_table(), w, gamma.translate(_BAR))[::-1]
+    ranks, stored per table; with `bar`, the same under the reversed order,
+    read off the table's tuple for the barred word, reversed: the same path
+    objects."""
+    if bar:
+        return word_paths(table, w, gamma.translate(_BAR))[::-1]
     store = _WORD_PATHS.setdefault(table, {})
     hit = store.get((w, gamma))
     if hit is None:
@@ -442,10 +477,14 @@ def word_path_t_set(table, w, gamma):
     )
 
 
-def flip_dict_pair_ranks(table, w, gamma):
-    """(first-label rank of tau, first-label rank of flip(tau)) for every
-    tau in T(w, gamma), in T's order, read off the path flip dict."""
+def flip_dict_counts(table, w, gamma):
+    """(p, q): for r = 0..N, p[r] counts the paths tau of T(w, gamma) and
+    q[r] the images flip(tau) whose first label has rank <= r, read off
+    the path flip dict."""
     rank = table.order.rank
-    return tuple(
-        (rank(x.labels[0]), rank(y.labels[0])) for x, y in table.flip(w, gamma).items()
-    )
+    n = len(table.order.sequence)
+    p, q = [0] * (n + 1), [0] * (n + 1)
+    for x, y in table.flip(w, gamma).items():
+        p[rank(x.labels[0])] += 1
+        q[rank(y.labels[0])] += 1
+    return tuple(itertools.accumulate(p)), tuple(itertools.accumulate(q))

@@ -61,9 +61,9 @@ def test_order_flag_variants(capsys):
         assert json.loads(out)["cd_index"]["2"] == {"cc": 2, "d": 1}
     code, _, err = run(capsys, "compute", "2134", "4321", "--order", "bogus")
     assert code == cli.EXIT_USER
-    # scan resolves the order before its sweep, even an empty one
-    code, out, _ = run(capsys, "scan", "--n", "4", "--max-length", "0", "--order", "bogus")
-    assert code == cli.EXIT_USER and out == ""
+    # scan resolves the order before its sweep
+    code, out, err = run(capsys, "scan", "--n", "4", "--max-length", "1", "--order", "bogus")
+    assert code == cli.EXIT_USER and out == "" and "unknown order spec" in err
 
 
 def test_tset_outputs_paper_sets(capsys):
@@ -322,6 +322,20 @@ def test_scan_rejects_large_n(capsys):
     assert code == cli.EXIT_USER
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_scan_rejects_fewer_than_one_worker(capsys, workers):
+    code, out, err = run(capsys, "scan", "--n", "3", "--workers", workers)
+    assert code == cli.EXIT_USER and out == ""
+    assert "--workers" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_scan_rejects_a_length_cap_below_one(capsys, cap):
+    code, out, err = run(capsys, "scan", "--n", "3", "--max-length", cap)
+    assert code == cli.EXIT_USER and out == ""
+    assert "--max-length" in err
+
+
 def test_scan_unwritable_output_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "scan", "--n", "2", "--out", str(tmp_path))
     assert code == cli.EXIT_IO
@@ -347,22 +361,22 @@ def test_scan_reports_violations_with_exit_1(capsys, monkeypatch):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_scan_builds_each_sink_table_once(capsys, monkeypatch, tmp_path, workers):
     """A scan runs one job per sink, so each sink's table is built once,
-    in whichever process runs its job.  Worker processes fork from this
-    one and inherit the patch; every build appends its sink to one file."""
+    in whichever process runs its job, and one table holds both T and
+    T-bar.  Worker processes fork from this one and inherit the patch;
+    every build appends its sink to one file."""
     log = tmp_path / "builds.txt"
     real = TSetTable.__init__
 
-    def logged(self, sink, order, _primal=None):
-        if _primal is None:
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(format_perm(sink) + "\n")
-        real(self, sink, order, _primal)
+    def logged(self, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(format_perm(args[0]) + "\n")
+        real(self, *args, **kwargs)
 
     monkeypatch.setattr(TSetTable, "__init__", logged)
-    code, out, _ = run(capsys, "scan", "--n", "4", "--workers", workers)
+    code, out, _ = run(capsys, "scan", "--n", "5", "--max-length", "3", "--workers", workers)
     assert code == 0
     sinks = {json.loads(line)["v"] for line in out.splitlines()}
-    assert len(sinks) == 23
+    assert len(sinks) == 119
     assert sorted(log.read_text().split()) == sorted(sinks)
 
 

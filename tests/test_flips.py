@@ -31,11 +31,12 @@ from cdindex.verify import iter_intervals, scan_interval
 
 from . import oracles
 from .oracles import (
-    first_label_sums,
-    flip_dict_pair_ranks,
+    flip_dict_counts,
+    table_path_words,
     table_paths,
     walked_contribution_sum,
     walked_flip_condition,
+    word_buckets,
     word_path_t_set,
     word_paths,
 )
@@ -149,9 +150,9 @@ def test_flip_pairing_is_lex_monotone(example_table, s4_lex):
     assert named == {"235": "521", "346": "652"}
 
 
-def test_t_bar_equals_t_under_reversed_order(example_table):
+def test_t_bar_equals_t_under_reversed_order(example_table, s4_lex):
     u = parse_perm("2134")
-    rev_table = example_table.reversed_table()
+    rev_table = TSetTable(parse_perm("4321"), s4_lex.reversed())
     for monomial in ("cc", "d", "dd", "cccc", "cdc"):
         gamma = ad_form(monomial)
         assert example_table.t_bar_set(u, gamma) == rev_table.t_set(u, gamma)
@@ -168,19 +169,19 @@ def test_t_bar_matches_a_freshly_built_reverse_table(example_table, s4_lex):
 
 @pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
 def test_twin_paths_match_a_fresh_reverse_order_enumeration(order):
-    """The twin's reversed out-edges are a fresh reverse-order table's, so
-    the paths a replay walks in the twin come in its own lex order: the
-    primal's, reversed."""
+    """The T-bar side walks each out-edge list backwards, which is a fresh
+    reverse-order table's rank-sorted list, so the paths a replay walks in
+    that table come in its own lex order: this table's, reversed."""
     rev = order.reversed()
     for sink in s4_sinks():
         table = TSetTable(sink, order)
-        twin = table.reversed_table()
-        assert twin._adjacency == TSetTable(sink, rev)._adjacency, sink
-        assert twin.gaps is table.gaps
+        fresh = TSetTable(sink, rev)
+        assert fresh._adjacency == {x: out[::-1] for x, out in table._adjacency.items()}, sink
+        assert fresh.gaps == table.gaps
         for w, n in cone_problems(sink):
-            walked = tuple(iter_paths(twin._adjacency, w, sink, n))
+            walked = tuple(iter_paths(fresh._adjacency, w, sink, n))
             assert walked == table_paths(table, w, n)[::-1], (sink, w, n)
-            assert table_paths(twin, w, n) == walked, (sink, w, n)
+            assert table_paths(fresh, w, n) == walked, (sink, w, n)
 
 
 def count_calls(monkeypatch, original):
@@ -215,7 +216,7 @@ def test_word_paths_are_the_paths_filtered_by_word_on_s4(order):
     all length-n paths, in rank-lex order, filtered by their recomputed word."""
     for sink in s4_sinks():
         primal = TSetTable(sink, order)
-        for table in (primal, primal.reversed_table()):
+        for table in (primal, TSetTable(sink, order.reversed())):
             for w, gamma in word_problems(sink):
                 expected = tuple(
                     p for p in table_paths(table, w, len(gamma))
@@ -226,6 +227,9 @@ def test_word_paths_are_the_paths_filtered_by_word_on_s4(order):
 
 @pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
 def test_twin_word_paths_are_the_primal_barred_tuples_reversed(order, monkeypatch):
+    """The oracle's reverse-order word paths share the table's tuples for
+    the barred words, reversed, extending nothing of their own, and equal
+    the word paths of a fresh reverse-order table."""
     extended, extensions = [], 0
     real = oracles._extend
     monkeypatch.setattr(
@@ -233,21 +237,22 @@ def test_twin_word_paths_are_the_primal_barred_tuples_reversed(order, monkeypatc
     )
     for sink in s4_sinks():
         table = TSetTable(sink, order)
-        twin = table.reversed_table()
-        for w, gamma in word_problems(sink):
-            shared = word_paths(twin, w, gamma)
-            primal = word_paths(table, w, bar(gamma))
-            assert len(shared) == len(primal)
-            assert all(a is b for a, b in zip(shared, reversed(primal))), (sink, w, gamma)
+        shared = {(w, g): word_paths(table, w, g, bar=True) for w, g in word_problems(sink)}
         assert all(t is table for t in extended), sink
         extensions += len(extended)
+        fresh = TSetTable(sink, order.reversed())
+        for (w, gamma), paths in shared.items():
+            primal = word_paths(table, w, bar(gamma))
+            assert len(paths) == len(primal)
+            assert all(a is b for a, b in zip(paths, reversed(primal))), (sink, w, gamma)
+            assert paths == word_paths(fresh, w, gamma), (sink, w, gamma)
         extended.clear()
     assert extensions > 100
 
 
 def test_t_sets_build_each_path_once_from_the_suffix_t_sets(monkeypatch, s4_lex):
-    """Over every (w, gamma) of the S_4 w0 table and its twin, T-sets and
-    flips construct one BruhatPath per T-set path, and call neither
+    """Over every (w, gamma) of the S_4 w0 table, on both sides, T-sets
+    and flips construct one BruhatPath per T-set path, and call neither
     `iter_paths` nor `position_factor`."""
     built = []
     monkeypatch.setattr(
@@ -267,24 +272,22 @@ def test_t_sets_build_each_path_once_from_the_suffix_t_sets(monkeypatch, s4_lex)
 
 
 def test_a_dropped_table_is_freed_without_the_collector(s4_lex):
-    """The twin holds its primal weakly, so dropping the last reference to
-    a table frees it and its twin at once, with the collector off."""
+    """A table holds both sides itself and no reference to itself, so
+    dropping its last reference frees it at once, with the collector off,
+    after the checks have filled the memos of both sides."""
     sink, u = parse_perm("4321"), parse_perm("2134")
     enabled = gc.isenabled()
     gc.disable()
     try:
         table = TSetTable(sink, s4_lex)
-        twin = table.reversed_table()
-        assert twin.reversed_table() is table
         for monomial in cd_monomials(4):
-            check_flip_condition(u, monomial, twin)
-            sum_contributions(u, monomial, twin)
-        refs = [weakref.ref(table), weakref.ref(twin)]
-        del table, twin
-        assert [ref() for ref in refs] == [None, None]
-        orphan = TSetTable(sink, s4_lex).reversed_table()
-        with pytest.raises(ReferenceError):
-            orphan.flip(u, "AA")
+            check_flip_condition(u, monomial, table)
+            sum_contributions(u, monomial, table)
+            table.flip(u, ad_form(monomial))
+        assert table._t_bar_sets and table._counts
+        ref = weakref.ref(table)
+        del table
+        assert ref() is None
     finally:
         if enabled:
             gc.enable()
@@ -405,15 +408,21 @@ def test_flip_undefined_is_raised_on_size_mismatch(example_table, monkeypatch):
     u = parse_perm("2134")
     gamma = "AA"
     t = example_table.t_set(u, gamma)
-    # doctor the twin's memo to drop one element, then ask for the pairing
-    twin = example_table.reversed_table()
-    shrunk = twin.t_set(u, gamma)[1:]
-    monkeypatch.setitem(twin._tsets, (u, gamma), shrunk)
+    # doctor the T-bar memos to drop one element, then ask for the pairing
+    shrunk = example_table.t_bar_set(u, gamma)[1:]
+    monkeypatch.setitem(example_table._t_bar_sets, (u, gamma), shrunk)
     monkeypatch.delitem(example_table._flips, (u, gamma), raising=False)
     with pytest.raises(FlipUndefinedError) as info:
         example_table.flip(u, gamma)
-    assert info.value.t_size == len(t)
-    assert info.value.tbar_size == len(t) - 1
+    assert (info.value.t_size, info.value.tbar_size) == (len(t), len(t) - 1)
+    fewer = tuple(max(0, c - 1) for c in example_table.counts(u, gamma, bar=True))
+    monkeypatch.setitem(example_table._counts, (u, gamma, True), fewer)
+    with pytest.raises(FlipUndefinedError) as info:
+        example_table.pair_counts(u, gamma)
+    assert (info.value.t_size, info.value.tbar_size) == (len(t), len(t) - 1)
+    with pytest.raises(FlipUndefinedError) as info:
+        example_table.pair_counts(u, gamma, bar=True)
+    assert (info.value.t_size, info.value.tbar_size) == (len(t) - 1, len(t))
 
 
 def test_empty_word_t_set_is_the_single_edge_path(example_table):
@@ -444,13 +453,22 @@ def order_of(n, spec):
 def test_sums_dp_equals_the_sums_of_the_table_paths(n, spec):
     """For every sink, cone vertex and path length: the sums DP holds the
     first-label sums of the table's paths, bucket for bucket and in the
-    same rank order, and `graded_sums` collects the degrees of [w, sink]."""
+    same rank order, and `graded_sums` collects the degrees of [w, sink].
+    The paths are counted one by one, each by its first-label rank and
+    word (`table_path_words`); on S_4 those are checked against the paths
+    themselves."""
     order = order_of(n, spec)
     for sink in itertools.permutations(range(1, n + 1)):
         table = TSetTable(sink, order)
         for w, gap in table.gaps.items():
             for k in range(-1, gap + 1):
-                expected = first_label_sums(table_paths(table, w, k), order)
+                words = table_path_words(table, w, k)
+                if n == 4:
+                    assert words == tuple(
+                        (order.rank(p.labels[0]), ad_word(p, order))
+                        for p in table_paths(table, w, k)
+                    )
+                expected = word_buckets(words)
                 assert list(table.sums(w, k).items()) == list(expected.items()), (sink, w, k)
             assert table.graded_sums(w) == {k: table.sums(w, k) for k in degree_range(gap)}
 
@@ -474,17 +492,17 @@ def assert_checks_match_the_walks(u, monomial, table):
 @pytest.mark.parametrize("n, spec", DP_ORDERS)
 def test_dp_checks_equal_the_path_walks(n, spec):
     """`sum_contributions` and `check_flip_condition`, read off the flip DP,
-    against the walks over every path: on every interval of S_4 (also on
-    the reverse-order twin, which holds the primal's out-edges reversed), and on
-    the S_5 intervals of gap <= 5.  These orders have no violation, so the
-    DP finds no -1 anywhere and answers every check without a walk."""
+    against the walks over every path: on every interval of S_4 (also on a
+    table under the reversed order), and on the S_5 intervals of gap <= 5.
+    These orders have no violation, so the DP finds no -1 anywhere and
+    answers every check without a walk."""
     order = order_of(n, spec)
     sinks = {}
     for u, v in iter_intervals(n, 5 if n == 5 else None):
         sinks.setdefault(v, []).append(u)
     for v, sources in sinks.items():
         table = TSetTable(v, order)
-        checked = [table] if n == 5 else [table, table.reversed_table()]
+        checked = [table] if n == 5 else [table, TSetTable(v, order.reversed())]
         for u in sources:
             for each in checked:
                 for k in degree_range(each.gaps[u]):
@@ -495,23 +513,25 @@ def test_dp_checks_equal_the_path_walks(n, spec):
 
 def collapse_flips(monkeypatch):
     """Mutate every flip to send each T path to the first T-bar path in
-    primal lex order, both the path dict and its first-label ranks, after
-    the real size check; T-sets then change too, because they read the
-    ranks of the flip pairs."""
+    primal lex order, both the path dict and the counts of its images,
+    after the real size check: the image counts become a step of height |T|
+    at the first image's rank, on both sides.  T-sets then change too,
+    because they read those counts."""
     real = TSetTable.flip
-    real_ranks = TSetTable._pair_ranks
+    real_counts = TSetTable.pair_counts
 
     def collapsed(self, w, gamma):
         mapping = real(self, w, gamma)
         first = next(iter(mapping.values()), None)
         return {x: first for x in mapping}
 
-    def collapsed_ranks(self, w, gamma):
-        a, b = real_ranks(self, w, gamma)
-        return a, b[:1] * len(b)
+    def collapsed_counts(self, w, gamma, bar=False):
+        p, q = real_counts(self, w, gamma, bar)
+        first = next((r for r, c in enumerate(q) if c), len(q))
+        return p, tuple(q[-1] if r >= first else 0 for r in range(len(q)))
 
     monkeypatch.setattr(TSetTable, "flip", collapsed)
-    monkeypatch.setattr(TSetTable, "_pair_ranks", collapsed_ranks)
+    monkeypatch.setattr(TSetTable, "pair_counts", collapsed_counts)
 
 
 # Intervals of S_5 on which the collapsed flip breaks the flip condition
@@ -553,9 +573,9 @@ def test_collapsed_flip_checks_equal_the_path_walks(monkeypatch):
 
 def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
     """The witness replay reads each flip image's first-label rank off the
-    rank tuples by the tail's position in T, so replaying every check of
+    image counts by the tail's position in T, so replaying every check of
     the collapsed cases, violations and undefined flips included, builds
-    no path flip dict in the table or in its twin."""
+    no path flip dict."""
     collapse_flips(monkeypatch)
     order = lex_order(5)
     kinds = set()
@@ -567,7 +587,7 @@ def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
                 kinds.add(outcome(sum_contributions, u, monomial, table)[0])
                 witness = check_flip_condition(u, monomial, table)
                 kinds.add(witness and witness.kind)
-        assert table._flips == {} and table.reversed_table()._flips == {}, (u, v)
+        assert table._flips == {}, (u, v)
     assert {"raise", "minus-one-at-m", "size-mismatch"} <= kinds
 
 
@@ -595,15 +615,18 @@ def test_a_violating_replay_walks_the_paths_lazily_up_to_its_witness(monkeypatch
 
 def assert_t_sets_equal_the_word_path_route(sink, order):
     """`t_set` against `word_path_t_set` on every (w, gamma) of the sink's
-    table and of its twin, in value or in the FlipUndefinedError message;
-    returns the outcome kinds, one per case."""
+    table and of a fresh table under the reversed order, in value or in the
+    FlipUndefinedError message, and the fresh table's T-sets against the
+    T-bar sets of the first; returns the outcome kinds, one per case."""
     table = TSetTable(sink, order)
+    fresh = TSetTable(sink, order.reversed())
     kinds = []
-    for each in (table, table.reversed_table()):
-        for w, gamma in word_problems(sink):
+    for w, gamma in word_problems(sink):
+        for each in (table, fresh):
             expected = outcome(word_path_t_set, each, w, gamma)
             assert outcome(each.t_set, w, gamma) == expected, (sink, w, gamma)
             kinds.append(expected[0])
+        assert outcome(table.t_bar_set, w, gamma) == outcome(fresh.t_set, w, gamma)
     return kinds
 
 
@@ -631,23 +654,42 @@ def test_t_sets_equal_the_word_path_route(n, spec):
 
 @pytest.mark.parametrize("n, spec", SINK_CASES)
 def test_pair_ranks_equal_the_flip_dict_ranks(n, spec):
-    """Every S_4 sink, or the S_5 sink w0, on the table and on its twin: the
-    rank pairs that T-sets and the flip DP read, `first_ranks` beside
-    `t_bar_ranks`, are the first-label ranks of each T path and its image
-    in the path flip dict, in value or in the FlipUndefinedError message."""
+    """Every S_4 sink, or the S_5 sink w0, on the table and on a table
+    under the reversed order: the counts that T-sets and the flip DP read,
+    `pair_counts`, are the cumulative first-label counts of T and of the
+    images in the path flip dict, in value or in the FlipUndefinedError
+    message."""
+    order = order_of(n, spec)
+    for v in case_sinks(n):
+        for each in (TSetTable(v, order), TSetTable(v, order.reversed())):
+            for w, gamma in word_problems(v):
+                got = outcome(each.pair_counts, w, gamma)
+                assert got == outcome(flip_dict_counts, each, w, gamma), (v, w, gamma)
+
+
+@pytest.mark.parametrize("n, spec", SINK_CASES)
+def test_a_reverse_order_table_is_the_t_bar_side(n, spec):
+    """Every S_4 sink, or the S_5 sink w0: a fresh table under the reversed
+    order has, on each side, the counts, pair counts and T-sets of this
+    table's other side, in value or in the FlipUndefinedError message."""
     order = order_of(n, spec)
     for v in case_sinks(n):
         table = TSetTable(v, order)
-        for each in (table, table.reversed_table()):
-            for w, gamma in word_problems(v):
-                got = outcome(lambda *a: tuple(zip(*each._pair_ranks(*a))), w, gamma)
-                assert got == outcome(flip_dict_pair_ranks, each, w, gamma), (v, w, gamma)
+        fresh = TSetTable(v, order.reversed())
+        for w, gamma in word_problems(v):
+            for bar in (False, True):
+                for name in ("counts", "pair_counts", "t_set"):
+                    got = outcome(getattr(table, name), w, gamma, bar)
+                    assert got == outcome(getattr(fresh, name), w, gamma, not bar), (
+                        v, w, gamma, bar, name
+                    )
+            assert table.t_bar_set(w, gamma) == fresh.t_set(w, gamma)
 
 
 def test_a_clean_scan_builds_flip_dicts_only_for_the_strong_check(s4_lex):
-    """T-sets and the flip DP read rank pairs, so a clean scan of every
+    """T-sets and the flip DP read counts, so a clean scan of every
     interval under the S_4 sink w0 builds only the strong flip condition's
-    flip dicts: one per (u, M) with M starting with c, none in the twin."""
+    flip dicts: one per (u, M) with M starting with c."""
     v = parse_perm("4321")
     table = TSetTable(v, s4_lex)
     strong = set()
@@ -658,7 +700,19 @@ def test_a_clean_scan_builds_flip_dicts_only_for_the_strong_check(s4_lex):
         assert record["clean"], u
         strong |= {(u, ad_form(m)) for m in record["monomials"] if m.startswith("c")}
     assert strong and set(table._flips) == strong
-    assert table.reversed_table()._flips == {}
+
+
+def test_a_clean_scan_builds_t_sets_only_for_the_strong_check(s4_lex):
+    """|T|, |T-bar|, the flip DP and the restricted counts read counts, so
+    scanning [2134, 4321] builds the T-set and T-bar set at its source only
+    for the strong flip condition: for each M starting with c."""
+    u, v = parse_perm("2134"), parse_perm("4321")
+    table = TSetTable(v, s4_lex)
+    record = scan_interval(u, v, s4_lex, "lex", table)
+    assert record["clean"]
+    strong = {ad_form(m) for m in record["monomials"] if m.startswith("c")}
+    assert strong and {gamma for w, gamma in table._tsets if w == u} == strong
+    assert {gamma for w, gamma in table._t_bar_sets if w == u} == strong
 
 
 def test_collapsed_t_sets_equal_the_word_path_route(monkeypatch):
