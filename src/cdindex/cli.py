@@ -4,14 +4,27 @@ Exit codes: 0 success, 1 mathematical violation found by a scan, 2 user
 error or a request that ran out of memory, 3 internal inconsistency, 4 flip
 undefined, 5 I/O error.  All output except `dot` is JSON; scan writes
 JSON-lines, one record per interval.
+
+scan holds no record in memory.  Each sink job's lines go to a spool file
+as the job ends, one flush per job, and the scan keeps only where each
+record lies: a byte offset, a size and its clean flag, by position in
+`iter_intervals` order.  At the end the records are copied out of the
+spool in that order.  With `--out` the spool is `<out>.spool`: truncated
+when the sweep starts, left in place by a kill or a failed sweep, and
+removed once `--out` is written.  `--resume` indexes the lines of `--out`
+and the complete lines of `<out>.spool` the same way, as byte ranges, so
+resuming reads no old record back into memory.  On stdout the spool is an
+anonymous temporary file.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from contextlib import ExitStack
 
 from .complete import complete_cd_index
 from .errors import CdIndexError, FlipUndefinedError, NotInSubringError
@@ -175,6 +188,35 @@ def _scan_sink(job) -> list[tuple[str, bool]]:
     return lines
 
 
+def _index_resumed(fh, src: int, old: dict, complete_only: bool) -> int:
+    """Index the record lines of a resume file into `old`: (u, v, order)
+    -> (src, offset, size, clean), the byte range of the line with its
+    whitespace stripped, the first occurrence of a key winning.  Only the
+    last line may be unparsable, as a kill leaves it, and it is dropped;
+    with `complete_only` a last line with no newline is dropped unread.
+    Returns the offset just past the last line indexed."""
+    end = kept = 0
+    bad = None
+    for raw in fh:
+        end += len(raw)
+        if complete_only and not raw.endswith(b"\n"):
+            break
+        line = raw.strip()
+        if not line:
+            continue
+        if bad is not None:
+            raise bad  # an unparsable line before the last
+        try:
+            rec = json.loads(line)
+            key = (rec["u"], rec["v"], rec["order"])
+            old.setdefault(key, (src, end - len(raw.lstrip()), len(line), bool(rec["clean"])))
+        except (ValueError, KeyError, TypeError) as exc:
+            bad = exc
+        else:
+            kept = end
+    return kept
+
+
 def cmd_scan(args) -> int:
     if not 2 <= args.n <= 6:
         raise UserError("scan supports 2 <= n <= 6")
@@ -182,57 +224,95 @@ def cmd_scan(args) -> int:
         raise UserError("--workers must be at least 1")
     if args.max_length is not None and args.max_length < 1:
         raise UserError("--max-length must be at least 1")
+    if args.resume and not args.out:
+        raise UserError("--resume needs --out")
     order = resolve_order(args.order, args.n)
-    old: dict = {}  # (u, v, order) -> (its first line in --out, verbatim; clean)
-    if args.resume and args.out and os.path.exists(args.out):
+    import tempfile
+    from array import array
+
+    with ExitStack() as stack:
+        # the spool takes each sink job's lines as the job ends; `files`
+        # are what the byte ranges of the index point into
+        spool_path = args.out + ".spool" if args.out else None
         try:
-            with open(args.out, "r", encoding="utf-8") as fh:
-                lines = [line.strip() for line in fh if line.strip()]
-            for i, line in enumerate(lines):
-                try:
-                    rec = json.loads(line)
-                    old.setdefault((rec["u"], rec["v"], rec["order"]), (line, rec["clean"]))
-                except (ValueError, KeyError, TypeError):
-                    if i < len(lines) - 1:  # drop only a last line cut short by a kill
-                        raise
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error reading resume file: {exc}", file=sys.stderr)
+            if not args.out:
+                spool = stack.enter_context(tempfile.TemporaryFile())
+            else:
+                mode = "r+b" if args.resume and os.path.exists(spool_path) else "w+b"
+                spool = stack.enter_context(open(spool_path, mode))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
+        files = [spool]
+        old: dict = {}  # (u, v, order) -> (file, offset, size, clean) of a resumed line
+        if args.resume:
+            try:
+                if os.path.exists(args.out):
+                    files.append(stack.enter_context(open(args.out, "rb")))
+                    _index_resumed(files[1], 1, old, complete_only=False)
+                spool.truncate(_index_resumed(spool, 0, old, complete_only=True))
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                print(f"error reading resume file: {exc}", file=sys.stderr)
+                return EXIT_IO
 
-    # each interval with its old record, if any; `old` keeps those outside this sweep
-    pairs = [
-        (u, v, old.pop((format_perm(u), format_perm(v), args.order), None) if old else None)
-        for u, v in iter_intervals(args.n, args.max_length)
-    ]
-    # one job per sink, for table reuse; emit in the order of iter_intervals
-    sinks: dict = {}
-    for u, v, done in pairs:
-        if done is None:
-            sinks.setdefault(v, []).append(u)
-    jobs = [(v, sources, order, args.order) for v, sources in sinks.items()]
+        # the index, by position in iter_intervals order: old records fill
+        # their slots now, and each sink's sources wait for its job
+        intervals = list(iter_intervals(args.n, args.max_length))
+        where = bytearray(len(intervals))
+        offsets = array("q", [0]) * len(intervals)
+        sizes = array("q", [0]) * len(intervals)
+        clean = bytearray(len(intervals))
+        groups: dict = {}  # sink -> the positions of its sources
+        for i, (u, v) in enumerate(intervals):
+            done = old.pop((format_perm(u), format_perm(v), args.order), None) if old else None
+            if done is None:
+                groups.setdefault(v, []).append(i)
+            else:
+                where[i], offsets[i], sizes[i], clean[i] = done
+        outside = list(old.values())  # old records of other sweeps go first
+        jobs = [
+            (v, [intervals[i][0] for i in group], order, args.order)
+            for v, group in groups.items()
+        ]
 
-    try:
         if args.workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.workers) as executor:
-                results = list(executor.map(_scan_sink, jobs))
+            executor = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
+            results = executor.map(_scan_sink, jobs)
         else:
-            results = [_scan_sink(job) for job in jobs]
-        by_sink = {v: iter(lines) for v, lines in zip(sinks, results)}
-        produced = list(old.values()) + [done or next(by_sink[v]) for _, v, done in pairs]
-        violations = sum(1 for _, clean in produced if not clean)
-        if args.out:
-            tmp = args.out + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as out:
-                out.writelines(line + "\n" for line, _ in produced)
-            os.replace(tmp, args.out)
-        else:
-            for line, _ in produced:
-                print(line)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+            results = map(_scan_sink, jobs)
+        try:
+            end = spool.seek(0, os.SEEK_END)
+            for group, lines in zip(groups.values(), results):
+                chunk = []
+                for i, (line, ok) in zip(group, lines):
+                    data = line.encode()
+                    offsets[i], sizes[i], clean[i] = end, len(data), ok
+                    end += len(data) + 1
+                    chunk.append(data)
+                spool.write(b"\n".join(chunk) + b"\n")
+                spool.flush()
+
+            fds = [f.fileno() for f in files]
+            violations = sum(not ok for *_, ok in outside) + clean.count(0)
+            records = itertools.chain(
+                (os.pread(fds[src], size, offset) for src, offset, size, _ in outside),
+                (os.pread(fds[where[i]], sizes[i], offsets[i]) for i in range(len(where))),
+            )
+            if args.out:
+                tmp = args.out + ".tmp"
+                with open(tmp, "wb") as out:
+                    for data in records:
+                        out.write(data + b"\n")
+                os.replace(tmp, args.out)
+                os.remove(spool_path)
+            else:
+                for data in records:
+                    sys.stdout.write(data.decode() + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
     if violations:
         print(f"scan found {violations} inconsistent interval(s)", file=sys.stderr)
         return EXIT_VIOLATION

@@ -123,6 +123,7 @@ class TSetTable:
         self._minus_one: dict[tuple[Perm, str], bool] = {}
         self._spans: dict[tuple[Perm, str], tuple[int, int]] = {}
         self._counts: dict[tuple[Perm, str, bool], tuple[int, ...]] = {}
+        self._pairs: dict[tuple[Perm, str, bool], tuple[tuple[int, ...], ...]] = {}
         self._kept: dict[tuple[Perm, str, bool], tuple[tuple[Reflection, Perm, int, int], ...]] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
         self._t_bar_sets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
@@ -250,12 +251,17 @@ class TSetTable:
         both in this side's ranks.  The images are the other side's set, and
         a rank r of one side is N + 1 - r of the other, so q[r] counts the
         other side's paths of its rank >= N + 1 - r.  Raises
-        FlipUndefinedError, as `flip` does, when |T| != |T-bar|."""
-        p = self.counts(w, gamma, bar)
-        other = self.counts(w, gamma, not bar)
-        if p[-1] != other[-1]:
-            raise FlipUndefinedError(w, gamma, self.sink, p[-1], other[-1])
-        return p, tuple([p[-1] - c for c in reversed(other)])
+        FlipUndefinedError, as `flip` does, when |T| != |T-bar|; a pair
+        that passed is memoized."""
+        key = (w, gamma, bar)
+        hit = self._pairs.get(key)
+        if hit is None:
+            p = self.counts(w, gamma, bar)
+            other = self.counts(w, gamma, not bar)
+            if p[-1] != other[-1]:
+                raise FlipUndefinedError(w, gamma, self.sink, p[-1], other[-1])
+            hit = self._pairs[key] = p, tuple([p[-1] - c for c in reversed(other)])
+        return hit
 
     def _reaches(self, w: Perm, edges: int) -> bool:
         """The dead-end test of `iter_paths`: `edges` edges from w, each

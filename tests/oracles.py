@@ -464,10 +464,12 @@ def _extend(table, w, gamma):
     )
 
 
-def word_path_t_set(table, w, gamma):
+def word_path_t_set(table, w, gamma, members=None):
     """T(w, gamma) by the word-path route: the paths with word gamma whose
-    tail lies in the table's suffix T-set and whose first factor is +1."""
-    members = t_set_members(table)
+    tail lies in the table's suffix T-set and whose first factor is +1.
+    `members` is a `t_set_members` lookup of the table, shared between
+    calls, or a fresh one."""
+    members = members or t_set_members(table)
     return tuple(
         p for p in word_paths(table, w, gamma)
         if not gamma or (

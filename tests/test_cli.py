@@ -259,6 +259,88 @@ def test_a_scan_cut_mid_record_resumes_in_merge_order(capsys, tmp_path, workers)
     assert resumed[: len(kept)] == kept
     assert list(map(strip_elapsed, resumed)) == list(map(strip_elapsed, full.splitlines()))
     assert not (tmp_path / "s4.jsonl.tmp").exists()
+    assert not (tmp_path / "s4.jsonl.spool").exists()
+
+
+def fail_at_job(monkeypatch, k):
+    """The k-th sink job raises a FlipUndefinedError, which stops the sweep
+    with exit 4 as a kill would stop it, after jobs 1..k-1 have ended."""
+    real = cli._scan_sink
+    started = []
+
+    def failing(job):
+        started.append(job)
+        if len(started) == k:
+            raise FlipUndefinedError(job[0], "D", job[0], 1, 2)
+        return real(job)
+
+    monkeypatch.setattr(cli, "_scan_sink", failing)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_killed_scan_resumes_from_its_spool(capsys, monkeypatch, tmp_path, workers):
+    """A sweep stopped at its 12th of 23 sink jobs leaves no --out and a
+    spool; cut mid-line, as a kill leaves it, the spool resumes to the
+    records of an uninterrupted run, in order: its complete lines are kept
+    verbatim, the cut one is dropped and its record rescanned."""
+    code, full, _ = run(capsys, "scan", "--n", "4")
+    assert code == 0
+    out_file = tmp_path / "s4.jsonl"
+    spool = tmp_path / "s4.jsonl.spool"
+    with monkeypatch.context() as patch:
+        fail_at_job(patch, 12)
+        code, _, _ = run(capsys, "scan", "--n", "4", "--out", str(out_file))
+    assert code == cli.EXIT_FLIP_UNDEFINED
+    assert not out_file.exists()
+    # mark the spooled records, so that a rescanned one cannot pass for them
+    marked = "".join(
+        json.dumps({**json.loads(line), "elapsed_ms": -1}, sort_keys=True) + "\n"
+        for line in spool.read_text().splitlines()
+    )
+    cut = marked[: marked.rindex("\n", 0, -1) + 10]
+    spool.write_text(cut)
+    kept = cut.splitlines()[:-1]
+    assert 0 < len(kept) < 189
+
+    code, _, _ = run(
+        capsys, "scan", "--n", "4", "--out", str(out_file), "--resume", "--workers", workers
+    )
+    assert code == 0
+    resumed = out_file.read_text().splitlines()
+    assert sorted(line for line in resumed if '"elapsed_ms": -1,' in line) == sorted(kept)
+    assert list(map(strip_elapsed, resumed)) == list(map(strip_elapsed, full.splitlines()))
+    assert not spool.exists()
+
+
+def test_the_spool_holds_the_ended_jobs_and_a_stale_one_is_not_read(capsys, monkeypatch, tmp_path):
+    """When job k starts, the spool holds exactly the lines of jobs 1..k-1;
+    without --resume a stale spool is truncated unread (its record of
+    [1234, 2134] would take that slot and count as unclean); a run that
+    ends removes it."""
+    out_file = tmp_path / "s4.jsonl"
+    spool = tmp_path / "s4.jsonl.spool"
+    spool.write_text('{"clean": false, "order": "lex", "u": "1234", "v": "2134"}\n')
+    real = cli._scan_sink
+    ended = []
+
+    def checked(job):
+        assert spool.read_text() == "".join(line + "\n" for line in ended)
+        lines = real(job)
+        ended.extend(line for line, _ in lines)
+        return lines
+
+    monkeypatch.setattr(cli, "_scan_sink", checked)
+    code, _, _ = run(capsys, "scan", "--n", "4", "--out", str(out_file))
+    assert code == 0
+    assert len(ended) == 189
+    assert sorted(out_file.read_text().splitlines()) == sorted(ended)
+    assert not spool.exists()
+
+
+def test_scan_resume_without_an_output_file_is_a_user_error(capsys):
+    code, out, err = run(capsys, "scan", "--n", "3", "--resume")
+    assert code == cli.EXIT_USER and out == ""
+    assert err.splitlines() == ["error: --resume needs --out"]
 
 
 def test_a_scan_without_resume_rewrites_its_output(capsys, tmp_path):

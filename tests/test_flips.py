@@ -32,6 +32,7 @@ from cdindex.verify import iter_intervals, scan_interval
 from . import oracles
 from .oracles import (
     flip_dict_counts,
+    t_set_members,
     table_path_words,
     table_paths,
     walked_contribution_sum,
@@ -450,7 +451,7 @@ def order_of(n, spec):
 
 
 @pytest.mark.parametrize("n, spec", DP_ORDERS)
-def test_sums_dp_equals_the_sums_of_the_table_paths(n, spec):
+def test_sums_dp_equals_the_sums_of_the_table_paths(n, spec, paused_gc):
     """For every sink, cone vertex and path length: the sums DP holds the
     first-label sums of the table's paths, bucket for bucket and in the
     same rank order, and `graded_sums` collects the degrees of [w, sink].
@@ -490,7 +491,7 @@ def assert_checks_match_the_walks(u, monomial, table):
 
 
 @pytest.mark.parametrize("n, spec", DP_ORDERS)
-def test_dp_checks_equal_the_path_walks(n, spec):
+def test_dp_checks_equal_the_path_walks(n, spec, paused_gc):
     """`sum_contributions` and `check_flip_condition`, read off the flip DP,
     against the walks over every path: on every interval of S_4 (also on a
     table under the reversed order), and on the S_5 intervals of gap <= 5.
@@ -620,10 +621,11 @@ def assert_t_sets_equal_the_word_path_route(sink, order):
     T-bar sets of the first; returns the outcome kinds, one per case."""
     table = TSetTable(sink, order)
     fresh = TSetTable(sink, order.reversed())
+    lookups = {each: t_set_members(each) for each in (table, fresh)}
     kinds = []
     for w, gamma in word_problems(sink):
         for each in (table, fresh):
-            expected = outcome(word_path_t_set, each, w, gamma)
+            expected = outcome(word_path_t_set, each, w, gamma, lookups[each])
             assert outcome(each.t_set, w, gamma) == expected, (sink, w, gamma)
             kinds.append(expected[0])
         assert outcome(table.t_bar_set, w, gamma) == outcome(fresh.t_set, w, gamma)
@@ -644,7 +646,7 @@ def case_sinks(n):
 
 
 @pytest.mark.parametrize("n, spec", SINK_CASES)
-def test_t_sets_equal_the_word_path_route(n, spec):
+def test_t_sets_equal_the_word_path_route(n, spec, paused_gc):
     """Every S_4 sink, or the S_5 sink w0: T-sets read off the suffix T-sets
     are the word paths filtered by membership and `position_factor`."""
     order = order_of(n, spec)
@@ -715,7 +717,7 @@ def test_a_clean_scan_builds_t_sets_only_for_the_strong_check(s4_lex):
     assert {gamma for w, gamma in table._t_bar_sets if w == u} == strong
 
 
-def test_collapsed_t_sets_equal_the_word_path_route(monkeypatch):
+def test_collapsed_t_sets_equal_the_word_path_route(monkeypatch, paused_gc):
     """Under the collapsed flip the T-sets change and some flips are
     undefined; `t_set` still reads exactly the sub-problems the word-path
     route reads, so it returns the same set or raises the same error."""
