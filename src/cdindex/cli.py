@@ -238,6 +238,8 @@ def cmd_scan(args) -> int:
             if not args.out:
                 spool = stack.enter_context(tempfile.TemporaryFile())
             else:
+                if os.path.isdir(args.out):  # checked before the sweep, not at os.replace
+                    raise IsADirectoryError(f"--out {args.out} is a directory")
                 mode = "r+b" if args.resume and os.path.exists(spool_path) else "w+b"
                 spool = stack.enter_context(open(spool_path, mode))
         except OSError as exc:

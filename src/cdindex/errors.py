@@ -30,7 +30,13 @@ class FlipUndefinedError(CdIndexError):
         self.sink = sink
         self.t_size = t_size
         self.tbar_size = tbar_size
+        self.reason = reason
         where = f"on [{source}, {sink}] for AD-word {gamma!r}"
         if reason is None:
             reason = f"|T| = {t_size} but |T-bar| = {tbar_size}"
         super().__init__(f"flip undefined {where}: {reason}")
+
+    def __reduce__(self):
+        # the constructor's arguments, not the message, so that the error
+        # crosses a process boundary (a worker of `scan --workers`)
+        return type(self), (self.source, self.gamma, self.sink, self.t_size, self.tbar_size, self.reason)

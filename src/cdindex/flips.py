@@ -26,10 +26,12 @@ exactly when tau lies in T(x, gamma[1:]) and its first factor is +1; with
 r = rank(t), p the counts of T(x, gamma[1:]) and q those of its flip images
 (`pair_counts`), the tails kept at the edge are the index range
 [p[r], p[N]) after an A and [q[r], p[r]) after a D, and a -1 factor with
-its tail in the T-set exists exactly when q[r] > p[r].  The counts record
-these ranges, so `t_set` builds the paths of a T-set by slicing the suffix
-T-sets; only `tset`, the strong flip condition (`flip`) and the witness
-replay (`positions`) ask for paths.  A suffix is read only where some path
+its tail in the T-set exists exactly when q[r] > p[r].  `_ranges` states
+these ranges once: `counts` adds them up, `t_set` builds the paths of a
+T-set by slicing the suffix T-sets by them, and `index` ranks a path in its
+T-set by reading them along the path, so the witness replay builds no
+T-set; only `tset` and the strong flip condition (`flip`) ask for T-set
+paths.  A suffix is read only where some path
 with word gamma crosses the edge (`_word_span`), and the other side only
 where a D candidate exists, so the sub-problems evaluated, and any
 FlipUndefinedError raised, are those of filtering the paths with word
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import Iterator, Optional
 
 from .complete import GradedSums, degree_range
 from .errors import FlipUndefinedError
@@ -93,12 +95,12 @@ class TSetTable:
       the |T| = |T-bar| check;
     - ``t_set(w, gamma, bar)``: the T-set (or T-bar set) for the AD-word
       ``gamma``, sorted by its side's lex order, sliced from the suffix
-      T-sets by the ranges the counts record; ``t_bar_set(w, gamma)`` is
+      T-sets by the same ranges as the counts; ``t_bar_set(w, gamma)`` is
       the T-bar side;
+    - ``index(path, m, gamma)``: the index of the path's tail from x_m in
+      T(x_m, gamma), or None, read off the counts without building T;
     - ``flip(w, gamma)``: the pairing dict T -> T-bar, built only for
-      ``tset`` and the strong flip condition;
-    - ``positions(w, gamma)``: each path of the T-set mapped to its index,
-      built only when the witness replay asks.
+      ``tset`` and the strong flip condition.
 
     The witness replay of the checks walks `iter_paths` over
     ``_adjacency``, lazily and in lex order.  Evaluation is demand-driven
@@ -124,10 +126,8 @@ class TSetTable:
         self._spans: dict[tuple[Perm, str], tuple[int, int]] = {}
         self._counts: dict[tuple[Perm, str, bool], tuple[int, ...]] = {}
         self._pairs: dict[tuple[Perm, str, bool], tuple[tuple[int, ...], ...]] = {}
-        self._kept: dict[tuple[Perm, str, bool], tuple[tuple[Reflection, Perm, int, int], ...]] = {}
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
         self._t_bar_sets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
-        self._positions: dict[tuple[Perm, str], dict[BruhatPath, int]] = {}
         self._flips: dict[tuple[Perm, str], dict[BruhatPath, BruhatPath]] = {}
 
     def sums(self, w: Perm, n: int) -> dict[int, ADPolynomial]:
@@ -202,49 +202,54 @@ class TSetTable:
     def counts(self, w: Perm, gamma: str, bar: bool = False) -> tuple[int, ...]:
         """Entry r, for r = 0..N, is the number of paths of T(w, gamma), or
         of T-bar(w, gamma) with `bar`, whose first label has rank <= r in
-        that side's order: the table's, or the reversed one.
+        that side's order: the table's, or the reversed one.  Each out-edge
+        adds, at its rank r, the number of tails it leads (`_ranges`)."""
+        key = (w, gamma, bar)
+        hit = self._counts.get(key)
+        if hit is None:
+            buckets = [0] * (len(self.order.sequence) + 1)
+            for _, _, r, lo, hi in self._ranges(w, gamma, bar):
+                buckets[r] += hi - lo
+            hit = self._counts[key] = tuple(accumulate(buckets))
+        return hit
 
-        Each out-edge (t, x), in the side's rank order, leads the tails of
-        T(x, gamma[1:]) in one index range, which ``_kept`` records: with
-        r the side's rank of t and p, q the suffix's `pair_counts`, it is
+    def _ranges(
+        self, w: Perm, gamma: str, bar: bool = False
+    ) -> Iterator[tuple[Reflection, Perm, int, int, int]]:
+        """(t, x, r, lo, hi) for each out-edge (t, x) of w, in the side's
+        rank order, that leads tails of T(w, gamma) (or of T-bar): r is the
+        side's rank of t and [lo, hi) the index range of those tails in
+        T(x, gamma[1:]).  With p, q the suffix's `pair_counts`, the range is
         [p[r], p[N]) after an A and [q[r], p[r]) after a D, and the other
         side is read only where p[r] > 0.  An edge is read only where some
         path with word gamma crosses it; under the reversed order that is
         the barred word in this table's ranks.
         """
-        key = (w, gamma, bar)
-        hit = self._counts.get(key)
-        if hit is None:
-            top = len(self.order.sequence)
-            buckets = [0] * (top + 1)
-            kept = []
-            if self._reaches(w, len(gamma) + 1):
-                rank = self.order.rank
-                rest = gamma[1:]
-                word = gamma.translate(_BAR) if bar else gamma
-                edges = self._adjacency[w]
-                for t, x in reversed(edges) if bar else edges:
-                    r = rank(t)
-                    if not self._crosses(r, x, word):
-                        continue
-                    if bar:
-                        r = top + 1 - r
-                    if not gamma:
-                        lo, hi = 0, 1
-                    else:
-                        p = self.counts(x, rest, bar)
-                        if gamma[0] == "A":
-                            lo, hi = p[r], p[top]
-                        elif p[r]:
-                            lo, hi = self.pair_counts(x, rest, bar)[1][r], p[r]
-                        else:
-                            continue
-                    if lo < hi:
-                        buckets[r] += hi - lo
-                        kept.append((t, x, lo, hi))
-            hit = self._counts[key] = tuple(accumulate(buckets))
-            self._kept[key] = tuple(kept)
-        return hit
+        if not self._reaches(w, len(gamma) + 1):
+            return
+        top = len(self.order.sequence)
+        rank = self.order.rank
+        rest = gamma[1:]
+        word = gamma.translate(_BAR) if bar else gamma
+        edges = self._adjacency[w]
+        for t, x in reversed(edges) if bar else edges:
+            r = rank(t)
+            if not self._crosses(r, x, word):
+                continue
+            if bar:
+                r = top + 1 - r
+            if not gamma:
+                lo, hi = 0, 1
+            else:
+                p = self.counts(x, rest, bar)
+                if gamma[0] == "A":
+                    lo, hi = p[r], p[top]
+                elif p[r]:
+                    lo, hi = self.pair_counts(x, rest, bar)[1][r], p[r]
+                else:
+                    continue
+            if lo < hi:
+                yield t, x, r, lo, hi
 
     def pair_counts(self, w: Perm, gamma: str, bar: bool = False) -> tuple[tuple[int, ...], ...]:
         """(p, q): the counts of this side's T-set and of its flip images,
@@ -277,9 +282,9 @@ class TSetTable:
         """T-set of the AD-word gamma on [w, sink], or with `bar` the T-bar
         set, lex-sorted by label ranks in its side's order.
 
-        Each out-edge the counts keep, in rank order, carries the index
-        range of the suffix T-set whose tails it leads, so the result is
-        their concatenation and needs no sort or filter.
+        Each out-edge, in rank order, leads the index range of the suffix
+        T-set that `_ranges` gives, so the result is their concatenation
+        and needs no sort or filter.
         """
         memo = self._t_bar_sets if bar else self._tsets
         hit = memo.get((w, gamma))
@@ -287,7 +292,7 @@ class TSetTable:
             self.counts(w, gamma, bar)
             rest = gamma[1:]
             out: list[BruhatPath] = []
-            for t, x, lo, hi in self._kept[(w, gamma, bar)]:
+            for t, x, _, lo, hi in self._ranges(w, gamma, bar):
                 if not gamma:
                     out.append(BruhatPath((w, x), (t,)))
                 else:
@@ -295,6 +300,25 @@ class TSetTable:
                     out += [BruhatPath((w,) + tau.vertices, (t,) + tau.labels) for tau in tails]
             hit = memo[(w, gamma)] = tuple(out)
         return hit
+
+    def index(self, path: BruhatPath, m: int, gamma: str) -> Optional[int]:
+        """The index in T(x_m, gamma) of the tail of `path` from x_m, or
+        None when the tail lies outside that T-set.
+
+        The tail's first edge (t, x), of rank r, leads the tails of
+        T(x, gamma[1:]) in the range [lo, hi) of `_ranges`, after the
+        counts[r - 1] paths of lower first-label rank, so a tail from x
+        of index i there has index counts[r - 1] + i - lo.  After the counts
+        of (x_m, gamma) it reads only memoized sub-problems, and it stops at
+        the first edge that leads no tails.
+        """
+        w, t = path.vertices[m], path.labels[m]
+        below = self.counts(w, gamma)
+        for label, _, r, lo, hi in self._ranges(w, gamma):
+            if label == t:
+                i = self.index(path, m + 1, gamma[1:]) if gamma else 0
+                return below[r - 1] + i - lo if i is not None and lo <= i < hi else None
+        return None
 
     def _crosses(self, r: int, x: Perm, word: str) -> bool:
         """Whether some path with AD-word `word` starts with an edge of rank
@@ -320,15 +344,6 @@ class TSetTable:
             hit = self._spans[key] = (lo, hi)
         return hit
 
-    def positions(self, w: Perm, gamma: str) -> dict[BruhatPath, int]:
-        """Each path of T(w, gamma) mapped to its index, built on first use;
-        only the witness replay of the flip checks reads it."""
-        key = (w, gamma)
-        got = self._positions.get(key)
-        if got is None:
-            got = self._positions[key] = {tau: i for i, tau in enumerate(self.t_set(w, gamma))}
-        return got
-
     def t_bar_set(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
         """The same construction under the reversed order, sorted by its lex."""
         return self.t_set(w, gamma, bar=True)
@@ -342,15 +357,13 @@ class TSetTable:
         """
         key = (w, gamma)
         hit = self._flips.get(key)
-        if hit is not None:
-            return hit
-        t = self.t_set(w, gamma)
-        tbar = self.t_bar_set(w, gamma)
-        if len(t) != len(tbar):
-            raise FlipUndefinedError(w, gamma, self.sink, len(t), len(tbar))
-        mapping = dict(zip(t, reversed(tbar)))
-        self._flips[key] = mapping
-        return mapping
+        if hit is None:
+            t = self.t_set(w, gamma)
+            tbar = self.t_bar_set(w, gamma)
+            if len(t) != len(tbar):
+                raise FlipUndefinedError(w, gamma, self.sink, len(t), len(tbar))
+            hit = self._flips[key] = dict(zip(t, reversed(tbar)))
+        return hit
 
 
 def position_factor(
@@ -373,7 +386,7 @@ def position_factor(
         return 1 if ascent else 0
     x_m = path.vertices[m]
     _, images = table.pair_counts(x_m, gamma[m:])
-    i = table.positions(x_m, gamma[m:]).get(path.tail_from(m))
+    i = table.index(path, m, gamma[m:])
     if i is None:
         raise FlipUndefinedError(
             x_m, gamma[m:], table.sink,
@@ -479,9 +492,8 @@ def check_flip_condition(
     try:
         for path in iter_paths(table._adjacency, u, table.sink, n):
             for m in d_positions:
-                if path.tail_from(m) not in table.positions(path.vertices[m], gamma[m:]):
-                    continue
-                if position_factor(path, m, gamma, table) == -1:
+                inside = table.index(path, m, gamma[m:]) is not None
+                if inside and position_factor(path, m, gamma, table) == -1:
                     return FlipWitness(
                         kind="minus-one-at-m",
                         monomial=monomial,
@@ -489,11 +501,7 @@ def check_flip_condition(
                         position=m,
                     )
     except FlipUndefinedError as exc:
-        return FlipWitness(
-            kind="size-mismatch",
-            monomial=monomial,
-            detail=str(exc),
-        )
+        return FlipWitness(kind="size-mismatch", monomial=monomial, detail=str(exc))
     return None
 
 

@@ -52,10 +52,6 @@ class BruhatPath:
         """Path length (number of labels minus one; a single edge has n = 0)."""
         return len(self.labels) - 1
 
-    def tail(self) -> "BruhatPath":
-        """The sub-path starting at x_1 (one vertex and one label shorter)."""
-        return BruhatPath(self.vertices[1:], self.labels[1:])
-
     def tail_from(self, m: int) -> "BruhatPath":
         """The sub-path starting at x_m."""
         return BruhatPath(self.vertices[m:], self.labels[m:])

@@ -473,7 +473,7 @@ def word_path_t_set(table, w, gamma, members=None):
     return tuple(
         p for p in word_paths(table, w, gamma)
         if not gamma or (
-            p.tail() in members(p.vertices[1], gamma[1:])
+            p.tail_from(1) in members(p.vertices[1], gamma[1:])
             and position_factor(p, 1, gamma, table) == 1
         )
     )

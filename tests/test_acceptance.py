@@ -110,7 +110,7 @@ def test_criterion_1_worked_example_exact(s4_tables):
     assert named(candidates) == ["436", "514", "625"]
     spliced = {}
     for p in candidates:
-        image = table.flip(p.vertices[1], "A")[p.tail()]
+        image = table.flip(p.vertices[1], "A")[p.tail_from(1)]
         whole = BruhatPath(
             (p.vertices[0],) + image.vertices, (p.labels[0],) + image.labels
         )

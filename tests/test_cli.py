@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import sys
 
 import pytest
@@ -419,9 +420,45 @@ def test_scan_rejects_a_length_cap_below_one(capsys, cap):
 
 
 def test_scan_unwritable_output_is_io_error(capsys, tmp_path):
+    """An --out that is a directory fails before the sweep, with no
+    `.tmp` copy and no spool left beside it."""
     code, _, err = run(capsys, "scan", "--n", "2", "--out", str(tmp_path))
     assert code == cli.EXIT_IO
     assert "error" in err
+    assert not list(tmp_path.parent.glob(tmp_path.name + ".*"))
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        pytest.param(FlipUndefinedError((2, 1), "DA", (2, 1), 3, 2), id="size-mismatch"),
+        pytest.param(FlipUndefinedError((2, 1), "A", (2, 1), reason="tail is outside"), id="reason"),
+    ],
+)
+def test_flip_undefined_survives_a_pickle_round_trip(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is FlipUndefinedError and str(back) == str(error)
+    assert vars(back) == vars(error)
+
+
+_SCAN_SINK = cli._scan_sink
+
+
+def failing_at_w0(job):
+    """`_scan_sink`, raising a FlipUndefinedError for the sink 4321; at
+    module level, so that the pool can send it to its workers."""
+    if format_perm(job[0]) == "4321":
+        raise FlipUndefinedError(job[0], "D", job[0], 1, 2)
+    return _SCAN_SINK(job)
+
+
+def test_a_flip_undefined_sink_exits_4_under_two_workers(capsys, monkeypatch):
+    """A FlipUndefinedError raised in a worker crosses back to the parent,
+    so the scan exits 4 with its message, not with a broken pool."""
+    monkeypatch.setattr(cli, "_scan_sink", failing_at_w0)
+    code, _, err = run(capsys, "scan", "--n", "4", "--workers", "2")
+    assert code == cli.EXIT_FLIP_UNDEFINED
+    assert "|T| = 1 but |T-bar| = 2" in err
 
 
 def test_scan_reports_violations_with_exit_1(capsys, monkeypatch):
@@ -462,27 +499,31 @@ def test_scan_builds_each_sink_table_once(capsys, monkeypatch, tmp_path, workers
     assert sorted(log.read_text().split()) == sorted(sinks)
 
 
-# sha256 over the `scan --n 4` records in output order, each with elapsed_ms
+# sha256 over the scan records in output order, each with elapsed_ms
 # removed and dumped with sorted keys and compact separators, one per line.
-# Frozen from the per-t shelling route (one enumeration and one split per
-# reflection), which tests/test_complete.py keeps as its reference.  Two
-# workers, each with its own sink tables as path-sum source, give the same.
-SCAN_N4_DIGESTS = {
-    "lex": "91ef0c17d7c7cfca49051d34a4b830dab801ffcc15a8e1542c3083bddc5eb959",
-    "word:1,2,1,3,2,1": "3f4e0bfa3d0c48941ac3e56c02bec9a8d6a26a3c73f2c5792b5839c9017e5a1b",
+# The `scan --n 4` digests were frozen from the per-t shelling route (one
+# enumeration and one split per reflection), which tests/test_complete.py
+# keeps as its reference; the full `scan --n 5` digest pins every
+# interval of S_5 under lex.  Two workers, each with its own sink tables as
+# path-sum source, give the same.
+SCAN_DIGESTS = {
+    (4, "lex"): "91ef0c17d7c7cfca49051d34a4b830dab801ffcc15a8e1542c3083bddc5eb959",
+    (4, "word:1,2,1,3,2,1"): "3f4e0bfa3d0c48941ac3e56c02bec9a8d6a26a3c73f2c5792b5839c9017e5a1b",
+    (5, "lex"): "2f6b6b4f75e13e7640136bb0384038313499b24cc0462632c9b2f8989bc7267d",
 }
 
 
 @pytest.mark.parametrize(
-    "spec, workers",
+    "n, spec, workers, records",
     [
-        pytest.param("lex", "1", id="lex"),
-        pytest.param("lex", "2", id="lex-workers-2"),
-        pytest.param("word:1,2,1,3,2,1", "1", id="word:1,2,1,3,2,1"),
+        pytest.param(4, "lex", "1", 189, id="lex"),
+        pytest.param(4, "lex", "2", 189, id="lex-workers-2"),
+        pytest.param(4, "word:1,2,1,3,2,1", "1", 189, id="word:1,2,1,3,2,1"),
+        pytest.param(5, "lex", "2", 3661, id="s5-lex-workers-2"),
     ],
 )
-def test_scan_n4_records_match_golden_digest(capsys, spec, workers):
-    code, out, _ = run(capsys, "scan", "--n", "4", "--order", spec, "--workers", workers)
+def test_scan_n4_records_match_golden_digest(capsys, n, spec, workers, records):
+    code, out, _ = run(capsys, "scan", "--n", str(n), "--order", spec, "--workers", workers)
     assert code == 0
     digest = hashlib.sha256()
     lines = out.splitlines()
@@ -491,5 +532,5 @@ def test_scan_n4_records_match_golden_digest(capsys, spec, workers):
         del record["elapsed_ms"]
         canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
         digest.update(canonical.encode() + b"\n")
-    assert len(lines) == 189
-    assert digest.hexdigest() == SCAN_N4_DIGESTS[spec]
+    assert len(lines) == records
+    assert digest.hexdigest() == SCAN_DIGESTS[n, spec]

@@ -120,7 +120,7 @@ def test_candidates_for_d_and_their_flips(example_table, s4_lex):
     assert names(candidates, s4_lex) == ["436", "514", "625"]
     flipped = {}
     for p in candidates:
-        image = example_table.flip(p.vertices[1], "A")[p.tail()]
+        image = example_table.flip(p.vertices[1], "A")[p.tail_from(1)]
         whole = BruhatPath((p.vertices[0],) + image.vertices, (p.labels[0],) + image.labels)
         flipped[label_string(p, s4_lex)] = (
             label_string(whole, s4_lex),
@@ -405,7 +405,10 @@ def test_strong_flip_condition_requires_leading_c(example_interval, example_tabl
         check_strong_flip_condition(example_interval.u, "d", example_table)
 
 
-def test_flip_undefined_is_raised_on_size_mismatch(example_table, monkeypatch):
+def test_flip_undefined_is_raised_on_size_mismatch(s4_lex, monkeypatch):
+    """On a table of its own, so that no pair memoized by another test
+    hides the doctored counts."""
+    example_table = TSetTable(parse_perm("4321"), s4_lex)
     u = parse_perm("2134")
     gamma = "AA"
     t = example_table.t_set(u, gamma)
@@ -574,9 +577,9 @@ def test_collapsed_flip_checks_equal_the_path_walks(monkeypatch):
 
 def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
     """The witness replay reads each flip image's first-label rank off the
-    image counts by the tail's position in T, so replaying every check of
-    the collapsed cases, violations and undefined flips included, builds
-    no path flip dict."""
+    image counts by the tail's position in T, which `index` ranks from the
+    counts, so replaying every check of the collapsed cases, violations
+    and undefined flips included, builds no path flip dict and no T-set."""
     collapse_flips(monkeypatch)
     order = lex_order(5)
     kinds = set()
@@ -589,6 +592,7 @@ def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
                 witness = check_flip_condition(u, monomial, table)
                 kinds.add(witness and witness.kind)
         assert table._flips == {}, (u, v)
+        assert table._tsets == {} and table._t_bar_sets == {}, (u, v)
     assert {"raise", "minus-one-at-m", "size-mismatch"} <= kinds
 
 
@@ -652,6 +656,25 @@ def test_t_sets_equal_the_word_path_route(n, spec, paused_gc):
     order = order_of(n, spec)
     for v in case_sinks(n):
         assert "raise" not in assert_t_sets_equal_the_word_path_route(v, order)
+
+
+@pytest.mark.parametrize("n, spec", SINK_CASES)
+def test_index_is_the_position_in_the_t_set(n, spec):
+    """Every S_4 sink, or the S_5 sink w0, on every (w, gamma) with gamma
+    an AD-form: `index` gives each T-set path its position in
+    `t_set(w, gamma)` and every other path None.  On S_4 the other paths
+    are every length-|gamma| path w -> sink from `iter_paths`; on S_5 they
+    are the paths whose AD-word is gamma, as every path under every word
+    would take 14.4 million calls."""
+    order = order_of(n, spec)
+    for v in case_sinks(n):
+        table = TSetTable(v, order)
+        for w, k in cone_problems(v):
+            every = list(iter_paths(table._adjacency, w, v, k)) if n == 4 else None
+            for gamma in map(ad_form, cd_monomials(k)):
+                where = {p: i for i, p in enumerate(table.t_set(w, gamma))}
+                for p in every if n == 4 else word_paths(table, w, gamma):
+                    assert table.index(p, 0, gamma) == where.get(p), (v, w, gamma, p)
 
 
 @pytest.mark.parametrize("n, spec", SINK_CASES)
