@@ -1,9 +1,10 @@
 """Command-line front end: compute, tset, scan, dot.
 
 Exit codes: 0 success, 1 mathematical violation found by a scan, 2 user
-error or a request that ran out of memory, 3 internal inconsistency, 4 flip
-undefined, 5 I/O error.  All output except `dot` is JSON; scan writes
-JSON-lines, one record per interval.
+error or a request that ran out of memory (or a scan whose `--workers`
+process died, as an out-of-memory kill leaves it), 3 internal
+inconsistency, 4 flip undefined, 5 I/O error.  All output except `dot` is
+JSON; scan writes JSON-lines, one record per interval.
 
 scan holds no record in memory.  Each sink job's lines go to a spool file
 as the job ends, one flush per job, and the scan keeps only where each
@@ -41,19 +42,11 @@ EXIT_INTERNAL = 3
 EXIT_FLIP_UNDEFINED = 4
 EXIT_IO = 5
 
-DEFAULT_MAX_N = 7
+MAX_N = 7
 
 
 class UserError(Exception):
     pass
-
-
-def max_group_size() -> int:
-    raw = os.environ.get("CDINDEX_MAX_N", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_N
-    except ValueError:
-        raise UserError(f"CDINDEX_MAX_N is not an integer: {raw!r}")
 
 
 def parse_perm_arg(text: str):
@@ -61,9 +54,8 @@ def parse_perm_arg(text: str):
         p = parse_perm(text)
     except ValueError as exc:
         raise UserError(str(exc))
-    cap = max_group_size()
-    if len(p) > cap:
-        raise UserError(f"permutation {text} exceeds the size cap n <= {cap}")
+    if len(p) > MAX_N:
+        raise UserError(f"permutation {text} exceeds the size cap n <= {MAX_N}")
     return p
 
 
@@ -183,7 +175,7 @@ def _scan_sink(job) -> list[tuple[str, bool]]:
     table = TSetTable(v, order)
     lines = []
     for u in sources:
-        record = scan_interval(u, v, order, order_spec, table)
+        record = scan_interval(u, order_spec, table)
         lines.append((json.dumps(record, sort_keys=True), record["clean"]))
     return lines
 
@@ -277,13 +269,17 @@ def cmd_scan(args) -> int:
             for v, group in groups.items()
         ]
 
+        dead_worker = ()  # the error of a pool whose worker died; none without one
         if args.workers > 1:
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
+            dead_worker = BrokenProcessPool
             executor = stack.enter_context(ProcessPoolExecutor(max_workers=args.workers))
             results = executor.map(_scan_sink, jobs)
         else:
             results = map(_scan_sink, jobs)
+        ended = 0  # sink jobs whose lines are in the spool
         try:
             end = spool.seek(0, os.SEEK_END)
             for group, lines in zip(groups.values(), results):
@@ -295,6 +291,7 @@ def cmd_scan(args) -> int:
                     chunk.append(data)
                 spool.write(b"\n".join(chunk) + b"\n")
                 spool.flush()
+                ended += 1
 
             fds = [f.fileno() for f in files]
             violations = sum(not ok for *_, ok in outside) + clean.count(0)
@@ -315,6 +312,15 @@ def cmd_scan(args) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
+        except dead_worker:
+            # most likely killed for memory: exit as a MemoryError does
+            sink = format_perm(jobs[ended][0])
+            kept = f"; {spool_path} keeps the ended sinks for --resume" if args.out else ""
+            print(
+                f"error: a --workers process died, so the scan stopped at sink {sink}{kept}",
+                file=sys.stderr,
+            )
+            return EXIT_USER
     if violations:
         print(f"scan found {violations} inconsistent interval(s)", file=sys.stderr)
         return EXIT_VIOLATION

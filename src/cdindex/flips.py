@@ -21,21 +21,24 @@ mismatch raises FlipUndefinedError and is surfaced, never patched.
 Both sides list their tails with nondecreasing first-label ranks, so every
 question about a flip pair depends only on how many members of each side
 have a first label of rank <= r.  `counts(w, gamma, bar)` holds those
-cumulative counts, r = 0..N.  A path (t, x) + tau lies in T(w, gamma)
-exactly when tau lies in T(x, gamma[1:]) and its first factor is +1; with
-r = rank(t), p the counts of T(x, gamma[1:]) and q those of its flip images
-(`pair_counts`), the tails kept at the edge are the index range
-[p[r], p[N]) after an A and [q[r], p[r]) after a D, and a -1 factor with
-its tail in the T-set exists exactly when q[r] > p[r].  `_ranges` states
+cumulative counts, r = 0..N, and is the one stored fact: the flip images
+of one side are the other side's set, so `images_upto` reads their counts
+off the other side's, q[r] = other[N] - other[N - r], after the
+|T| = |T-bar| check.  A path (t, x) + tau lies in T(w, gamma) exactly
+when tau lies in T(x, gamma[1:]) and its first factor is +1; with
+r = rank(t), p the counts of T(x, gamma[1:]) and q those of its flip
+images, the tails kept at the edge are the index range [p[r], p[N]) after
+an A and [q[r], p[r]) after a D, and a -1 factor with its tail in the
+T-set exists exactly when q[r] > p[r].  `_ranges` states
 these ranges once: `counts` adds them up, `t_set` builds the paths of a
 T-set by slicing the suffix T-sets by them, and `index` ranks a path in its
 T-set by reading them along the path, so the witness replay builds no
-T-set; only `tset` and the strong flip condition (`flip`) ask for T-set
-paths.  A suffix is read only where some path
-with word gamma crosses the edge (`_word_span`), and the other side only
-where a D candidate exists, so the sub-problems evaluated, and any
-FlipUndefinedError raised, are those of filtering the paths with word
-gamma by suffix membership and `position_factor`.
+T-set; only `tset` and the strong flip condition (`flip`, a dict built
+on each call and kept by no memo) ask for T-set paths.  A suffix is read
+only where some path with word gamma crosses the edge (`_word_span`), and
+the other side only where a D candidate exists, so the sub-problems
+evaluated, and any FlipUndefinedError raised, are those of filtering the
+paths with word gamma by suffix membership and `position_factor`.
 
 The scan reads no paths on a clean interval.  Its graded first-label sums
 come from a DP over (vertex, length): `sums(w, n)` extends every bucket of
@@ -80,7 +83,8 @@ _BAR = str.maketrans("AD", "DA")
 
 
 class TSetTable:
-    """Memoized T-sets, counts and flips for one sink vertex and order.
+    """Memoized sums, counts and T-sets, and the flips, for one sink vertex
+    and order.
 
     The table reads the lower cone {x <= v} off the group's Bruhat graph
     once, with each out-edge list sorted by rank, and hands out:
@@ -90,17 +94,19 @@ class TSetTable:
     - ``has_minus_one(w, gamma)``: the flip-condition DP;
     - ``gaps[w]``: the length gap l(v) - l(w), for every w in the cone;
     - ``counts(w, gamma, bar)``: the cumulative first-label counts of
-      T(w, gamma), or of T-bar(w, gamma) in the reversed order's ranks;
-      ``pair_counts(w, gamma)`` those of T and of its flip images, after
-      the |T| = |T-bar| check;
+      T(w, gamma), or of T-bar(w, gamma) in the reversed order's ranks,
+      every empty set sharing the table's one all-zero tuple;
+      ``images_upto(w, gamma, r, bar)`` the number of its flip images
+      of rank <= r, read off the other side's counts after the
+      |T| = |T-bar| check;
     - ``t_set(w, gamma, bar)``: the T-set (or T-bar set) for the AD-word
       ``gamma``, sorted by its side's lex order, sliced from the suffix
       T-sets by the same ranges as the counts; ``t_bar_set(w, gamma)`` is
       the T-bar side;
     - ``index(path, m, gamma)``: the index of the path's tail from x_m in
       T(x_m, gamma), or None, read off the counts without building T;
-    - ``flip(w, gamma)``: the pairing dict T -> T-bar, built only for
-      ``tset`` and the strong flip condition.
+    - ``flip(w, gamma)``: the pairing dict T -> T-bar, built on each call,
+      for ``tset`` and the strong flip condition; no memo keeps it.
 
     The witness replay of the checks walks `iter_paths` over
     ``_adjacency``, lazily and in lex order.  Evaluation is demand-driven
@@ -125,10 +131,9 @@ class TSetTable:
         self._minus_one: dict[tuple[Perm, str], bool] = {}
         self._spans: dict[tuple[Perm, str], tuple[int, int]] = {}
         self._counts: dict[tuple[Perm, str, bool], tuple[int, ...]] = {}
-        self._pairs: dict[tuple[Perm, str, bool], tuple[tuple[int, ...], ...]] = {}
+        self._zero = (0,) * (len(order.sequence) + 1)
         self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
         self._t_bar_sets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
-        self._flips: dict[tuple[Perm, str], dict[BruhatPath, BruhatPath]] = {}
 
     def sums(self, w: Perm, n: int) -> dict[int, ADPolynomial]:
         """Word sums of the length-n paths w -> sink, keyed by ascending
@@ -177,7 +182,7 @@ class TSetTable:
         the tail tau lies in T(x, gamma[1:]).  There the factor is -1 when
         b <= rank(t) < a, for the first-label ranks a of tau and b of
         flip(tau), so for some tau exactly when more images than tails
-        start at a rank <= rank(t): q[r] > p[r] in `pair_counts`.
+        start at a rank <= rank(t): `images_upto` above `counts` at r.
         Raises FlipUndefinedError when a flip it reads is undefined.
         """
         key = (w, gamma)
@@ -192,8 +197,7 @@ class TSetTable:
                         hit = True
                     elif gamma[0] == "D":
                         r = rank(t)
-                        p, q = self.pair_counts(x, rest)
-                        hit = q[r] > p[r]
+                        hit = self.images_upto(x, rest, r) > self.counts(x, rest)[r]
                     if hit:
                         break
             self._minus_one[key] = hit
@@ -210,7 +214,7 @@ class TSetTable:
             buckets = [0] * (len(self.order.sequence) + 1)
             for _, _, r, lo, hi in self._ranges(w, gamma, bar):
                 buckets[r] += hi - lo
-            hit = self._counts[key] = tuple(accumulate(buckets))
+            hit = self._counts[key] = tuple(accumulate(buckets)) if any(buckets) else self._zero
         return hit
 
     def _ranges(
@@ -219,11 +223,12 @@ class TSetTable:
         """(t, x, r, lo, hi) for each out-edge (t, x) of w, in the side's
         rank order, that leads tails of T(w, gamma) (or of T-bar): r is the
         side's rank of t and [lo, hi) the index range of those tails in
-        T(x, gamma[1:]).  With p, q the suffix's `pair_counts`, the range is
-        [p[r], p[N]) after an A and [q[r], p[r]) after a D, and the other
-        side is read only where p[r] > 0.  An edge is read only where some
-        path with word gamma crosses it; under the reversed order that is
-        the barred word in this table's ranks.
+        T(x, gamma[1:]).  With p the suffix's `counts` and q[r] its
+        `images_upto` r, the range is [p[r], p[N]) after an A and
+        [q[r], p[r]) after a D, and the other side is read only where
+        p[r] > 0.  An edge is read only where some path with word gamma
+        crosses it; under the reversed order that is the barred word in
+        this table's ranks.
         """
         if not self._reaches(w, len(gamma) + 1):
             return
@@ -245,28 +250,24 @@ class TSetTable:
                 if gamma[0] == "A":
                     lo, hi = p[r], p[top]
                 elif p[r]:
-                    lo, hi = self.pair_counts(x, rest, bar)[1][r], p[r]
+                    lo, hi = self.images_upto(x, rest, r, bar), p[r]
                 else:
                     continue
             if lo < hi:
                 yield t, x, r, lo, hi
 
-    def pair_counts(self, w: Perm, gamma: str, bar: bool = False) -> tuple[tuple[int, ...], ...]:
-        """(p, q): the counts of this side's T-set and of its flip images,
-        both in this side's ranks.  The images are the other side's set, and
-        a rank r of one side is N + 1 - r of the other, so q[r] counts the
-        other side's paths of its rank >= N + 1 - r.  Raises
-        FlipUndefinedError, as `flip` does, when |T| != |T-bar|; a pair
-        that passed is memoized."""
-        key = (w, gamma, bar)
-        hit = self._pairs.get(key)
-        if hit is None:
-            p = self.counts(w, gamma, bar)
-            other = self.counts(w, gamma, not bar)
-            if p[-1] != other[-1]:
-                raise FlipUndefinedError(w, gamma, self.sink, p[-1], other[-1])
-            hit = self._pairs[key] = p, tuple([p[-1] - c for c in reversed(other)])
-        return hit
+    def images_upto(self, w: Perm, gamma: str, r: int, bar: bool = False) -> int:
+        """The number of flip images of T(w, gamma), or of T-bar(w, gamma)
+        with `bar`, whose first label has rank <= r in this side's ranks.
+        The images are the other side's set, and a rank r of one side is
+        N + 1 - r of the other, so they are the other side's paths of rank
+        >= N + 1 - r.  Reads this side's counts before the other's, and
+        raises FlipUndefinedError, as `flip` does, when |T| != |T-bar|."""
+        own = self.counts(w, gamma, bar)
+        other = self.counts(w, gamma, not bar)
+        if own[-1] != other[-1]:
+            raise FlipUndefinedError(w, gamma, self.sink, own[-1], other[-1])
+        return other[-1] - other[-1 - r]
 
     def _reaches(self, w: Perm, edges: int) -> bool:
         """The dead-end test of `iter_paths`: `edges` edges from w, each
@@ -353,17 +354,14 @@ class TSetTable:
 
         T is sorted by label ranks under this table's order and T-bar under
         the reversed one, so T is matched positionally with T-bar reversed.
-        Raises FlipUndefinedError on a size mismatch.
+        Raises FlipUndefinedError on a size mismatch.  Built anew on each
+        call: `tset` and the strong flip condition ask once per (w, gamma).
         """
-        key = (w, gamma)
-        hit = self._flips.get(key)
-        if hit is None:
-            t = self.t_set(w, gamma)
-            tbar = self.t_bar_set(w, gamma)
-            if len(t) != len(tbar):
-                raise FlipUndefinedError(w, gamma, self.sink, len(t), len(tbar))
-            hit = self._flips[key] = dict(zip(t, reversed(tbar)))
-        return hit
+        t = self.t_set(w, gamma)
+        tbar = self.t_bar_set(w, gamma)
+        if len(t) != len(tbar):
+            raise FlipUndefinedError(w, gamma, self.sink, len(t), len(tbar))
+        return dict(zip(t, reversed(tbar)))
 
 
 def position_factor(
@@ -385,7 +383,7 @@ def position_factor(
     if gamma[m - 1] == "A":
         return 1 if ascent else 0
     x_m = path.vertices[m]
-    _, images = table.pair_counts(x_m, gamma[m:])
+    images = table.images_upto(x_m, gamma[m:], before)
     i = table.index(path, m, gamma[m:])
     if i is None:
         raise FlipUndefinedError(
@@ -394,7 +392,7 @@ def position_factor(
         )
     # the i-th tail's image starts above `before` exactly when at most i
     # images start at a rank <= before
-    spliced_ascent = images[before] <= i
+    spliced_ascent = images <= i
     if spliced_ascent == ascent:
         return 0
     return 1 if spliced_ascent else -1

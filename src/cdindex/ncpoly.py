@@ -103,19 +103,6 @@ class _WordPolynomial:
     def word_degree(self, word: str) -> int:
         return len(word)
 
-    def degrees(self) -> set[int]:
-        return {self.word_degree(w) for w in self._terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def degree(self) -> int:
-        """Degree of a nonzero homogeneous polynomial."""
-        degs = self.degrees()
-        if len(degs) != 1:
-            raise ValueError("polynomial is zero or mixed-degree")
-        return degs.pop()
-
     def to_json(self) -> dict[str, int]:
         """Map monomial -> coefficient, the empty monomial spelled "1"."""
         return {(w or "1"): c for w, c in sorted(self._terms.items())}
@@ -309,9 +296,9 @@ def decompose_left_a(p: ADPolynomial, n: int) -> tuple[CDPolynomial, CDPolynomia
     >>> decompose_left_a(ADPolynomial({"AA": 1, "AD": 1}), 2)
     (0, c)
     """
-    if p and (not p.is_homogeneous() or p.degree() != n):
-        raise ValueError(f"polynomial is not homogeneous of degree {n}")
     terms = p._terms
+    if any(len(w) != n for w in terms):
+        raise ValueError(f"polynomial is not homogeneous of degree {n}")
     g_terms = _front_split(_sub(bar(p)._terms, terms))
     if g_terms is None:
         raise NotDecomposableError("no f + A*g split: A*g - D*g shape fails")

@@ -57,7 +57,6 @@ from .flips import (
 )
 from .intervals import bruhat_graph
 from .ncpoly import ad_form, cd_degree, cd_monomials
-from .orders import ReflectionOrder
 from .perms import Perm, Reflection, format_perm
 
 
@@ -194,23 +193,19 @@ def iter_intervals(n: int, max_length: int | None = None) -> Iterator[tuple[Perm
         yield u, v
 
 
-def scan_interval(
-    u: Perm,
-    v: Perm,
-    order: ReflectionOrder,
-    order_id: str,
-    table: TSetTable,
-) -> dict:
-    """One JSON-ready scan record for the interval [u, v].
+def scan_interval(u: Perm, order_id: str, table: TSetTable) -> dict:
+    """One JSON-ready scan record for the interval [u, v], v the table's
+    sink, under the table's order, which `order_id` names in the record.
 
-    `table` is the TSetTable of the sink v under `order`; its sums DP gives
-    the graded first-label sums and its gap map the length gap.  Runs, for
-    every monomial of matching parity: the coefficient verification, the
-    flip condition, the strong flip condition (monomials starting with c),
-    and the restricted-count check at every reflection t.  All numeric
-    fields are deterministic; elapsed_ms is informational only.
+    The table's sums DP gives the graded first-label sums and its gap map
+    the length gap.  Runs, for every monomial of matching parity: the
+    coefficient verification, the flip condition, the strong flip
+    condition (monomials starting with c), and the restricted-count check
+    at every reflection t.  All numeric fields are deterministic;
+    elapsed_ms is informational only.
     """
     started = time.perf_counter()
+    v, order = table.sink, table.order
     length_diff = table.gaps[u]
     sums = table.graded_sums(u)
     cd_index = complete_cd_index(u, v, sums)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import pickle
+import signal
 import sys
 
 import pytest
@@ -48,9 +51,8 @@ def test_compute_rejects_garbage(capsys):
     assert code == cli.EXIT_USER
 
 
-def test_group_size_cap(capsys, monkeypatch):
-    monkeypatch.setenv("CDINDEX_MAX_N", "3")
-    code, _, err = run(capsys, "compute", "2134", "4321")
+def test_group_size_cap(capsys):
+    code, _, err = run(capsys, "compute", "12345678", "87654321")
     assert code == cli.EXIT_USER
     assert "size cap" in err
 
@@ -461,13 +463,43 @@ def test_a_flip_undefined_sink_exits_4_under_two_workers(capsys, monkeypatch):
     assert "|T| = 1 but |T-bar| = 2" in err
 
 
+def killed_at_w0(job):
+    """`_scan_sink`, whose worker process is killed by SIGKILL at the sink
+    4321, as the kernel kills a process that runs out of memory; at module
+    level, so that the pool can send it to its workers.  It kills only a
+    pool worker, never the process that runs the tests."""
+    if format_perm(job[0]) == "4321" and multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _SCAN_SINK(job)
+
+
+def test_a_dead_worker_exits_2_and_its_scan_resumes(capsys, monkeypatch, tmp_path):
+    """A worker killed under two workers breaks the pool: the scan exits 2
+    with one line and no traceback, and leaves its spool, from which a
+    resumed run writes the records of an uninterrupted one."""
+    out_file = tmp_path / "s4.jsonl"
+    spool = tmp_path / "s4.jsonl.spool"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_scan_sink", killed_at_w0)
+        code, out, err = run(capsys, "scan", "--n", "4", "--workers", "2", "--out", str(out_file))
+    assert code == cli.EXIT_USER and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "process died" in err and str(spool) in err
+    assert spool.exists() and not out_file.exists()
+    code, _, _ = run(capsys, "scan", "--n", "4", "--out", str(out_file), "--resume")
+    assert code == 0
+    lines = out_file.read_text().splitlines()
+    assert len(lines) == 189 and records_digest(lines) == SCAN_DIGESTS[4, "lex"]
+    assert not spool.exists()
+
+
 def test_scan_reports_violations_with_exit_1(capsys, monkeypatch):
     import cdindex.verify as verify_mod
 
     real = verify_mod.scan_interval
 
-    def poisoned(u, v, order, order_id, table):
-        record = real(u, v, order, order_id, table)
+    def poisoned(u, order_id, table):
+        record = real(u, order_id, table)
         record["clean"] = False
         return record
 
@@ -513,6 +545,17 @@ SCAN_DIGESTS = {
 }
 
 
+def records_digest(lines):
+    """The digest of `SCAN_DIGESTS` over the scan record lines."""
+    digest = hashlib.sha256()
+    for line in lines:
+        record = json.loads(line)
+        del record["elapsed_ms"]
+        canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        digest.update(canonical.encode() + b"\n")
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize(
     "n, spec, workers, records",
     [
@@ -525,12 +568,6 @@ SCAN_DIGESTS = {
 def test_scan_n4_records_match_golden_digest(capsys, n, spec, workers, records):
     code, out, _ = run(capsys, "scan", "--n", str(n), "--order", spec, "--workers", workers)
     assert code == 0
-    digest = hashlib.sha256()
     lines = out.splitlines()
-    for line in lines:
-        record = json.loads(line)
-        del record["elapsed_ms"]
-        canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        digest.update(canonical.encode() + b"\n")
     assert len(lines) == records
-    assert digest.hexdigest() == SCAN_DIGESTS[n, spec]
+    assert records_digest(lines) == SCAN_DIGESTS[n, spec]

@@ -406,8 +406,8 @@ def test_strong_flip_condition_requires_leading_c(example_interval, example_tabl
 
 
 def test_flip_undefined_is_raised_on_size_mismatch(s4_lex, monkeypatch):
-    """On a table of its own, so that no pair memoized by another test
-    hides the doctored counts."""
+    """On a table of its own, so that no memo another test filled hides
+    the doctored T-bar set and counts."""
     example_table = TSetTable(parse_perm("4321"), s4_lex)
     u = parse_perm("2134")
     gamma = "AA"
@@ -415,17 +415,16 @@ def test_flip_undefined_is_raised_on_size_mismatch(s4_lex, monkeypatch):
     # doctor the T-bar memos to drop one element, then ask for the pairing
     shrunk = example_table.t_bar_set(u, gamma)[1:]
     monkeypatch.setitem(example_table._t_bar_sets, (u, gamma), shrunk)
-    monkeypatch.delitem(example_table._flips, (u, gamma), raising=False)
     with pytest.raises(FlipUndefinedError) as info:
         example_table.flip(u, gamma)
     assert (info.value.t_size, info.value.tbar_size) == (len(t), len(t) - 1)
     fewer = tuple(max(0, c - 1) for c in example_table.counts(u, gamma, bar=True))
     monkeypatch.setitem(example_table._counts, (u, gamma, True), fewer)
     with pytest.raises(FlipUndefinedError) as info:
-        example_table.pair_counts(u, gamma)
+        example_table.images_upto(u, gamma, 1)
     assert (info.value.t_size, info.value.tbar_size) == (len(t), len(t) - 1)
     with pytest.raises(FlipUndefinedError) as info:
-        example_table.pair_counts(u, gamma, bar=True)
+        example_table.images_upto(u, gamma, 1, bar=True)
     assert (info.value.t_size, info.value.tbar_size) == (len(t) - 1, len(t))
 
 
@@ -518,24 +517,40 @@ def test_dp_checks_equal_the_path_walks(n, spec, paused_gc):
 def collapse_flips(monkeypatch):
     """Mutate every flip to send each T path to the first T-bar path in
     primal lex order, both the path dict and the counts of its images,
-    after the real size check: the image counts become a step of height |T|
-    at the first image's rank, on both sides.  T-sets then change too,
-    because they read those counts."""
+    after the real size check: `images_upto` becomes a step of height |T|
+    at the first image's rank, on both sides.  The real images are
+    nondecreasing in r, so r is at or above that rank exactly when some
+    real image has rank <= r.  T-sets then change too, because they read
+    those counts."""
     real = TSetTable.flip
-    real_counts = TSetTable.pair_counts
+    real_images = TSetTable.images_upto
 
     def collapsed(self, w, gamma):
         mapping = real(self, w, gamma)
         first = next(iter(mapping.values()), None)
         return {x: first for x in mapping}
 
-    def collapsed_counts(self, w, gamma, bar=False):
-        p, q = real_counts(self, w, gamma, bar)
-        first = next((r for r, c in enumerate(q) if c), len(q))
-        return p, tuple(q[-1] if r >= first else 0 for r in range(len(q)))
+    def collapsed_images(self, w, gamma, r, bar=False):
+        if real_images(self, w, gamma, r, bar):
+            return self.counts(w, gamma, bar)[-1]
+        return 0
 
     monkeypatch.setattr(TSetTable, "flip", collapsed)
-    monkeypatch.setattr(TSetTable, "pair_counts", collapsed_counts)
+    monkeypatch.setattr(TSetTable, "images_upto", collapsed_images)
+
+
+def record_flip_calls(monkeypatch):
+    """Wrap `TSetTable.flip`, as patched so far, to record the (w, gamma)
+    of each call; returns the list of records."""
+    calls = []
+    inner = TSetTable.flip
+
+    def recorded(self, w, gamma):
+        calls.append((w, gamma))
+        return inner(self, w, gamma)
+
+    monkeypatch.setattr(TSetTable, "flip", recorded)
+    return calls
 
 
 # Intervals of S_5 on which the collapsed flip breaks the flip condition
@@ -581,6 +596,7 @@ def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
     counts, so replaying every check of the collapsed cases, violations
     and undefined flips included, builds no path flip dict and no T-set."""
     collapse_flips(monkeypatch)
+    flip_calls = record_flip_calls(monkeypatch)
     order = lex_order(5)
     kinds = set()
     for u, v in COLLAPSED_CASES:
@@ -591,7 +607,7 @@ def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
                 kinds.add(outcome(sum_contributions, u, monomial, table)[0])
                 witness = check_flip_condition(u, monomial, table)
                 kinds.add(witness and witness.kind)
-        assert table._flips == {}, (u, v)
+        assert flip_calls == [], (u, v)
         assert table._tsets == {} and table._t_bar_sets == {}, (u, v)
     assert {"raise", "minus-one-at-m", "size-mismatch"} <= kinds
 
@@ -677,54 +693,76 @@ def test_index_is_the_position_in_the_t_set(n, spec):
                     assert table.index(p, 0, gamma) == where.get(p), (v, w, gamma, p)
 
 
+def images(table, w, gamma, bar=False):
+    """`images_upto` at every rank r = 0..N."""
+    top = len(table.order.sequence)
+    return tuple(table.images_upto(w, gamma, r, bar) for r in range(top + 1))
+
+
 @pytest.mark.parametrize("n, spec", SINK_CASES)
 def test_pair_ranks_equal_the_flip_dict_ranks(n, spec):
     """Every S_4 sink, or the S_5 sink w0, on the table and on a table
     under the reversed order: the counts that T-sets and the flip DP read,
-    `pair_counts`, are the cumulative first-label counts of T and of the
-    images in the path flip dict, in value or in the FlipUndefinedError
-    message."""
+    `counts` and `images_upto` at every r, are the cumulative first-label
+    counts of T and of the images in the path flip dict, in value or in
+    the FlipUndefinedError message."""
     order = order_of(n, spec)
     for v in case_sinks(n):
         for each in (TSetTable(v, order), TSetTable(v, order.reversed())):
             for w, gamma in word_problems(v):
-                got = outcome(each.pair_counts, w, gamma)
+                got = outcome(lambda: (each.counts(w, gamma), images(each, w, gamma)))
                 assert got == outcome(flip_dict_counts, each, w, gamma), (v, w, gamma)
+
 
 
 @pytest.mark.parametrize("n, spec", SINK_CASES)
 def test_a_reverse_order_table_is_the_t_bar_side(n, spec):
     """Every S_4 sink, or the S_5 sink w0: a fresh table under the reversed
-    order has, on each side, the counts, pair counts and T-sets of this
-    table's other side, in value or in the FlipUndefinedError message."""
+    order has, on each side, the counts, the image counts at every r and
+    the T-sets of this table's other side, in value or in the
+    FlipUndefinedError message."""
     order = order_of(n, spec)
     for v in case_sinks(n):
         table = TSetTable(v, order)
         fresh = TSetTable(v, order.reversed())
         for w, gamma in word_problems(v):
             for bar in (False, True):
-                for name in ("counts", "pair_counts", "t_set"):
-                    got = outcome(getattr(table, name), w, gamma, bar)
-                    assert got == outcome(getattr(fresh, name), w, gamma, not bar), (
-                        v, w, gamma, bar, name
+                for read in (TSetTable.counts, images, TSetTable.t_set):
+                    got = outcome(read, table, w, gamma, bar)
+                    assert got == outcome(read, fresh, w, gamma, not bar), (
+                        v, w, gamma, bar, read.__name__
                     )
             assert table.t_bar_set(w, gamma) == fresh.t_set(w, gamma)
 
 
-def test_a_clean_scan_builds_flip_dicts_only_for_the_strong_check(s4_lex):
+def test_a_clean_scan_builds_flip_dicts_only_for_the_strong_check(s4_lex, monkeypatch):
     """T-sets and the flip DP read counts, so a clean scan of every
     interval under the S_4 sink w0 builds only the strong flip condition's
-    flip dicts: one per (u, M) with M starting with c."""
+    flip dicts: one call per (u, M) with M starting with c."""
+    flip_calls = record_flip_calls(monkeypatch)
     v = parse_perm("4321")
     table = TSetTable(v, s4_lex)
     strong = set()
     for u in table.gaps:
         if u == v:
             continue
-        record = scan_interval(u, v, s4_lex, "lex", table)
+        record = scan_interval(u, "lex", table)
         assert record["clean"], u
         strong |= {(u, ad_form(m)) for m in record["monomials"] if m.startswith("c")}
-    assert strong and set(table._flips) == strong
+    assert strong and set(flip_calls) == strong and len(flip_calls) == len(strong)
+
+
+def test_every_empty_count_is_one_shared_tuple(s4_lex):
+    """After a clean scan of every interval under the S_4 sink w0, the
+    counts of every empty T-set and T-bar set are the table's one all-zero
+    tuple."""
+    v = parse_perm("4321")
+    table = TSetTable(v, s4_lex)
+    for u in table.gaps:
+        if u != v:
+            assert scan_interval(u, "lex", table)["clean"], u
+    zeros = [c for c in table._counts.values() if not any(c)]
+    assert len(zeros) > 1 and len({id(c) for c in zeros}) == 1
 
 
 def test_a_clean_scan_builds_t_sets_only_for_the_strong_check(s4_lex):
@@ -733,7 +771,7 @@ def test_a_clean_scan_builds_t_sets_only_for_the_strong_check(s4_lex):
     for the strong flip condition: for each M starting with c."""
     u, v = parse_perm("2134"), parse_perm("4321")
     table = TSetTable(v, s4_lex)
-    record = scan_interval(u, v, s4_lex, "lex", table)
+    record = scan_interval(u, "lex", table)
     assert record["clean"]
     strong = {ad_form(m) for m in record["monomials"] if m.startswith("c")}
     assert strong and {gamma for w, gamma in table._tsets if w == u} == strong

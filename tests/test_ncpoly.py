@@ -123,6 +123,15 @@ def test_decompose_left_a_of_zero():
     assert decompose_left_a(ADPolynomial(), 2) == (CDPolynomial(), CDPolynomial())
 
 
+def test_decompose_left_a_rejects_words_not_of_degree_n():
+    """A mixed-degree input and one of the wrong degree raise; the zero
+    polynomial, which has no words, passes at any degree."""
+    for p in (ADPolynomial({"AA": 1, "A": 1}), ADPolynomial({"AAA": 1, "DDD": 1})):
+        with pytest.raises(ValueError, match="^polynomial is not homogeneous of degree 2$"):
+            decompose_left_a(p, 2)
+    assert decompose_left_a(ADPolynomial(), 3) == (CDPolynomial(), CDPolynomial())
+
+
 @given(st.lists(st.integers(-5, 5), min_size=16, max_size=16))
 @settings(max_examples=60)
 def test_decompose_left_a_matches_solver_oracle(coeffs):

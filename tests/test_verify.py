@@ -248,10 +248,9 @@ def test_strong_flip_condition_matches_g_nonnegativity_at_all_t_on_s4():
 
 
 def test_scan_interval_record_is_deterministic(example_table):
-    u, v = parse_perm("2134"), parse_perm("4321")
-    order = example_table.order
-    a = scan_interval(u, v, order, "lex", example_table)
-    b = scan_interval(u, v, order, "lex", example_table)
+    u = parse_perm("2134")
+    a = scan_interval(u, "lex", example_table)
+    b = scan_interval(u, "lex", example_table)
     a.pop("elapsed_ms")
     b.pop("elapsed_ms")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -273,5 +272,5 @@ def test_scan_interval_builds_no_interval_and_enumerates_only_in_the_table(monke
     builds = count_calls(monkeypatch, intervals.build_interval)
     enumerations = count_calls(monkeypatch, intervals.iter_paths)
     for u, v in pairs:
-        assert scan_interval(u, v, order, "lex", tables[v])["clean"], (u, v)
+        assert scan_interval(u, "lex", tables[v])["clean"], (u, v)
     assert builds == [] and enumerations == []
