@@ -12,10 +12,11 @@ record lies: a byte offset, a size and its clean flag, by position in
 `iter_intervals` order.  At the end the records are copied out of the
 spool in that order.  With `--out` the spool is `<out>.spool`: truncated
 when the sweep starts, left in place by a kill or a failed sweep, and
-removed once `--out` is written.  `--resume` indexes the lines of `--out`
-and the complete lines of `<out>.spool` the same way, as byte ranges, so
-resuming reads no old record back into memory.  On stdout the spool is an
-anonymous temporary file.
+removed once `--out` is written.  `--resume` reads `--out` and
+`<out>.spool` by one rule: a last line with no newline is what a kill
+leaves and is dropped, and every other line must parse.  It indexes the
+lines as byte ranges, so resuming reads no old record back into memory.
+On stdout the spool is an anonymous temporary file.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def cmd_tset(args) -> int:
     table = TSetTable(v, order)
     gamma = ad_form(monomial)
     t_paths = table.t_set(u, gamma)
-    tbar_paths = table.t_bar_set(u, gamma)
+    tbar_paths = table.t_set(u, gamma, bar=True)
     pairing = table.flip(u, gamma)
     payload = {
         "u": format_perm(u),
@@ -180,33 +181,24 @@ def _scan_sink(job) -> list[tuple[str, bool]]:
     return lines
 
 
-def _index_resumed(fh, src: int, old: dict, complete_only: bool) -> int:
+def _index_resumed(fh, src: int, old: dict) -> int:
     """Index the record lines of a resume file into `old`: (u, v, order)
     -> (src, offset, size, clean), the byte range of the line with its
-    whitespace stripped, the first occurrence of a key winning.  Only the
-    last line may be unparsable, as a kill leaves it, and it is dropped;
-    with `complete_only` a last line with no newline is dropped unread.
-    Returns the offset just past the last line indexed."""
-    end = kept = 0
-    bad = None
+    whitespace stripped, the first occurrence of a key winning.  A last
+    line with no newline is what a kill leaves, and it is dropped unread;
+    every other non-blank line must parse.  Returns the offset just past
+    the last complete line."""
+    end = 0
     for raw in fh:
-        end += len(raw)
-        if complete_only and not raw.endswith(b"\n"):
+        if not raw.endswith(b"\n"):
             break
+        end += len(raw)
         line = raw.strip()
-        if not line:
-            continue
-        if bad is not None:
-            raise bad  # an unparsable line before the last
-        try:
+        if line:
             rec = json.loads(line)
             key = (rec["u"], rec["v"], rec["order"])
             old.setdefault(key, (src, end - len(raw.lstrip()), len(line), bool(rec["clean"])))
-        except (ValueError, KeyError, TypeError) as exc:
-            bad = exc
-        else:
-            kept = end
-    return kept
+    return end
 
 
 def cmd_scan(args) -> int:
@@ -243,8 +235,8 @@ def cmd_scan(args) -> int:
             try:
                 if os.path.exists(args.out):
                     files.append(stack.enter_context(open(args.out, "rb")))
-                    _index_resumed(files[1], 1, old, complete_only=False)
-                spool.truncate(_index_resumed(spool, 0, old, complete_only=True))
+                    _index_resumed(files[1], 1, old)
+                spool.truncate(_index_resumed(spool, 0, old))
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 print(f"error reading resume file: {exc}", file=sys.stderr)
                 return EXIT_IO
@@ -314,12 +306,12 @@ def cmd_scan(args) -> int:
             return EXIT_IO
         except dead_worker:
             # most likely killed for memory: exit as a MemoryError does
+            # the pool names no process, so name the first sink not written
             sink = format_perm(jobs[ended][0])
-            kept = f"; {spool_path} keeps the ended sinks for --resume" if args.out else ""
-            print(
-                f"error: a --workers process died, so the scan stopped at sink {sink}{kept}",
-                file=sys.stderr,
-            )
+            line = f"error: a --workers process died before sink {sink} was written"
+            if args.out:
+                line += f"; {spool_path} keeps the sinks written before it for --resume"
+            print(line, file=sys.stderr)
             return EXIT_USER
     if violations:
         print(f"scan found {violations} inconsistent interval(s)", file=sys.stderr)

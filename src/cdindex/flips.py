@@ -101,8 +101,7 @@ class TSetTable:
       |T| = |T-bar| check;
     - ``t_set(w, gamma, bar)``: the T-set (or T-bar set) for the AD-word
       ``gamma``, sorted by its side's lex order, sliced from the suffix
-      T-sets by the same ranges as the counts; ``t_bar_set(w, gamma)`` is
-      the T-bar side;
+      T-sets by the same ranges as the counts;
     - ``index(path, m, gamma)``: the index of the path's tail from x_m in
       T(x_m, gamma), or None, read off the counts without building T;
     - ``flip(w, gamma)``: the pairing dict T -> T-bar, built on each call,
@@ -144,6 +143,7 @@ class TSetTable:
         A exactly when rank(t) is below that path's first-label rank.  So
         bucket rank(t) of w is every bucket r' of y with that letter in
         front; the base case is the edge w -> sink, with the empty word.
+        The out-edges run in rank order, so the buckets are filled in it.
         """
         key = (w, n)
         hit = self._sums.get(key)
@@ -165,8 +165,7 @@ class TSetTable:
                             acc[word] = acc.get(word, 0) + c
                     if acc:
                         buckets[r] = ADPolynomial._of(acc)
-            hit = {r: buckets[r] for r in sorted(buckets)}
-            self._sums[key] = hit
+            hit = self._sums[key] = buckets
         return hit
 
     def graded_sums(self, w: Perm) -> GradedSums:
@@ -345,10 +344,6 @@ class TSetTable:
             hit = self._spans[key] = (lo, hi)
         return hit
 
-    def t_bar_set(self, w: Perm, gamma: str) -> tuple[BruhatPath, ...]:
-        """The same construction under the reversed order, sorted by its lex."""
-        return self.t_set(w, gamma, bar=True)
-
     def flip(self, w: Perm, gamma: str) -> dict[BruhatPath, BruhatPath]:
         """Lex-preserving pairing T -> T-bar on [w, sink] for gamma.
 
@@ -358,7 +353,7 @@ class TSetTable:
         call: `tset` and the strong flip condition ask once per (w, gamma).
         """
         t = self.t_set(w, gamma)
-        tbar = self.t_bar_set(w, gamma)
+        tbar = self.t_set(w, gamma, bar=True)
         if len(t) != len(tbar):
             raise FlipUndefinedError(w, gamma, self.sink, len(t), len(tbar))
         return dict(zip(t, reversed(tbar)))

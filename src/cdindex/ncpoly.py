@@ -16,7 +16,7 @@ The number of cd-monomials of degree n is the Fibonacci number F(n+1)
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
 
 from .errors import NotDecomposableError, NotInSubringError
@@ -36,17 +36,14 @@ class _WordPolynomial:
     __slots__ = ("_terms",)
     alphabet = ""
 
-    def __init__(self, terms: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[str, int] = {}
-        for word, coeff in items:
+    def __init__(self, terms: Mapping[str, int] | None = None):
+        terms = terms or {}
+        for word in terms:
             if word.strip(self.alphabet):
                 raise ValueError(
                     f"monomial {word!r} not over alphabet {self.alphabet!r}"
                 )
-            if coeff:
-                acc[word] = acc.get(word, 0) + coeff
-        self._terms = {w: c for w, c in acc.items() if c}
+        self._terms = {w: c for w, c in terms.items() if c}
 
     @classmethod
     def _of(cls, terms: dict[str, int]):

@@ -329,7 +329,7 @@ def restricted_count_reports(u, monomial, table, splits):
     order = table.order
     steps = splits.get(cd_degree(monomial), [])
     t_ranks = sorted(order.rank(p.labels[0]) for p in table.t_set(u, gamma))
-    tbar_ranks = sorted(order.rank(p.labels[0]) for p in table.t_bar_set(u, gamma))
+    tbar_ranks = sorted(order.rank(p.labels[0]) for p in table.t_set(u, gamma, bar=True))
     reports = []
     for t in order.sequence:
         bound = order.rank(t)

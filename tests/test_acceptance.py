@@ -123,9 +123,9 @@ def test_criterion_1_worked_example_exact(s4_tables):
 
     # intermediate sets driving the dd computation
     assert named(table.t_set(parse_perm("2143"), "ADA")) == ["3416"]
-    assert named(table.t_bar_set(parse_perm("2143"), "ADA")) == ["4361"]
+    assert named(table.t_set(parse_perm("2143"), "ADA", bar=True)) == ["4361"]
     assert named(table.t_set(parse_perm("2314"), "ADA")) == ["1516"]
-    assert named(table.t_bar_set(parse_perm("2314"), "ADA")) == ["5361"]
+    assert named(table.t_set(parse_perm("2314"), "ADA", bar=True)) == ["5361"]
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

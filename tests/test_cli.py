@@ -366,6 +366,25 @@ def test_resume_rejects_an_unparsable_line_before_the_last(capsys, tmp_path):
     assert out_file.read_text() == before
 
 
+@pytest.mark.parametrize("suffix", ["", ".spool"], ids=["out", "spool"])
+def test_resume_rejects_a_complete_last_line_that_does_not_parse(capsys, tmp_path, suffix):
+    """Only a last line with no newline is taken as cut short by a kill:
+    in --out and in the spool alike, a last line that ends with a newline
+    and does not parse exits 5 before the sweep and leaves the file as it
+    was."""
+    out_file = tmp_path / "s3.jsonl"
+    run(capsys, "scan", "--n", "3", "--out", str(out_file))
+    lines = out_file.read_text().splitlines()
+    out_file.unlink()
+    resumed = tmp_path / ("s3.jsonl" + suffix)
+    before = "".join(line + "\n" for line in lines[:5]) + '{"u": "12\n'
+    resumed.write_text(before)
+    code, _, err = run(capsys, "scan", "--n", "3", "--out", str(out_file), "--resume")
+    assert code == cli.EXIT_IO
+    assert "resume file" in err
+    assert resumed.read_text() == before
+
+
 def test_resume_counts_the_unclean_old_records(capsys, tmp_path):
     out_file = tmp_path / "s3.jsonl"
     run(capsys, "scan", "--n", "3", "--out", str(out_file))
@@ -485,6 +504,7 @@ def test_a_dead_worker_exits_2_and_its_scan_resumes(capsys, monkeypatch, tmp_pat
     assert code == cli.EXIT_USER and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "process died" in err and str(spool) in err
+    assert "was written" in err
     assert spool.exists() and not out_file.exists()
     code, _, _ = run(capsys, "scan", "--n", "4", "--out", str(out_file), "--resume")
     assert code == 0

@@ -88,7 +88,7 @@ def per_t_restricted_counts(iv, monomial, t, table, by_degree):
         1 for p in table.t_set(iv.u, gamma) if order.rank(p.labels[0]) <= bound
     )
     tbar_restricted = sum(
-        1 for p in table.t_bar_set(iv.u, gamma) if order.rank(p.labels[0]) <= bound
+        1 for p in table.t_set(iv.u, gamma, bar=True) if order.rank(p.labels[0]) <= bound
     )
     f_plus_cg = f + CDPolynomial({"c": 1}) * g
     return RestrictedCountReport(

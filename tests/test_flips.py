@@ -97,17 +97,17 @@ def test_t_sets_of_the_running_example(example_table, s4_lex):
 
 def test_t_bar_sets_of_the_running_example(example_table, s4_lex):
     u = parse_perm("2134")
-    t_bar_set = example_table.t_bar_set
-    assert names(t_bar_set(u, ad_form("cc")), s4_lex) == ["521", "652"]
-    assert names(t_bar_set(u, ad_form("d")), s4_lex) == ["462"]
-    assert names(t_bar_set(u, ad_form("dd")), s4_lex) == ["45361"]
+    t_set = example_table.t_set
+    assert names(t_set(u, ad_form("cc"), bar=True), s4_lex) == ["521", "652"]
+    assert names(t_set(u, ad_form("d"), bar=True), s4_lex) == ["462"]
+    assert names(t_set(u, ad_form("dd"), bar=True), s4_lex) == ["45361"]
 
 
 def test_intermediate_t_sets_with_ad_word_ada(example_table, s4_lex):
     assert names(example_table.t_set(parse_perm("2143"), "ADA"), s4_lex) == ["3416"]
-    assert names(example_table.t_bar_set(parse_perm("2143"), "ADA"), s4_lex) == ["4361"]
+    assert names(example_table.t_set(parse_perm("2143"), "ADA", bar=True), s4_lex) == ["4361"]
     assert names(example_table.t_set(parse_perm("2314"), "ADA"), s4_lex) == ["1516"]
-    assert names(example_table.t_bar_set(parse_perm("2314"), "ADA"), s4_lex) == ["5361"]
+    assert names(example_table.t_set(parse_perm("2314"), "ADA", bar=True), s4_lex) == ["5361"]
 
 
 def test_candidates_for_d_and_their_flips(example_table, s4_lex):
@@ -156,8 +156,8 @@ def test_t_bar_equals_t_under_reversed_order(example_table, s4_lex):
     rev_table = TSetTable(parse_perm("4321"), s4_lex.reversed())
     for monomial in ("cc", "d", "dd", "cccc", "cdc"):
         gamma = ad_form(monomial)
-        assert example_table.t_bar_set(u, gamma) == rev_table.t_set(u, gamma)
-        assert rev_table.t_bar_set(u, gamma) == example_table.t_set(u, gamma)
+        assert example_table.t_set(u, gamma, bar=True) == rev_table.t_set(u, gamma)
+        assert rev_table.t_set(u, gamma, bar=True) == example_table.t_set(u, gamma)
 
 
 def test_t_bar_matches_a_freshly_built_reverse_table(example_table, s4_lex):
@@ -165,7 +165,7 @@ def test_t_bar_matches_a_freshly_built_reverse_table(example_table, s4_lex):
     u = parse_perm("2134")
     for monomial in ("cc", "d", "dd", "ccd", "cdc", "dcc", "cccc"):
         gamma = ad_form(monomial)
-        assert example_table.t_bar_set(u, gamma) == fresh.t_set(u, gamma)
+        assert example_table.t_set(u, gamma, bar=True) == fresh.t_set(u, gamma)
 
 
 @pytest.mark.parametrize("order", S4_ORDERS, ids=["lex", "word121321"])
@@ -265,7 +265,7 @@ def test_t_sets_build_each_path_once_from_the_suffix_t_sets(monkeypatch, s4_lex)
     table = TSetTable(sink, s4_lex)
     sizes = 0
     for w, gamma in word_problems(sink):
-        sizes += len(table.t_set(w, gamma)) + len(table.t_bar_set(w, gamma))
+        sizes += len(table.t_set(w, gamma)) + len(table.t_set(w, gamma, bar=True))
         table.flip(w, gamma)
     assert sizes > 0
     assert len(built) == sizes
@@ -309,7 +309,7 @@ def test_t_sets_enumerate_no_paths_and_recompute_no_words(monkeypatch, s4_lex):
     for w, n in cone_problems(sink):
         for monomial in cd_monomials(n):
             gamma = ad_form(monomial)
-            sizes += len(table.t_set(w, gamma)) + len(table.t_bar_set(w, gamma))
+            sizes += len(table.t_set(w, gamma)) + len(table.t_set(w, gamma, bar=True))
             table.flip(w, gamma)
     assert sizes > 0
     assert enumerations == [] and words == []
@@ -413,7 +413,7 @@ def test_flip_undefined_is_raised_on_size_mismatch(s4_lex, monkeypatch):
     gamma = "AA"
     t = example_table.t_set(u, gamma)
     # doctor the T-bar memos to drop one element, then ask for the pairing
-    shrunk = example_table.t_bar_set(u, gamma)[1:]
+    shrunk = example_table.t_set(u, gamma, bar=True)[1:]
     monkeypatch.setitem(example_table._t_bar_sets, (u, gamma), shrunk)
     with pytest.raises(FlipUndefinedError) as info:
         example_table.flip(u, gamma)
@@ -648,7 +648,7 @@ def assert_t_sets_equal_the_word_path_route(sink, order):
             expected = outcome(word_path_t_set, each, w, gamma, lookups[each])
             assert outcome(each.t_set, w, gamma) == expected, (sink, w, gamma)
             kinds.append(expected[0])
-        assert outcome(table.t_bar_set, w, gamma) == outcome(fresh.t_set, w, gamma)
+        assert outcome(table.t_set, w, gamma, True) == outcome(fresh.t_set, w, gamma)
     return kinds
 
 
@@ -732,7 +732,7 @@ def test_a_reverse_order_table_is_the_t_bar_side(n, spec):
                     assert got == outcome(read, fresh, w, gamma, not bar), (
                         v, w, gamma, bar, read.__name__
                     )
-            assert table.t_bar_set(w, gamma) == fresh.t_set(w, gamma)
+            assert table.t_set(w, gamma, bar=True) == fresh.t_set(w, gamma)
 
 
 def test_a_clean_scan_builds_flip_dicts_only_for_the_strong_check(s4_lex, monkeypatch):
