@@ -215,27 +215,32 @@ def cmd_scan(args) -> int:
     from array import array
 
     with ExitStack() as stack:
-        # the spool takes each sink job's lines as the job ends; `files`
-        # are what the byte ranges of the index point into
+        old: dict = {}  # (u, v, order) -> (file, offset, size, clean) of a resumed line
+        resumed = []  # a resumed --out, indexed before the spool is opened: a bad line creates no spool
         spool_path = args.out + ".spool" if args.out else None
+        if args.out and os.path.isdir(args.out):  # checked before the sweep, not at os.replace
+            print(f"error: --out {args.out} is a directory", file=sys.stderr)
+            return EXIT_IO
+        if args.resume and os.path.exists(args.out):
+            try:
+                resumed.append(stack.enter_context(open(args.out, "rb")))
+                _index_resumed(resumed[0], 1, old)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                print(f"error reading resume file: {exc}", file=sys.stderr)
+                return EXIT_IO
+        # the spool takes each sink job's lines as the job ends
         try:
             if not args.out:
                 spool = stack.enter_context(tempfile.TemporaryFile())
             else:
-                if os.path.isdir(args.out):  # checked before the sweep, not at os.replace
-                    raise IsADirectoryError(f"--out {args.out} is a directory")
                 mode = "r+b" if args.resume and os.path.exists(spool_path) else "w+b"
                 spool = stack.enter_context(open(spool_path, mode))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-        files = [spool]
-        old: dict = {}  # (u, v, order) -> (file, offset, size, clean) of a resumed line
+        files = [spool, *resumed]  # what the byte ranges of the index point into
         if args.resume:
             try:
-                if os.path.exists(args.out):
-                    files.append(stack.enter_context(open(args.out, "rb")))
-                    _index_resumed(files[1], 1, old)
                 spool.truncate(_index_resumed(spool, 0, old))
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 print(f"error reading resume file: {exc}", file=sys.stderr)

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .intervals import BruhatInterval
 from .ncpoly import (
@@ -70,13 +70,19 @@ def ad_polynomials(sums: GradedSums) -> dict[int, ADPolynomial]:
     return {n: sum(buckets.values(), ADPolynomial()) for n, buckets in sums.items()}
 
 
-@dataclass(frozen=True)
-class CompleteCdIndex:
-    """Graded cd-polynomial family of one interval."""
+class CompleteCdIndex(NamedTuple):
+    """Graded cd-polynomial family of one interval.
+
+    Equality compares the polynomials too; the hash reads (u, v) alone,
+    since the dict of polynomials is not hashable.
+    """
 
     u: Perm
     v: Perm
-    by_degree: dict[int, CDPolynomial] = field(hash=False)
+    by_degree: dict[int, CDPolynomial]
+
+    def __hash__(self):
+        return hash((self.u, self.v))
 
     def coefficient(self, monomial: str) -> int:
         part = self.by_degree.get(cd_degree(monomial))

@@ -68,9 +68,8 @@ The cone is the down-closure of v in the process's one Bruhat graph
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .complete import GradedSums, degree_range
 from .errors import FlipUndefinedError
@@ -439,8 +438,7 @@ def _no_minus_one(u: Perm, gamma: str, table: TSetTable) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class FlipWitness:
+class FlipWitness(NamedTuple):
     """Replayable record of a flip-condition failure.
 
     kinds: "minus-one-at-m" (a -1 factor with the tail in its suffix T-set),

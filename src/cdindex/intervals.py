@@ -23,10 +23,9 @@ rank once per reflection order, and each table keeps those in its cone.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from functools import cache
 
-from .orders import ReflectionOrder
+from .orders import Immutable, ReflectionOrder
 from .perms import (
     Perm,
     Reflection,
@@ -40,12 +39,34 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BruhatPath:
-    """A labeled path u = x_0 -> x_1 -> ... -> x_{n+1} = v of length n."""
+class BruhatPath(Immutable):
+    """A labeled path u = x_0 -> x_1 -> ... -> x_{n+1} = v of length n.
 
+    Equal and hashed by (vertices, labels).  Two slots and no instance
+    dict keep it at 48 bytes, which `tset` pays once per path it holds.
+    """
+
+    __slots__ = ("vertices", "labels")
     vertices: tuple[Perm, ...]
     labels: tuple[Reflection, ...]
+
+    def __init__(self, vertices: tuple[Perm, ...], labels: tuple[Reflection, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "labels", labels)
+
+    def __reduce__(self):
+        return BruhatPath, (self.vertices, self.labels)
+
+    def __eq__(self, other):
+        if type(other) is not BruhatPath:
+            return NotImplemented
+        return self.vertices == other.vertices and self.labels == other.labels
+
+    def __hash__(self):
+        return hash((self.vertices, self.labels))
+
+    def __repr__(self):
+        return f"BruhatPath(vertices={self.vertices!r}, labels={self.labels!r})"
 
     @property
     def n(self) -> int:
@@ -57,19 +78,31 @@ class BruhatPath:
         return BruhatPath(self.vertices[m:], self.labels[m:])
 
 
-@dataclass(frozen=True, eq=False)
-class BruhatInterval:
+class BruhatInterval(Immutable):
     """Materialized interval [u, v]: vertex set and internal labeled edges.
 
     `adjacency[x]` lists the outgoing edges (t, y) sorted by the intrinsic
     lexicographic order on reflections, which makes every enumeration over
-    the interval deterministic.
+    the interval deterministic.  Equality is identity.
     """
 
+    __slots__ = ("u", "v", "elements", "adjacency")
     u: Perm
     v: Perm
     elements: frozenset[Perm]
     adjacency: dict[Perm, tuple[tuple[Reflection, Perm], ...]]
+
+    def __init__(
+        self,
+        u: Perm,
+        v: Perm,
+        elements: frozenset[Perm],
+        adjacency: dict[Perm, tuple[tuple[Reflection, Perm], ...]],
+    ):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "adjacency", adjacency)
 
     @property
     def length_diff(self) -> int:
@@ -114,17 +147,28 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
     return BruhatInterval(u, v, frozenset(elements), adjacency)
 
 
-@dataclass(frozen=True, eq=False)
-class BruhatGraph:
+class BruhatGraph(Immutable):
     """The Bruhat graph of S_n: the interval [e, w0] and its reversed edges.
 
     `below[y]` lists every x with an edge x -> y; `lengths` holds l(x).
+    Equality is identity.
     """
 
+    __slots__ = ("interval", "below", "lengths", "_sorted")
     interval: BruhatInterval
     below: dict[Perm, tuple[Perm, ...]]
     lengths: dict[Perm, int]
-    _sorted: dict = field(default_factory=dict, repr=False)
+
+    def __init__(
+        self,
+        interval: BruhatInterval,
+        below: dict[Perm, tuple[Perm, ...]],
+        lengths: dict[Perm, int],
+    ):
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "below", below)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "_sorted", {})
 
     def sorted_adjacency(
         self, order: ReflectionOrder

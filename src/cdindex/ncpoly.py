@@ -23,10 +23,11 @@ from .errors import NotDecomposableError, NotInSubringError
 
 _BAR = str.maketrans("AD", "DA")
 
-# Many intervals of a scan have equal word sums (a scan of S_5 up to gap 3
-# converts 7 distinct ones in 5,450 calls), so both conversions keep their
-# recent results; the polynomials are immutable and hashable, and a raised
-# error is not kept.
+# Many intervals of a scan have equal word sums (a scan of S_5 up to gap 3,
+# under lex or the benchmark's seed-1 order, makes 2,220 `ad_to_cd` calls on
+# 7 distinct sums and 2,444 `decompose_left_a` calls on 4), so both
+# conversions keep their recent results; the polynomials are immutable and
+# hashable, and a raised error is not kept.
 _MEMO_SIZE = 512
 
 

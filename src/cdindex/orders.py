@@ -16,7 +16,6 @@ yields one via prefix conjugation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .perms import (
@@ -32,31 +31,60 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True)
-class ReflectionOrder:
+class Immutable:
+    """Base of the package's slotted value classes.
+
+    Each subclass lists its attributes in `__slots__` and sets them in
+    `__init__` through `object.__setattr__`; after that, assigning or
+    deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ReflectionOrder(Immutable):
     """A validated total order on the reflections of S_n.
 
     `sequence[k]` is the reflection of 1-based rank k+1; `rank()` is the
-    inverse lookup.  Instances are immutable and safe to share.
+    inverse lookup.  Instances are immutable and safe to share; two are
+    equal, and hash alike, when their (n, sequence) are.
     """
 
+    __slots__ = ("n", "sequence", "_rank", "_reversed")
     n: int
     sequence: tuple[Reflection, ...]
-    _rank: dict[Reflection, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _reversed: Optional["ReflectionOrder"] = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
-    def __post_init__(self):
-        expected = set(all_reflections(self.n))
-        if set(self.sequence) != expected or len(self.sequence) != len(expected):
+    def __init__(self, n: int, sequence: tuple[Reflection, ...]):
+        expected = set(all_reflections(n))
+        if set(sequence) != expected or len(sequence) != len(expected):
             raise ValueError("sequence must list every reflection of S_n exactly once")
-        self._rank.update({t: k + 1 for k, t in enumerate(self.sequence)})
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "_rank", {t: k + 1 for k, t in enumerate(sequence)})
+        object.__setattr__(self, "_reversed", None)
         witness = dihedral_violation(self)
         if witness is not None:
             raise ValueError(f"not a reflection order; violating subgroup {witness}")
+
+    def __reduce__(self):
+        return ReflectionOrder, (self.n, self.sequence)
+
+    def __eq__(self, other):
+        if type(other) is not ReflectionOrder:
+            return NotImplemented
+        return self.n == other.n and self.sequence == other.sequence
+
+    def __hash__(self):
+        return hash((self.n, self.sequence))
+
+    def __repr__(self):
+        return f"ReflectionOrder(n={self.n!r}, sequence={self.sequence!r})"
 
     def rank(self, t: Reflection) -> int:
         """1-based position of t in this order."""

@@ -38,8 +38,7 @@ JSON-lines.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .complete import (
     CompleteCdIndex,
@@ -60,8 +59,7 @@ from .ncpoly import ad_form, cd_degree, cd_monomials
 from .perms import Perm, Reflection, format_perm
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     """The four values compared for one (interval, monomial)."""
 
     u: Perm
@@ -110,8 +108,7 @@ def verify_coefficient(
     )
 
 
-@dataclass(frozen=True)
-class RestrictedCountReport:
+class RestrictedCountReport(NamedTuple):
     """Restricted T-set sizes against shelling-decomposition coefficients."""
 
     u: Perm

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
 import sys
 
 import pytest
@@ -364,6 +365,7 @@ def test_resume_rejects_an_unparsable_line_before_the_last(capsys, tmp_path):
     assert code == cli.EXIT_IO
     assert "resume file" in err
     assert out_file.read_text() == before
+    assert not (tmp_path / "s3.jsonl.spool").exists()
 
 
 @pytest.mark.parametrize("suffix", ["", ".spool"], ids=["out", "spool"])
@@ -591,3 +593,41 @@ def test_scan_n4_records_match_golden_digest(capsys, n, spec, workers, records):
     lines = out.splitlines()
     assert len(lines) == records
     assert records_digest(lines) == SCAN_DIGESTS[n, spec]
+
+
+FOOTPRINT = """
+import json, sys
+from cdindex import cli
+
+def heavy():
+    return [m for m in ("dataclasses", "inspect") if m in sys.modules]
+
+cli.build_parser()
+after_parser = heavy()
+for argv in {runs!r}:
+    assert cli.main(argv) == 0, argv
+print(json.dumps([after_parser, heavy()]))
+"""
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """`dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, about
+    1 MB of resident memory in every CLI process: a fresh interpreter that
+    imports the CLI, builds its parser and then runs compute, tset, scan
+    and dot loads neither module."""
+    runs = [
+        ["compute", "1234", "4321", "--all-orders"],
+        ["tset", "1234", "4321", "ddc"],
+        ["scan", "--n", "3", "--out", str(tmp_path / "s3.jsonl")],
+        ["dot", "1234", "4321", "-o", str(tmp_path / "s4.dot")],
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT.format(runs=runs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]

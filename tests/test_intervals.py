@@ -1,7 +1,14 @@
+import pickle
+import sys
+
 import pytest
 
+from cdindex.complete import CompleteCdIndex
+from cdindex.flips import FlipWitness
 from cdindex.intervals import (
+    BruhatPath,
     ad_word,
+    bruhat_graph,
     build_interval,
     export_dot,
     label_string,
@@ -9,6 +16,7 @@ from cdindex.intervals import (
     rank_sequence,
 )
 from cdindex.orders import lex_order
+from cdindex.verify import CoefficientReport, RestrictedCountReport
 from cdindex.perms import (
     Reflection,
     bruhat_leq,
@@ -200,3 +208,40 @@ def test_path_json_shape(example_interval, s4_lex):
     data = path_json(path, s4_lex)
     assert data["vertices"][0] == "2134" and data["vertices"][-1] == "4321"
     assert len(data["labels"]) == 3
+
+
+def test_values_are_immutable(example_interval):
+    """Paths, intervals, the Bruhat graph, orders and every record refuse
+    attribute assignment and deletion; orders are values; a path is
+    exactly two slots; paths and orders survive a pickle round trip."""
+    u, v = example_interval.u, example_interval.v
+    t = Reflection(1, 2)
+    path = BruhatPath((u, v), (t,))
+    values = [
+        (path, "labels"),
+        (example_interval, "elements"),
+        (bruhat_graph(3), "below"),
+        (lex_order(4), "sequence"),
+        (CompleteCdIndex(u, v, {}), "by_degree"),
+        (FlipWitness("size-mismatch", "d"), "detail"),
+        (CoefficientReport(u, v, "d", 1, 1, 1, 1), "t_size"),
+        (RestrictedCountReport(u, v, "d", t, 0, 0, 0, 0), "coeff_f"),
+    ]
+    for value, field in values:
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+
+    first, second = lex_order(4), lex_order(4)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert len({first: 1, second: 2}) == 1
+    assert first != first.reversed() and first.reversed().reversed() is first
+    assert pickle.loads(pickle.dumps(first)) == first
+    assert pickle.loads(pickle.dumps(path)) == path
+
+    class TwoSlots:
+        __slots__ = ("a", "b")
+
+    assert sys.getsizeof(path) == sys.getsizeof(TwoSlots())
