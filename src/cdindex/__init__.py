@@ -6,10 +6,8 @@ from .complete import (
     CompleteCdIndex,
     ad_polynomials,
     complete_cd_index,
-    flag_cd_index,
     restricted_ad_polynomial,
     shelling_decomposition,
-    split_at,
 )
 from .errors import (
     CdIndexError,
@@ -42,7 +40,6 @@ from .ncpoly import (
     bar,
     cd_monomials,
     decompose_left_a,
-    expand_cd,
     parse_cd_monomial,
 )
 from .orders import ReflectionOrder, dihedral_violation, lex_order, order_from_reduced_word
@@ -52,7 +49,6 @@ from .perms import (
     all_reflections,
     bruhat_leq,
     compose,
-    edge_reflection,
     format_perm,
     identity,
     inverse,

@@ -75,17 +75,19 @@ def resolve_order(spec: str, n: int) -> ReflectionOrder:
     raise UserError(f"unknown order spec {spec!r} (use lex, rev, or word:...)")
 
 
-def check_comparable(u, v) -> None:
+def interval_args(args):
+    """(u, v, order) of compute, tset and dot: u <= v in one S_n, and the
+    `--order` resolved for that n, all checked before any work is done."""
+    u, v = parse_perm_arg(args.u), parse_perm_arg(args.v)
     if len(u) != len(v):
         raise UserError("u and v live in different symmetric groups")
     if not bruhat_leq(u, v):
         raise UserError(f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order")
+    return u, v, resolve_order(args.order, len(u))
 
 
 def cmd_compute(args) -> int:
-    u, v = parse_perm_arg(args.u), parse_perm_arg(args.v)
-    check_comparable(u, v)  # the sink's table holds every path u -> v
-    order = resolve_order(args.order, len(u))
+    u, v, order = interval_args(args)  # the sink's table holds every path u -> v
     index = complete_cd_index(u, v, TSetTable(v, order).graded_sums(u))
     if args.all_orders:
         others = [lex_order(len(u)).reversed()]
@@ -114,13 +116,11 @@ def _staircase_word(n: int) -> list[int]:
 
 
 def cmd_tset(args) -> int:
-    u, v = parse_perm_arg(args.u), parse_perm_arg(args.v)
-    check_comparable(u, v)  # the sink's table builds the cone that holds [u, v]
+    u, v, order = interval_args(args)  # the sink's table builds the cone that holds [u, v]
     try:
         monomial = parse_cd_monomial(args.monomial)
     except ValueError as exc:
         raise UserError(str(exc))
-    order = resolve_order(args.order, len(u))
     table = TSetTable(v, order)
     gamma = ad_form(monomial)
     t_paths = table.t_set(u, gamma)
@@ -146,11 +146,8 @@ def cmd_tset(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    u, v = parse_perm_arg(args.u), parse_perm_arg(args.v)
-    check_comparable(u, v)
-    iv = build_interval(u, v)
-    order = resolve_order(args.order, len(u))
-    text = export_dot(iv, order)
+    u, v, order = interval_args(args)
+    text = export_dot(build_interval(u, v), order)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

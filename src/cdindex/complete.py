@@ -11,11 +11,11 @@ Restricting the sum to paths whose first reflection is at most t yields a
 polynomial of the form f + A*g with f, g in c, d; the pair (f, g) per
 degree is the shelling decomposition at t.  The restricted path set grows
 only at a rank some path starts with, so `shelling_decomposition` keeps
-one split per degree and populated rank, {n: [(r, (f, g)), ...]}, and
-`split_at` reads the split at any t off those steps.  From the top
-populated rank on the restricted sum is the full sum, so the split there
-is the cd-index part and 0, read off the index rather than decomposed
-again.
+one split per degree and populated rank, {n: [(r, (f, g)), ...]}: the
+split at t is that of the last step at a rank <= rank(t), and (0, 0)
+below the first.  From the top populated rank on the restricted sum is
+the full sum, so the split there is the cd-index part and 0, read off the
+index rather than decomposed again.
 
 Every reader here takes the graded first-label sums {n: {r: word sum}},
 which bucket the length-n paths u -> v by the rank r of their first label;
@@ -23,21 +23,12 @@ the full sum adds every bucket, the restricted sum at t those up to rank(t).
 The sink's `TSetTable` fills them (`graded_sums(u)`) by a DP over the
 upper neighbours of each vertex, with no path enumerated; `compute` and
 `scan` both read them there.
-
-`flag_cd_index` is an independent oracle: it computes the classical
-cd-index of [u, v] as a graded poset from chain counts (flag f-vector ->
-flag h-vector -> ab-index -> cd-form), touching none of the path machinery.
-The top-degree part of the complete cd-index must agree with it.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_right
-from operator import itemgetter
 from typing import NamedTuple
 
-from .intervals import BruhatInterval
 from .ncpoly import (
     ADPolynomial,
     CDPolynomial,
@@ -45,7 +36,7 @@ from .ncpoly import (
     cd_degree,
     decompose_left_a,
 )
-from .perms import Perm, bruhat_leq, format_perm, length
+from .perms import Perm, format_perm
 
 # {path length n: {rank r: AD-word sum of the length-n paths whose first label has rank r}}
 GradedSums = dict[int, dict[int, ADPolynomial]]
@@ -88,11 +79,6 @@ class CompleteCdIndex(NamedTuple):
         part = self.by_degree.get(cd_degree(monomial))
         return part.coefficient(monomial) if part is not None else 0
 
-    def top_degree_part(self) -> CDPolynomial:
-        if not self.by_degree:
-            return CDPolynomial()
-        return self.by_degree[max(self.by_degree)]
-
     def parts_json(self) -> dict[str, dict[str, int]]:
         """The graded parts, keyed by the degree as a string."""
         return {str(n): part.to_json() for n, part in sorted(self.by_degree.items())}
@@ -123,10 +109,10 @@ def shelling_decomposition(sums: GradedSums, index: CompleteCdIndex) -> Shelling
     `sums` are graded first-label sums and `index` the complete cd-index
     `complete_cd_index` made of them.  The result holds, per degree, one
     step (r, (f, g)) at each rank r some path starts with, in ascending r;
-    `split_at` reads the split at any t off those steps.  At a degree's
-    top populated rank the restricted sum is the full sum, so the split is
-    (index part, 0): converting that sum already checked that it lies in
-    the cd subring.  Below it, existence of the split is guaranteed for
+    each split holds up to the next step.  At a degree's top populated
+    rank the restricted sum is the full sum, so the split is (index part,
+    0): converting that sum already checked that it lies in the cd
+    subring.  Below it, existence of the split is guaranteed for
     these restricted sums; failure raises NotDecomposableError and means a
     bug, not bad input.
     """
@@ -141,66 +127,3 @@ def shelling_decomposition(sums: GradedSums, index: CompleteCdIndex) -> Shelling
         splits[n] = steps
     return splits
 
-
-def split_at(steps: list[tuple[int, Split]], bound: int) -> Split:
-    """The split whose restricted sum has first-label ranks <= bound.
-
-    The restricted path set grows only at a populated rank, so the split
-    of the last step at a rank <= bound holds up to the next step, and
-    below the first step the split is (0, 0).
-    """
-    k = bisect_right(steps, bound, key=itemgetter(0))
-    return steps[k - 1][1] if k else (CDPolynomial(), CDPolynomial())
-
-
-def flag_cd_index(iv: BruhatInterval) -> CDPolynomial:
-    """Classical cd-index of the interval poset, from chain counts.
-
-    For every subset S of the proper ranks 1..L-1, f_S counts the chains
-    u < z_1 < ... < z_k < v whose lengths-above-u hit exactly S; the flag
-    h-vector is its inclusion-exclusion transform, and reading each h_S as
-    an ab-word (b on S, a elsewhere, encoded here as D and A) gives the
-    ab-index, which is a cd-polynomial precisely because Bruhat intervals
-    are Eulerian.  Conversion failure would disprove Eulerian-ness, i.e.
-    flag a bug.
-    """
-    L = iv.length_diff
-    if L < 1:
-        raise ValueError("flag cd-index needs a nontrivial interval")
-    base = length(iv.u)
-    by_rank: dict[int, list[Perm]] = {}
-    for x in iv.elements:
-        by_rank.setdefault(length(x) - base, []).append(x)
-    for level in by_rank.values():
-        level.sort()
-    ranks = range(1, L)
-    f_vec: dict[tuple[int, ...], int] = {}
-    for size in range(L):
-        for subset in itertools.combinations(ranks, size):
-            f_vec[subset] = _chain_count(by_rank, subset)
-    ab: dict[str, int] = {}
-    for subset in f_vec:
-        h = 0
-        for size in range(len(subset) + 1):
-            for inner in itertools.combinations(subset, size):
-                h += (-1) ** (len(subset) - len(inner)) * f_vec[inner]
-        if h:
-            word = "".join("D" if r in subset else "A" for r in ranks)
-            ab[word] = h
-    return ad_to_cd(ADPolynomial(ab))
-
-
-def _chain_count(by_rank: dict[int, list[Perm]], subset: tuple[int, ...]) -> int:
-    """Number of chains through the given ranks, one element per rank."""
-    acc: dict[Perm, int] | None = None
-    for r in subset:
-        nxt: dict[Perm, int] = {}
-        for z in by_rank.get(r, []):
-            if acc is None:
-                nxt[z] = 1
-            else:
-                nxt[z] = sum(c for y, c in acc.items() if bruhat_leq(y, z))
-        acc = nxt
-    if acc is None:
-        return 1
-    return sum(acc.values())

@@ -74,11 +74,9 @@ from typing import Iterator, NamedTuple, Optional
 from .complete import GradedSums, degree_range
 from .errors import FlipUndefinedError
 from .intervals import BruhatPath, ad_word, bruhat_graph, iter_paths, label_string
-from .ncpoly import ADPolynomial, ad_form
+from .ncpoly import _BAR, ADPolynomial, ad_form
 from .orders import ReflectionOrder
 from .perms import Perm, Reflection, format_perm
-
-_BAR = str.maketrans("AD", "DA")
 
 
 class TSetTable:

@@ -73,10 +73,6 @@ class BruhatPath(Immutable):
         """Path length (number of labels minus one; a single edge has n = 0)."""
         return len(self.labels) - 1
 
-    def tail_from(self, m: int) -> "BruhatPath":
-        """The sub-path starting at x_m."""
-        return BruhatPath(self.vertices[m:], self.labels[m:])
-
 
 class BruhatInterval(Immutable):
     """Materialized interval [u, v]: vertex set and internal labeled edges.

@@ -187,27 +187,6 @@ def ad_form(monomial: str) -> str:
     return "".join("A" if ch == "c" else "DA" for ch in monomial)
 
 
-def expand_cd(p: CDPolynomial) -> ADPolynomial:
-    """Ring homomorphism c -> A + D, d -> AD + DA.
-
-    >>> expand_cd(CDPolynomial({"c": 1}))
-    A + D
-    """
-    acc: dict[str, int] = {}
-    for mon, coeff in p.items():
-        words = {"": coeff}
-        for ch in mon:
-            nxt: dict[str, int] = {}
-            choices = ("A", "D") if ch == "c" else ("AD", "DA")
-            for w, c in words.items():
-                for suffix in choices:
-                    nxt[w + suffix] = nxt.get(w + suffix, 0) + c
-            words = nxt
-        for w, c in words.items():
-            acc[w] = acc.get(w, 0) + c
-    return ADPolynomial(acc)
-
-
 def bar(p: ADPolynomial) -> ADPolynomial:
     """The involution swapping A and D in every monomial."""
     return ADPolynomial._of({w.translate(_BAR): c for w, c in p._terms.items()})
@@ -215,7 +194,7 @@ def bar(p: ADPolynomial) -> ADPolynomial:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def ad_to_cd(p: ADPolynomial) -> CDPolynomial:
-    """Inverse of expand_cd on its image, degree by degree.
+    """Inverse of the substitution c = A + D, d = AD + DA on its image.
 
     Each homogeneous part is peeled from the front (see `_peel`); a part
     outside the image raises NotInSubringError.

@@ -157,20 +157,3 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
                 return False
     return True
 
-
-def edge_reflection(x: Perm, y: Perm) -> Optional[Reflection]:
-    """Label of the Bruhat-graph edge from x to y, or None if there is none.
-
-    There is an edge exactly when l(x) < l(y) and x^{-1} y is a reflection;
-    the label is that reflection t, so that y = x*t.
-
-    >>> edge_reflection((2, 1, 3, 4), (2, 1, 4, 3))
-    Reflection(i=3, j=4)
-    >>> edge_reflection((2, 1, 3, 4), (1, 2, 3, 4)) is None
-    True
-    """
-    if len(x) != len(y):
-        raise ValueError(f"rank mismatch: {len(x)} vs {len(y)}")
-    if length(x) >= length(y):
-        return None
-    return as_reflection(compose(inverse(x), y))

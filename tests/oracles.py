@@ -21,6 +21,14 @@ the paths of a T-set table from its out-edges, one tuple per (vertex,
 length) from the suffix tuples, independently of `iter_paths`, the walk
 the witness replay uses; `table_path_words` lists the first-label rank and
 word of each of those paths the same way, one entry per path.
+
+Six more call into the package and moved here from it, as only tests ran
+them: `flag_cd_index` (the classical cd-index of the interval poset from
+chain counts, the flag oracle for the top degree, which `top_degree_part`
+reads), `split_at` (the split at any rank, read off the shelling steps),
+`expand_cd` (the substitution c = A + D, d = AD + DA), `edge_reflection`
+(the label of a Bruhat-graph edge) and `tail_from` (the sub-path from a
+vertex on).
 """
 
 from __future__ import annotations
@@ -29,13 +37,14 @@ import itertools
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 
-from cdindex.complete import degree_range, split_at
+from cdindex.complete import degree_range
 from cdindex.errors import FlipUndefinedError
 from cdindex.flips import FlipWitness, path_contribution, position_factor
 from cdindex.intervals import BruhatPath, iter_paths, rank_word
-from cdindex.ncpoly import ADPolynomial, ad_form, cd_degree
-from cdindex.perms import bruhat_leq, length
+from cdindex.ncpoly import ADPolynomial, CDPolynomial, ad_form, ad_to_cd, cd_degree
+from cdindex.perms import as_reflection, bruhat_leq, compose, inverse, length
 from cdindex.verify import RestrictedCountReport
 
 
@@ -84,6 +93,19 @@ def moved_points(p):
     return [k + 1 for k, val in enumerate(p) if val != k + 1]
 
 
+def edge_reflection(x, y):
+    """Label of the Bruhat-graph edge from x to y, or None if there is none.
+
+    There is an edge exactly when l(x) < l(y) and x^{-1} y is a reflection;
+    the label is that reflection t, so that y = x*t.
+    """
+    if len(x) != len(y):
+        raise ValueError(f"rank mismatch: {len(x)} vs {len(y)}")
+    if length(x) >= length(y):
+        return None
+    return as_reflection(compose(inverse(x), y))
+
+
 def expand_cd_monomial(monomial):
     """Expansion of one cd-monomial into AD-words by direct product of choices."""
     choices = [("A", "D") if ch == "c" else ("AD", "DA") for ch in monomial]
@@ -92,6 +114,23 @@ def expand_cd_monomial(monomial):
         w = "".join(combo)
         counts[w] = counts.get(w, 0) + 1
     return counts
+
+
+def expand_cd(p):
+    """The ring homomorphism c -> A + D, d -> AD + DA, as an ADPolynomial."""
+    acc = {}
+    for mon, coeff in p.items():
+        words = {"": coeff}
+        for ch in mon:
+            nxt = {}
+            choices = ("A", "D") if ch == "c" else ("AD", "DA")
+            for w, c in words.items():
+                for suffix in choices:
+                    nxt[w + suffix] = nxt.get(w + suffix, 0) + c
+            words = nxt
+        for w, c in words.items():
+            acc[w] = acc.get(w, 0) + c
+    return ADPolynomial(acc)
 
 
 def cd_monomials_of_degree(n):
@@ -266,6 +305,11 @@ def enumerate_paths(iv, n):
     return list(iter_paths(iv.adjacency, iv.u, iv.v, n))
 
 
+def tail_from(path, m):
+    """The sub-path of `path` starting at its vertex x_m."""
+    return BruhatPath(path.vertices[m:], path.labels[m:])
+
+
 _TABLE_PATHS = weakref.WeakKeyDictionary()
 
 
@@ -348,6 +392,78 @@ def first_inconsistent(reports):
     return next((rep for rep in reports if not rep.consistent), None)
 
 
+def split_at(steps, bound):
+    """The split whose restricted sum has first-label ranks <= bound.
+
+    The restricted path set grows only at a populated rank, so the split
+    of the last step at a rank <= bound holds up to the next step, and
+    below the first step the split is (0, 0).
+    """
+    k = bisect_right(steps, bound, key=itemgetter(0))
+    return steps[k - 1][1] if k else (CDPolynomial(), CDPolynomial())
+
+
+def top_degree_part(index):
+    """The part of a complete cd-index in its highest degree, or 0."""
+    if not index.by_degree:
+        return CDPolynomial()
+    return index.by_degree[max(index.by_degree)]
+
+
+def flag_cd_index(iv):
+    """Classical cd-index of the interval poset, from chain counts.
+
+    For every subset S of the proper ranks 1..L-1, f_S counts the chains
+    u < z_1 < ... < z_k < v whose lengths-above-u hit exactly S; the flag
+    h-vector is its inclusion-exclusion transform, and reading each h_S as
+    an ab-word (b on S, a elsewhere, encoded here as D and A) gives the
+    ab-index, which is a cd-polynomial precisely because Bruhat intervals
+    are Eulerian.  Conversion failure would disprove Eulerian-ness, i.e.
+    flag a bug.  It touches none of the path machinery, so the top-degree
+    part of the complete cd-index must agree with it.
+    """
+    L = iv.length_diff
+    if L < 1:
+        raise ValueError("flag cd-index needs a nontrivial interval")
+    base = length(iv.u)
+    by_rank = {}
+    for x in iv.elements:
+        by_rank.setdefault(length(x) - base, []).append(x)
+    for level in by_rank.values():
+        level.sort()
+    ranks = range(1, L)
+    f_vec = {}
+    for size in range(L):
+        for subset in itertools.combinations(ranks, size):
+            f_vec[subset] = _chain_count(by_rank, subset)
+    ab = {}
+    for subset in f_vec:
+        h = 0
+        for size in range(len(subset) + 1):
+            for inner in itertools.combinations(subset, size):
+                h += (-1) ** (len(subset) - len(inner)) * f_vec[inner]
+        if h:
+            word = "".join("D" if r in subset else "A" for r in ranks)
+            ab[word] = h
+    return ad_to_cd(ADPolynomial(ab))
+
+
+def _chain_count(by_rank, subset):
+    """Number of chains through the given ranks, one element per rank."""
+    acc = None
+    for r in subset:
+        nxt = {}
+        for z in by_rank.get(r, []):
+            if acc is None:
+                nxt[z] = 1
+            else:
+                nxt[z] = sum(c for y, c in acc.items() if bruhat_leq(y, z))
+        acc = nxt
+    if acc is None:
+        return 1
+    return sum(acc.values())
+
+
 def first_label_sums(paths, order):
     """Word sums of same-length paths, keyed by ascending first-label rank."""
     rank = {t: order.rank(t) for t in order.sequence}
@@ -420,7 +536,7 @@ def walked_flip_condition(u, monomial, table):
             for m in range(1, n + 1):
                 if gamma[m - 1] != "D":
                     continue
-                if path.tail_from(m) not in members(path.vertices[m], gamma[m:]):
+                if tail_from(path, m) not in members(path.vertices[m], gamma[m:]):
                     continue
                 if position_factor(path, m, gamma, table) == -1:
                     return FlipWitness("minus-one-at-m", monomial, path, m)
@@ -473,7 +589,7 @@ def word_path_t_set(table, w, gamma, members=None):
     return tuple(
         p for p in word_paths(table, w, gamma)
         if not gamma or (
-            p.tail_from(1) in members(p.vertices[1], gamma[1:])
+            tail_from(p, 1) in members(p.vertices[1], gamma[1:])
             and position_factor(p, 1, gamma, table) == 1
         )
     )

@@ -70,6 +70,33 @@ def test_order_flag_variants(capsys):
     assert code == cli.EXIT_USER and out == "" and "unknown order spec" in err
 
 
+@pytest.mark.parametrize("command", ["compute", "tset", "dot"])
+@pytest.mark.parametrize(
+    "u, v, order, message",
+    [
+        ("2134", "4321", "bogus", "unknown order spec"),
+        ("4321", "2134", "lex", "is not <= 2134 in Bruhat order"),
+        ("213", "4321", "lex", "different symmetric groups"),
+    ],
+    ids=["bad-order", "incomparable", "different-groups"],
+)
+def test_interval_commands_reject_bad_input_in_one_line(
+    capsys, monkeypatch, command, u, v, order, message
+):
+    """compute, tset and dot check u, v and --order before any work: each
+    fault exits 2 with one error line, and dot builds no interval first."""
+
+    def no_build(*args):
+        raise AssertionError("built an interval before rejecting the input")
+
+    monkeypatch.setattr(cli, "build_interval", no_build)
+    monomial = ["d"] if command == "tset" else []
+    code, out, err = run(capsys, command, u, v, *monomial, "--order", order)
+    assert code == cli.EXIT_USER and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
 def test_tset_outputs_paper_sets(capsys):
     code, out, _ = run(capsys, "tset", "2134", "4321", "d")
     assert code == 0

@@ -6,10 +6,8 @@ from cdindex.complete import (
     ad_polynomials,
     complete_cd_index,
     degree_range,
-    flag_cd_index,
     restricted_ad_polynomial,
     shelling_decomposition,
-    split_at,
 )
 from cdindex.flips import TSetTable, sum_contributions
 from cdindex.intervals import ad_word, build_interval
@@ -22,7 +20,6 @@ from cdindex.ncpoly import (
     cd_degree,
     cd_monomials,
     decompose_left_a,
-    expand_cd,
 )
 from cdindex.orders import lex_order, order_from_reduced_word
 from cdindex.perms import Reflection, identity, parse_perm
@@ -31,11 +28,15 @@ from cdindex.verify import RestrictedCountReport, check_restricted_counts, iter_
 from . import oracles
 from .oracles import (
     enumerate_paths,
+    expand_cd,
     first_inconsistent,
     first_label_sums,
+    flag_cd_index,
     path_sums,
     restricted_count_reports,
+    split_at,
     table_paths,
+    top_degree_part,
 )
 from .test_flips import count_calls
 
@@ -382,7 +383,7 @@ def test_flag_cd_index_trivia():
 def test_flag_cd_index_matches_top_degree_of_example(example_interval):
     iv = example_interval
     idx = complete_cd_index(iv.u, iv.v, path_sums(iv, lex_order(4)))
-    assert flag_cd_index(example_interval) == idx.top_degree_part()
+    assert flag_cd_index(example_interval) == top_degree_part(idx)
     assert dict(flag_cd_index(example_interval).items()) == EXAMPLE_DEGREE_4
 
 

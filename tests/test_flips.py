@@ -35,6 +35,7 @@ from .oracles import (
     t_set_members,
     table_path_words,
     table_paths,
+    tail_from,
     walked_contribution_sum,
     walked_flip_condition,
     word_buckets,
@@ -120,7 +121,7 @@ def test_candidates_for_d_and_their_flips(example_table, s4_lex):
     assert names(candidates, s4_lex) == ["436", "514", "625"]
     flipped = {}
     for p in candidates:
-        image = example_table.flip(p.vertices[1], "A")[p.tail_from(1)]
+        image = example_table.flip(p.vertices[1], "A")[tail_from(p, 1)]
         whole = BruhatPath((p.vertices[0],) + image.vertices, (p.labels[0],) + image.labels)
         flipped[label_string(p, s4_lex)] = (
             label_string(whole, s4_lex),

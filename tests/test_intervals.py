@@ -20,7 +20,6 @@ from cdindex.verify import CoefficientReport, RestrictedCountReport
 from cdindex.perms import (
     Reflection,
     bruhat_leq,
-    edge_reflection,
     identity,
     length,
     parse_perm,
@@ -30,6 +29,7 @@ from .oracles import (
     bruhat_leq_closure,
     count_maximal_chains,
     count_paths_dp,
+    edge_reflection,
     enumerate_paths,
     up_neighbors,
 )

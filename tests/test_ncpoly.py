@@ -14,11 +14,11 @@ from cdindex.ncpoly import (
     cd_degree,
     cd_monomials,
     decompose_left_a,
-    expand_cd,
     parse_cd_monomial,
 )
 
 from .oracles import (
+    expand_cd,
     expand_cd_monomial,
     solve_ad_to_cd,
     solve_decompose_left_a,
@@ -44,6 +44,10 @@ def cd_polys(max_degree=6, max_coeff=9):
         return n, CDPolynomial(dict(zip(cd_monomials(n), coeffs)))
 
     return st.composite(build)()
+
+
+def test_expand_cd_of_c_prints_as_a_plus_d():
+    assert repr(expand_cd(CDPolynomial({"c": 1}))) == "A + D"
 
 
 def test_expand_cd_generators():

@@ -11,7 +11,6 @@ from cdindex.perms import (
     as_reflection,
     bruhat_leq,
     compose,
-    edge_reflection,
     format_perm,
     identity,
     inverse,
@@ -20,7 +19,7 @@ from cdindex.perms import (
     parse_perm,
     reflection_perm,
 )
-from .oracles import bruhat_leq_closure, inversions, moved_points
+from .oracles import bruhat_leq_closure, edge_reflection, inversions, moved_points
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cdindex import intervals
-from cdindex.complete import complete_cd_index, degree_range, split_at
+from cdindex.complete import complete_cd_index, degree_range
 from cdindex.flips import TSetTable, check_strong_flip_condition
 from cdindex.intervals import build_interval
 from cdindex.ncpoly import CDPolynomial, cd_monomials
@@ -23,7 +23,13 @@ from cdindex.verify import (
     verify_coefficient,
 )
 
-from .oracles import first_inconsistent, interval_pairs, path_sums, restricted_count_reports
+from .oracles import (
+    first_inconsistent,
+    interval_pairs,
+    path_sums,
+    restricted_count_reports,
+    split_at,
+)
 from .test_complete import shelling_of, splits_by_t
 from .test_flips import count_calls
 
