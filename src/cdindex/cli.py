@@ -121,11 +121,12 @@ def cmd_tset(args) -> int:
         monomial = parse_cd_monomial(args.monomial)
     except ValueError as exc:
         raise UserError(str(exc))
-    table = TSetTable(v, order)
     gamma = ad_form(monomial)
-    t_paths = table.t_set(u, gamma)
-    tbar_paths = table.t_set(u, gamma, bar=True)
-    pairing = table.flip(u, gamma)
+    # T in its keys and T-bar in its values, reversed; the sink's table and
+    # its memos are freed before the output is built
+    pairing = TSetTable(v, order).flip(u, gamma)
+    t_paths = list(pairing)
+    tbar_paths = list(reversed(pairing.values()))
     payload = {
         "u": format_perm(u),
         "v": format_perm(v),

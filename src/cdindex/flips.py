@@ -7,7 +7,8 @@ additionally pass, at every position m carrying a D, a local test after
 flipping the tail from x_m: the letter read across the splice must be an A.
 The tails being flipped always lie in the T-set of the suffix monomial on
 the shorter interval [x_m, v], so the whole construction is recursive in
-(interval length, monomial degree) and is memoized here per sink vertex.
+(interval length, monomial degree), and its counts are memoized here per
+sink vertex.
 
 The flip on a sub-problem pairs T with its reverse-order counterpart T-bar
 by lexicographic position under the primal order.  T-bar is the same
@@ -29,16 +30,18 @@ when tau lies in T(x, gamma[1:]) and its first factor is +1; with
 r = rank(t), p the counts of T(x, gamma[1:]) and q those of its flip
 images, the tails kept at the edge are the index range [p[r], p[N]) after
 an A and [q[r], p[r]) after a D, and a -1 factor with its tail in the
-T-set exists exactly when q[r] > p[r].  `_ranges` states
-these ranges once: `counts` adds them up, `t_set` builds the paths of a
-T-set by slicing the suffix T-sets by them, and `index` ranks a path in its
-T-set by reading them along the path, so the witness replay builds no
-T-set; only `tset` and the strong flip condition (`flip`, a dict built
-on each call and kept by no memo) ask for T-set paths.  A suffix is read
-only where some path with word gamma crosses the edge (`_word_span`), and
-the other side only where a D candidate exists, so the sub-problems
-evaluated, and any FlipUndefinedError raised, are those of filtering the
-paths with word gamma by suffix membership and `position_factor`.
+T-set exists exactly when q[r] > p[r].  `_ranges` states these ranges
+once: `counts` adds them up; `t_set` walks them depth first, down only the
+index slice of each suffix T-set that a path needs, and builds each path
+once, at the sink; and `index` ranks a path in its T-set by reading them
+along the path, so the witness replay builds no T-set.  No memo holds a
+path: only `tset` and the strong flip condition (`flip`, a dict built on
+each call) ask for T-set paths, and the walk keeps only each sub-problem's
+kept edges.  A suffix is read only where some path with word gamma
+crosses the edge (`_word_span`), and the other side only where a D
+candidate exists, so the sub-problems evaluated, and any
+FlipUndefinedError raised, are those of filtering the paths with word
+gamma by suffix membership and `position_factor`.
 
 The scan reads no paths on a clean interval.  Its graded first-label sums
 come from a DP over (vertex, length): `sums(w, n)` extends every bucket of
@@ -80,8 +83,8 @@ from .perms import Perm, Reflection, format_perm
 
 
 class TSetTable:
-    """Memoized sums, counts and T-sets, and the flips, for one sink vertex
-    and order.
+    """Memoized sums and counts, and the T-sets and flips walked from them,
+    for one sink vertex and order.
 
     The table reads the lower cone {x <= v} off the group's Bruhat graph
     once, with each out-edge list sorted by rank, and hands out:
@@ -97,8 +100,9 @@ class TSetTable:
       of rank <= r, read off the other side's counts after the
       |T| = |T-bar| check;
     - ``t_set(w, gamma, bar)``: the T-set (or T-bar set) for the AD-word
-      ``gamma``, sorted by its side's lex order, sliced from the suffix
-      T-sets by the same ranges as the counts;
+      ``gamma``, sorted by its side's lex order, walked depth first along
+      the same ranges as the counts and built anew on each call; only the
+      kept edges of each sub-problem it walks are memoized;
     - ``index(path, m, gamma)``: the index of the path's tail from x_m in
       T(x_m, gamma), or None, read off the counts without building T;
     - ``flip(w, gamma)``: the pairing dict T -> T-bar, built on each call,
@@ -108,9 +112,14 @@ class TSetTable:
     ``_adjacency``, lazily and in lex order.  Evaluation is demand-driven
     recursion over strictly smaller sub-problems, so preconditions on
     sub-interval flips hold by construction.  After a call completes, all
-    entries it touched are cached; instances are cheap to share but not
-    thread-safe while growing.
+    entries it touched are cached, and no cached entry holds a path;
+    instances are cheap to share but not thread-safe while growing.
     """
+
+    # perfbench/tracer.py reads it for the hit ratio of `t_set`.  T-sets are
+    # walked, not memoized, so it stays empty; it goes with the tracer
+    # re-point of ROADMAP item 1.
+    _tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
 
     def __init__(self, sink: Perm, order: ReflectionOrder):
         if order.n != len(sink):
@@ -128,8 +137,7 @@ class TSetTable:
         self._spans: dict[tuple[Perm, str], tuple[int, int]] = {}
         self._counts: dict[tuple[Perm, str, bool], tuple[int, ...]] = {}
         self._zero = (0,) * (len(order.sequence) + 1)
-        self._tsets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
-        self._t_bar_sets: dict[tuple[Perm, str], tuple[BruhatPath, ...]] = {}
+        self._kept: dict[tuple[Perm, str, bool], tuple[tuple[Reflection, Perm, int, int], ...]] = {}
 
     def sums(self, w: Perm, n: int) -> dict[int, ADPolynomial]:
         """Word sums of the length-n paths w -> sink, keyed by ascending
@@ -279,24 +287,47 @@ class TSetTable:
         """T-set of the AD-word gamma on [w, sink], or with `bar` the T-bar
         set, lex-sorted by label ranks in its side's order.
 
-        Each out-edge, in rank order, leads the index range of the suffix
-        T-set that `_ranges` gives, so the result is their concatenation
-        and needs no sort or filter.
+        The counts of (w, gamma) come first, so they raise any
+        FlipUndefinedError.  Then a depth-first walk follows each
+        sub-problem's kept edges, in rank order, down only the index slice
+        of the suffix T-set it needs, and builds each path once, at the
+        sink.  No path is memoized.
         """
-        memo = self._t_bar_sets if bar else self._tsets
-        hit = memo.get((w, gamma))
-        if hit is None:
-            self.counts(w, gamma, bar)
-            rest = gamma[1:]
-            out: list[BruhatPath] = []
-            for t, x, _, lo, hi in self._ranges(w, gamma, bar):
-                if not gamma:
-                    out.append(BruhatPath((w, x), (t,)))
+        out: list[BruhatPath] = []
+        self._walk(w, gamma, bar, 0, self.counts(w, gamma, bar)[-1], (), (), out)
+        return tuple(out)
+
+    def _walk(
+        self, w: Perm, gamma: str, bar: bool, lo: int, hi: int,
+        vertices: tuple[Perm, ...], labels: tuple[Reflection, ...], out: list[BruhatPath],
+    ) -> None:
+        """Append to `out` the paths of index lo..hi - 1 in T(w, gamma), or
+        in T-bar, each after the prefix `vertices` and `labels`.
+
+        The kept edges of (w, gamma) lead consecutive index ranges of
+        T(w, gamma), each the slice [a, b) of T(x, gamma[1:]) that
+        `_ranges` gives; they are memoized per (w, gamma, bar) as edges,
+        so a sub-problem reached by several prefixes reads its ranges once.
+        """
+        key = (w, gamma, bar)
+        kept = self._kept.get(key)
+        if kept is None:
+            kept = self._kept[key] = tuple(
+                (t, x, a, b) for t, x, _, a, b in self._ranges(w, gamma, bar)
+            )
+        vertices += (w,)
+        at = 0
+        for t, x, a, b in kept:
+            end = at + b - a
+            if end > lo:
+                if gamma:
+                    start, stop = a + max(lo, at) - at, a + min(hi, end) - at
+                    self._walk(x, gamma[1:], bar, start, stop, vertices, labels + (t,), out)
                 else:
-                    tails = self.t_set(x, rest, bar)[lo:hi]
-                    out += [BruhatPath((w,) + tau.vertices, (t,) + tau.labels) for tau in tails]
-            hit = memo[(w, gamma)] = tuple(out)
-        return hit
+                    out.append(BruhatPath(vertices + (x,), labels + (t,)))
+            if end >= hi:
+                break
+            at = end
 
     def index(self, path: BruhatPath, m: int, gamma: str) -> Optional[int]:
         """The index in T(x_m, gamma) of the tail of `path` from x_m, or
@@ -347,7 +378,9 @@ class TSetTable:
         T is sorted by label ranks under this table's order and T-bar under
         the reversed one, so T is matched positionally with T-bar reversed.
         Raises FlipUndefinedError on a size mismatch.  Built anew on each
-        call: `tset` and the strong flip condition ask once per (w, gamma).
+        call, from one walk of each side: `tset` reads T off its keys and
+        T-bar off its values reversed, and the strong flip condition asks
+        once per (w, gamma).
         """
         t = self.t_set(w, gamma)
         tbar = self.t_set(w, gamma, bar=True)

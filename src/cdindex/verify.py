@@ -120,13 +120,6 @@ class RestrictedCountReport(NamedTuple):
     coeff_f: int
     coeff_f_plus_cg: int
 
-    @property
-    def consistent(self) -> bool:
-        return (
-            self.tbar_restricted == self.coeff_f
-            and self.t_restricted == self.coeff_f_plus_cg
-        )
-
 
 def check_restricted_counts(
     u: Perm,

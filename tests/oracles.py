@@ -28,7 +28,8 @@ chain counts, the flag oracle for the top degree, which `top_degree_part`
 reads), `split_at` (the split at any rank, read off the shelling steps),
 `expand_cd` (the substitution c = A + D, d = AD + DA), `edge_reflection`
 (the label of a Bruhat-graph edge) and `tail_from` (the sub-path from a
-vertex on).
+vertex on).  So did `restricted_consistent`, the verdict of one
+`RestrictedCountReport`, which the scan reads off the counts instead.
 """
 
 from __future__ import annotations
@@ -387,9 +388,15 @@ def restricted_count_reports(u, monomial, table, splits):
     return reports
 
 
+def restricted_consistent(rep):
+    """Whether a RestrictedCountReport's restricted T-bar count is the f
+    coefficient and its restricted T count the f + c*g one."""
+    return rep.tbar_restricted == rep.coeff_f and rep.t_restricted == rep.coeff_f_plus_cg
+
+
 def first_inconsistent(reports):
     """The first report that fails, or None."""
-    return next((rep for rep in reports if not rep.consistent), None)
+    return next((rep for rep in reports if not restricted_consistent(rep)), None)
 
 
 def split_at(steps, bound):

@@ -34,6 +34,7 @@ from .oracles import (
     flag_cd_index,
     path_sums,
     restricted_count_reports,
+    restricted_consistent,
     table_paths,
     tail_from,
     top_degree_part,
@@ -272,7 +273,7 @@ def test_criterion_7_restricted_decomposition_exhaustive(s4_intervals, s4_tables
         for n in degree_range(iv.length_diff):
             for monomial in cd_monomials(n):
                 for rep in restricted_count_reports(u, monomial, table, splits):
-                    assert rep.consistent, rep
+                    assert restricted_consistent(rep), rep
                     count_checks += 1
                 assert check_restricted_counts(u, monomial, table, splits) is None
     elapsed = time.perf_counter() - started

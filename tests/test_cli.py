@@ -169,6 +169,30 @@ def test_scan_builds_the_group_graph_once(capsys, monkeypatch):
     assert built == [((1, 2, 3, 4), (4, 3, 2, 1))]
 
 
+def test_tset_walks_each_side_once_through_flip(capsys, monkeypatch):
+    """`tset` reads T and T-bar off the flip dict, so `t_set` runs exactly
+    twice, T then T-bar, both times inside `flip`."""
+    calls, inside = [], []
+    real_t_set, real_flip = TSetTable.t_set, TSetTable.flip
+
+    def t_set(self, w, gamma, bar=False):
+        calls.append((bar, bool(inside)))
+        return real_t_set(self, w, gamma, bar)
+
+    def flip(self, w, gamma):
+        inside.append(w)
+        try:
+            return real_flip(self, w, gamma)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(TSetTable, "t_set", t_set)
+    monkeypatch.setattr(TSetTable, "flip", flip)
+    code, out, _ = run(capsys, "tset", "12345", "54321", "ddc")
+    assert code == 0 and len(json.loads(out)["t"]) > 1
+    assert calls == [(False, True), (True, True)]
+
+
 def test_tset_rejects_bad_monomial(capsys):
     code, _, _ = run(capsys, "tset", "2134", "4321", "cq")
     assert code == cli.EXIT_USER

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import sys
+import types
 import weakref
 
 import pytest
@@ -253,9 +254,10 @@ def test_twin_word_paths_are_the_primal_barred_tuples_reversed(order, monkeypatc
 
 
 def test_t_sets_build_each_path_once_from_the_suffix_t_sets(monkeypatch, s4_lex):
-    """Over every (w, gamma) of the S_4 w0 table, on both sides, T-sets
-    and flips construct one BruhatPath per T-set path, and call neither
-    `iter_paths` nor `position_factor`."""
+    """Over every (w, gamma) of the S_4 w0 table, on both sides, each
+    `t_set` call constructs one BruhatPath per path it returns, and each
+    `flip` call one per path of T and of T-bar, though every call walks its
+    T-set anew; neither calls `iter_paths` nor `position_factor`."""
     built = []
     monkeypatch.setattr(
         flips, "BruhatPath", lambda *a: built.append(a) or BruhatPath(*a)
@@ -266,11 +268,40 @@ def test_t_sets_build_each_path_once_from_the_suffix_t_sets(monkeypatch, s4_lex)
     table = TSetTable(sink, s4_lex)
     sizes = 0
     for w, gamma in word_problems(sink):
+        for bar in (False, True):
+            built.clear()
+            paths = table.t_set(w, gamma, bar)
+            assert [BruhatPath(*a) for a in built] == list(paths), (w, gamma, bar)
+            sizes += len(paths)
+        built.clear()
+        pairing = table.flip(w, gamma)
+        assert len(built) == 2 * len(pairing), (w, gamma)
+    assert sizes > 0
+    assert enumerations == [] and factors == []
+
+
+def test_a_table_keeps_no_path(s4_lex):
+    """After `t_set` on both sides and `flip` on every (w, gamma) of the S_4
+    w0 table, no BruhatPath is reachable from the table: its memos hold
+    counts, spans and kept edges, never paths."""
+    sink = parse_perm("4321")
+    table = TSetTable(sink, s4_lex)
+    sizes = 0
+    for w, gamma in word_problems(sink):
         sizes += len(table.t_set(w, gamma)) + len(table.t_set(w, gamma, bar=True))
         table.flip(w, gamma)
     assert sizes > 0
-    assert len(built) == sizes
-    assert enumerations == [] and factors == []
+    # classes, modules and functions lead to globals, not to the table's state
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack = set(), [table]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        assert type(obj) is not BruhatPath, obj
+        stack.extend(gc.get_referents(obj))
+    assert id(table._counts) in seen
 
 
 def test_a_dropped_table_is_freed_without_the_collector(s4_lex):
@@ -286,7 +317,7 @@ def test_a_dropped_table_is_freed_without_the_collector(s4_lex):
             check_flip_condition(u, monomial, table)
             sum_contributions(u, monomial, table)
             table.flip(u, ad_form(monomial))
-        assert table._t_bar_sets and table._counts
+        assert any(bar for _, _, bar in table._counts) and table._kept
         ref = weakref.ref(table)
         del table
         assert ref() is None
@@ -296,8 +327,8 @@ def test_a_dropped_table_is_freed_without_the_collector(s4_lex):
 
 
 def test_t_sets_enumerate_no_paths_and_recompute_no_words(monkeypatch, s4_lex):
-    """T-sets and flips read only the suffix T-sets: no enumeration and no
-    word recomputed."""
+    """T-sets and flips walk only the counts' tail ranges: no enumeration
+    and no word recomputed."""
     enumerations = count_calls(monkeypatch, iter_paths)
     words = []
     real_word = TSetTable.word
@@ -408,17 +439,23 @@ def test_strong_flip_condition_requires_leading_c(example_interval, example_tabl
 
 def test_flip_undefined_is_raised_on_size_mismatch(s4_lex, monkeypatch):
     """On a table of its own, so that no memo another test filled hides
-    the doctored T-bar set and counts."""
+    the doctored counts."""
     example_table = TSetTable(parse_perm("4321"), s4_lex)
     u = parse_perm("2134")
     gamma = "AA"
     t = example_table.t_set(u, gamma)
-    # doctor the T-bar memos to drop one element, then ask for the pairing
-    shrunk = example_table.t_set(u, gamma, bar=True)[1:]
-    monkeypatch.setitem(example_table._t_bar_sets, (u, gamma), shrunk)
+    # make `t_set` return T-bar one path short, then ask for the pairing
+    real = TSetTable.t_set
+
+    def short(self, w, gamma, bar=False):
+        paths = real(self, w, gamma, bar)
+        return paths[1:] if bar else paths
+
+    monkeypatch.setattr(TSetTable, "t_set", short)
     with pytest.raises(FlipUndefinedError) as info:
         example_table.flip(u, gamma)
     assert (info.value.t_size, info.value.tbar_size) == (len(t), len(t) - 1)
+    monkeypatch.setattr(TSetTable, "t_set", real)
     fewer = tuple(max(0, c - 1) for c in example_table.counts(u, gamma, bar=True))
     monkeypatch.setitem(example_table._counts, (u, gamma, True), fewer)
     with pytest.raises(FlipUndefinedError) as info:
@@ -540,6 +577,20 @@ def collapse_flips(monkeypatch):
     monkeypatch.setattr(TSetTable, "images_upto", collapsed_images)
 
 
+def record_t_set_calls(monkeypatch):
+    """Wrap `TSetTable.t_set`, as patched so far, to record the
+    (w, gamma, bar) of each call; returns the list of records."""
+    calls = []
+    inner = TSetTable.t_set
+
+    def recorded(self, w, gamma, bar=False):
+        calls.append((w, gamma, bar))
+        return inner(self, w, gamma, bar)
+
+    monkeypatch.setattr(TSetTable, "t_set", recorded)
+    return calls
+
+
 def record_flip_calls(monkeypatch):
     """Wrap `TSetTable.flip`, as patched so far, to record the (w, gamma)
     of each call; returns the list of records."""
@@ -598,6 +649,7 @@ def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
     and undefined flips included, builds no path flip dict and no T-set."""
     collapse_flips(monkeypatch)
     flip_calls = record_flip_calls(monkeypatch)
+    t_set_calls = record_t_set_calls(monkeypatch)
     order = lex_order(5)
     kinds = set()
     for u, v in COLLAPSED_CASES:
@@ -608,8 +660,7 @@ def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
                 kinds.add(outcome(sum_contributions, u, monomial, table)[0])
                 witness = check_flip_condition(u, monomial, table)
                 kinds.add(witness and witness.kind)
-        assert flip_calls == [], (u, v)
-        assert table._tsets == {} and table._t_bar_sets == {}, (u, v)
+        assert flip_calls == [] and t_set_calls == [], (u, v)
     assert {"raise", "minus-one-at-m", "size-mismatch"} <= kinds
 
 
@@ -668,7 +719,7 @@ def case_sinks(n):
 
 @pytest.mark.parametrize("n, spec", SINK_CASES)
 def test_t_sets_equal_the_word_path_route(n, spec, paused_gc):
-    """Every S_4 sink, or the S_5 sink w0: T-sets read off the suffix T-sets
+    """Every S_4 sink, or the S_5 sink w0: T-sets walked along the counts
     are the word paths filtered by membership and `position_factor`."""
     order = order_of(n, spec)
     for v in case_sinks(n):
@@ -766,17 +817,19 @@ def test_every_empty_count_is_one_shared_tuple(s4_lex):
     assert len(zeros) > 1 and len({id(c) for c in zeros}) == 1
 
 
-def test_a_clean_scan_builds_t_sets_only_for_the_strong_check(s4_lex):
+def test_a_clean_scan_builds_t_sets_only_for_the_strong_check(s4_lex, monkeypatch):
     """|T|, |T-bar|, the flip DP and the restricted counts read counts, so
     scanning [2134, 4321] builds the T-set and T-bar set at its source only
-    for the strong flip condition: for each M starting with c."""
+    for the strong flip condition: one call on each side for each M
+    starting with c, and none elsewhere."""
+    t_set_calls = record_t_set_calls(monkeypatch)
     u, v = parse_perm("2134"), parse_perm("4321")
     table = TSetTable(v, s4_lex)
     record = scan_interval(u, "lex", table)
     assert record["clean"]
-    strong = {ad_form(m) for m in record["monomials"] if m.startswith("c")}
-    assert strong and {gamma for w, gamma in table._tsets if w == u} == strong
-    assert {gamma for w, gamma in table._t_bar_sets if w == u} == strong
+    strong = [ad_form(m) for m in record["monomials"] if m.startswith("c")]
+    expected = [(u, gamma, bar) for gamma in strong for bar in (False, True)]
+    assert strong and t_set_calls == expected
 
 
 def test_collapsed_t_sets_equal_the_word_path_route(monkeypatch, paused_gc):

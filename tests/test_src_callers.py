@@ -26,6 +26,24 @@ ALLOWED = {
     "BruhatInterval.length_diff",
 }
 
+# Public method names that more than one class in src defines, each with
+# what reads it in src.  A method counts as called when its name is looked
+# up as an attribute, so one read of a shared name keeps every method of
+# that name; this list makes each sharing name say which reads hold it.
+SHARED = {
+    # `verify_coefficient` reads `CompleteCdIndex.coefficient`, which reads
+    # the graded part's `_WordPolynomial.coefficient`, as does
+    # `check_restricted_counts` on the shelling splits.
+    "coefficient": "verify_coefficient, CompleteCdIndex.coefficient, check_restricted_counts",
+    # `cmd_compute` prints `CompleteCdIndex.to_json`, whose `parts_json`
+    # reads each part's `_WordPolynomial.to_json`; `scan_interval` writes
+    # each `FlipWitness.to_json`.
+    "to_json": "cmd_compute, CompleteCdIndex.parts_json, scan_interval",
+    # `_WordPolynomial.__repr__` sorts by it, so CDPolynomial's override
+    # (c has degree 1, d degree 2) orders the terms in printed cd-indices.
+    "word_degree": "_WordPolynomial.__repr__",
+}
+
 
 def references(node):
     """Counter of ("name", id) and ("attr", attr) reads under `node`."""
@@ -64,8 +82,26 @@ def uncalled_definitions(src=SRC):
     return uncalled
 
 
+def shared_method_names(src=SRC):
+    """The public method names that more than one class in src defines."""
+    owners = Counter()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualname, _, is_method in public_definitions(tree):
+            if is_method:
+                owners[qualname.split(".")[1]] += 1
+    return {name for name, count in owners.items() if count > 1}
+
+
 def test_every_public_function_has_a_caller_in_src():
     assert uncalled_definitions() == ALLOWED
+
+
+def test_every_shared_method_name_is_listed_with_its_readers():
+    """A shared name hides a method that nothing calls, as
+    `RestrictedCountReport.consistent` hid behind
+    `CoefficientReport.consistent`; so each one is listed with its reads."""
+    assert shared_method_names() == set(SHARED)
 
 
 def test_the_scan_flags_a_definition_read_only_by_itself_or_an_import(tmp_path):
@@ -80,3 +116,8 @@ def test_the_scan_flags_a_definition_read_only_by_itself_or_an_import(tmp_path):
         "from .a import K, recursive\n\nK().called()\n", encoding="utf-8"
     )
     assert uncalled_definitions(tmp_path) == {"recursive", "K.method"}
+    assert shared_method_names(tmp_path) == set()
+    (tmp_path / "c.py").write_text(
+        "class L:\n    def method(self):\n        return 0\n", encoding="utf-8"
+    )
+    assert shared_method_names(tmp_path) == {"method"}

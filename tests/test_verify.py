@@ -28,6 +28,7 @@ from .oracles import (
     interval_pairs,
     path_sums,
     restricted_count_reports,
+    restricted_consistent,
     split_at,
 )
 from .test_complete import shelling_of, splits_by_t
@@ -73,13 +74,13 @@ def restricted_reports(iv, monomial, table):
 
 def test_restricted_counts_at_maximal_t_reduce_to_verify(example_interval, example_table):
     rep = restricted_reports(example_interval, "cc", example_table)[Reflection(3, 4)]
-    assert rep.consistent
+    assert restricted_consistent(rep)
     assert rep.t_restricted == 2 and rep.tbar_restricted == 2
 
 
 def test_restricted_counts_at_minimal_t(example_interval, example_table):
     rep = restricted_reports(example_interval, "cc", example_table)[Reflection(1, 2)]
-    assert rep.consistent
+    assert restricted_consistent(rep)
     # no degree-2 path leaves 2134 with label rank 1
     assert rep.t_restricted == 0 and rep.tbar_restricted == 0
 
@@ -89,7 +90,7 @@ def test_restricted_counts_for_d_at_every_t(example_interval, example_table):
     reports = restricted_reports(example_interval, "d", example_table)
     assert list(reports) == list(order.sequence)
     for rep in reports.values():
-        assert rep.consistent, rep
+        assert restricted_consistent(rep), rep
 
 
 def test_restricted_counts_read_c_times_g_off_g(example_interval, example_table):
@@ -183,7 +184,7 @@ def test_restricted_counts_report_a_corrupted_split(example_interval, example_ta
     splits = corrupt(splits, 2, order.rank(t), part, "cc")
     reports = restricted_count_reports(example_interval.u, "cc", example_table, splits)
     got = check_restricted_counts(example_interval.u, "cc", example_table, splits)
-    assert got is not None and not got.consistent
+    assert got is not None and not restricted_consistent(got)
     assert got == first_inconsistent(reports)
     assert got.t == t
     if part == "f":
