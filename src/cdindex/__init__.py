@@ -51,7 +51,6 @@ from .perms import (
     compose,
     format_perm,
     identity,
-    inverse,
     length,
     longest_element,
     parse_perm,

@@ -31,17 +31,19 @@ r = rank(t), p the counts of T(x, gamma[1:]) and q those of its flip
 images, the tails kept at the edge are the index range [p[r], p[N]) after
 an A and [q[r], p[r]) after a D, and a -1 factor with its tail in the
 T-set exists exactly when q[r] > p[r].  `_ranges` states these ranges
-once: `counts` adds them up; `t_set` walks them depth first, down only the
-index slice of each suffix T-set that a path needs, and builds each path
-once, at the sink; and `index` ranks a path in its T-set by reading them
-along the path, so the witness replay builds no T-set.  No memo holds a
-path: only `tset` and the strong flip condition (`flip`, a dict built on
-each call) ask for T-set paths, and the walk keeps only each sub-problem's
-kept edges.  A suffix is read only where some path with word gamma
-crosses the edge (`_word_span`), and the other side only where a D
-candidate exists, so the sub-problems evaluated, and any
-FlipUndefinedError raised, are those of filtering the paths with word
-gamma by suffix membership and `position_factor`.
+once, and `counts` is its one caller: the pass that adds them up keeps
+the edges that lead tails, with their ranges, beside the counts.  `t_set`
+walks those kept edges depth first, down only the index slice of each
+suffix T-set that a path needs, and builds each path once, at the sink;
+and `index` ranks a path in its T-set by reading them along the path, so
+the witness replay builds no T-set.  No memo holds a path: only `tset` and
+the strong flip condition (`flip`, a dict built on each call) ask for
+T-set paths, and every counted sub-problem keeps only its kept edges.
+A suffix is read only where some path with word gamma crosses the edge
+(`_word_span`), and the other side only where a D candidate exists, so
+the sub-problems evaluated, and any FlipUndefinedError raised, are those
+of filtering the paths with word gamma by suffix membership and
+`position_factor`.
 
 The scan reads no paths on a clean interval.  Its graded first-label sums
 come from a DP over (vertex, length): `sums(w, n)` extends every bucket of
@@ -95,14 +97,14 @@ class TSetTable:
     - ``gaps[w]``: the length gap l(v) - l(w), for every w in the cone;
     - ``counts(w, gamma, bar)``: the cumulative first-label counts of
       T(w, gamma), or of T-bar(w, gamma) in the reversed order's ranks,
-      every empty set sharing the table's one all-zero tuple;
+      every empty set sharing the table's one all-zero tuple, each
+      stored with the kept edges that lead its tails;
       ``images_upto(w, gamma, r, bar)`` the number of its flip images
       of rank <= r, read off the other side's counts after the
       |T| = |T-bar| check;
     - ``t_set(w, gamma, bar)``: the T-set (or T-bar set) for the AD-word
       ``gamma``, sorted by its side's lex order, walked depth first along
-      the same ranges as the counts and built anew on each call; only the
-      kept edges of each sub-problem it walks are memoized;
+      the kept edges that the counts store, and built anew on each call;
     - ``index(path, m, gamma)``: the index of the path's tail from x_m in
       T(x_m, gamma), or None, read off the counts without building T;
     - ``flip(w, gamma)``: the pairing dict T -> T-bar, built on each call,
@@ -137,7 +139,7 @@ class TSetTable:
         self._spans: dict[tuple[Perm, str], tuple[int, int]] = {}
         self._counts: dict[tuple[Perm, str, bool], tuple[int, ...]] = {}
         self._zero = (0,) * (len(order.sequence) + 1)
-        self._kept: dict[tuple[Perm, str, bool], tuple[tuple[Reflection, Perm, int, int], ...]] = {}
+        self._kept: dict[tuple[Perm, str, bool], tuple[tuple[Reflection, Perm, int, int, int], ...]] = {}
 
     def sums(self, w: Perm, n: int) -> dict[int, ADPolynomial]:
         """Word sums of the length-n paths w -> sink, keyed by ascending
@@ -211,12 +213,15 @@ class TSetTable:
         """Entry r, for r = 0..N, is the number of paths of T(w, gamma), or
         of T-bar(w, gamma) with `bar`, whose first label has rank <= r in
         that side's order: the table's, or the reversed one.  Each out-edge
-        adds, at its rank r, the number of tails it leads (`_ranges`)."""
+        adds, at its rank r, the number of tails it leads.  This is the one
+        caller of `_ranges`: the edges it yields are kept in `_kept`, where
+        `t_set` and `index` read them."""
         key = (w, gamma, bar)
         hit = self._counts.get(key)
         if hit is None:
+            kept = self._kept[key] = tuple(self._ranges(w, gamma, bar))
             buckets = [0] * (len(self.order.sequence) + 1)
-            for _, _, r, lo, hi in self._ranges(w, gamma, bar):
+            for _, _, r, lo, hi in kept:
                 buckets[r] += hi - lo
             hit = self._counts[key] = tuple(accumulate(buckets)) if any(buckets) else self._zero
         return hit
@@ -305,19 +310,13 @@ class TSetTable:
         in T-bar, each after the prefix `vertices` and `labels`.
 
         The kept edges of (w, gamma) lead consecutive index ranges of
-        T(w, gamma), each the slice [a, b) of T(x, gamma[1:]) that
-        `_ranges` gives; they are memoized per (w, gamma, bar) as edges,
-        so a sub-problem reached by several prefixes reads its ranges once.
+        T(w, gamma), each the slice [a, b) of T(x, gamma[1:]).  `t_set`
+        counts (w, gamma) first, and that stores the kept edges of every
+        sub-problem the walk can reach.
         """
-        key = (w, gamma, bar)
-        kept = self._kept.get(key)
-        if kept is None:
-            kept = self._kept[key] = tuple(
-                (t, x, a, b) for t, x, _, a, b in self._ranges(w, gamma, bar)
-            )
         vertices += (w,)
         at = 0
-        for t, x, a, b in kept:
+        for t, x, _, a, b in self._kept[w, gamma, bar]:
             end = at + b - a
             if end > lo:
                 if gamma:
@@ -333,16 +332,17 @@ class TSetTable:
         """The index in T(x_m, gamma) of the tail of `path` from x_m, or
         None when the tail lies outside that T-set.
 
-        The tail's first edge (t, x), of rank r, leads the tails of
-        T(x, gamma[1:]) in the range [lo, hi) of `_ranges`, after the
-        counts[r - 1] paths of lower first-label rank, so a tail from x
-        of index i there has index counts[r - 1] + i - lo.  After the counts
-        of (x_m, gamma) it reads only memoized sub-problems, and it stops at
-        the first edge that leads no tails.
+        The tail's first edge (t, x), of rank r, is one of the kept edges
+        that the counts of (x_m, gamma) store, and leads the tails of
+        T(x, gamma[1:]) in the range [lo, hi), after the counts[r - 1] paths
+        of lower first-label rank, so a tail from x of index i there has
+        index counts[r - 1] + i - lo.  After those counts it reads only
+        kept edges along the path, and it stops at the first edge that
+        leads no tails.
         """
         w, t = path.vertices[m], path.labels[m]
         below = self.counts(w, gamma)
-        for label, _, r, lo, hi in self._ranges(w, gamma):
+        for label, _, r, lo, hi in self._kept[w, gamma, False]:
             if label == t:
                 i = self.index(path, m + 1, gamma[1:]) if gamma else 0
                 return below[r - 1] + i - lo if i is not None and lo <= i < hi else None

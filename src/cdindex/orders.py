@@ -18,17 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .perms import (
-    Reflection,
-    all_reflections,
-    as_reflection,
-    compose,
-    identity,
-    inverse,
-    length,
-    longest_element,
-    reflection_perm,
-)
+from .perms import Reflection, all_reflections
 
 
 class Immutable:
@@ -56,7 +46,7 @@ class ReflectionOrder(Immutable):
     equal, and hash alike, when their (n, sequence) are.
     """
 
-    __slots__ = ("n", "sequence", "_rank", "_reversed")
+    __slots__ = ("n", "sequence", "_rank")
     n: int
     sequence: tuple[Reflection, ...]
 
@@ -67,7 +57,6 @@ class ReflectionOrder(Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "sequence", sequence)
         object.__setattr__(self, "_rank", {t: k + 1 for k, t in enumerate(sequence)})
-        object.__setattr__(self, "_reversed", None)
         witness = dihedral_violation(self)
         if witness is not None:
             raise ValueError(f"not a reflection order; violating subgroup {witness}")
@@ -91,12 +80,8 @@ class ReflectionOrder(Immutable):
         return self._rank[t]
 
     def reversed(self) -> "ReflectionOrder":
-        """The reverse order, built and validated once; its reverse is self."""
-        if self._reversed is None:
-            rev = ReflectionOrder(self.n, tuple(reversed(self.sequence)))
-            object.__setattr__(rev, "_reversed", self)
-            object.__setattr__(self, "_reversed", rev)
-        return self._reversed
+        """The reverse order, built and validated on each call."""
+        return ReflectionOrder(self.n, tuple(reversed(self.sequence)))
 
     def __str__(self):
         return " < ".join(str(t) for t in self.sequence)
@@ -116,7 +101,10 @@ def order_from_reduced_word(n: int, word: Sequence[int]) -> ReflectionOrder:
 
     `word` lists 1-based adjacent-transposition indices i_1, ..., i_N with
     N = n(n-1)/2; the k-th reflection of the order is the prefix conjugate
-    s_{i_1} ... s_{i_{k-1}} s_{i_k} s_{i_{k-1}} ... s_{i_1}.
+    p s_{i_k} p^{-1}, with p = s_{i_1} ... s_{i_{k-1}}.  That is the
+    transposition of the values of p at the positions i_k and i_k + 1.
+    A word of length N whose N reflections are distinct is reduced
+    (Bjorner-Brenti, Cor. 1.4.4), so it spells the longest element.
 
     >>> [tuple(t) for t in order_from_reduced_word(3, [2, 1, 2]).sequence]
     [(2, 3), (1, 3), (1, 2)]
@@ -126,18 +114,14 @@ def order_from_reduced_word(n: int, word: Sequence[int]) -> ReflectionOrder:
         raise ValueError(f"word must have length {count} for S_{n}")
     if not all(1 <= s <= n - 1 for s in word):
         raise ValueError("word letters must be adjacent-transposition indices 1..n-1")
-    gens = [reflection_perm(Reflection(i, i + 1), n) for i in range(1, n)]
-    prefix = identity(n)
+    prefix = list(range(1, n + 1))
     sequence = []
     for s in word:
-        t_perm = compose(compose(prefix, gens[s - 1]), inverse(prefix))
-        t = as_reflection(t_perm)
-        if t is None or t in sequence:
+        t = Reflection(*sorted(prefix[s - 1 : s + 1]))
+        if t in sequence:
             raise ValueError("word is not reduced")
         sequence.append(t)
-        prefix = compose(prefix, gens[s - 1])
-    if prefix != longest_element(n) or length(prefix) != count:
-        raise ValueError("word does not evaluate to the longest element")
+        prefix[s - 1], prefix[s] = prefix[s], prefix[s - 1]
     return ReflectionOrder(n, tuple(sequence))
 
 

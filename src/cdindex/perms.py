@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 Perm = tuple[int, ...]
 
@@ -87,13 +87,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[v - 1] for v in q)
 
 
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for k, v in enumerate(p):
-        inv[v - 1] = k + 1
-    return tuple(inv)
-
-
 @functools.cache
 def length(p: Perm) -> int:
     """Coxeter length = number of inversion pairs i < j with p(i) > p(j).
@@ -112,17 +105,6 @@ def reflection_perm(t: Reflection, n: int) -> Perm:
     image = list(range(1, n + 1))
     image[t.i - 1], image[t.j - 1] = image[t.j - 1], image[t.i - 1]
     return tuple(image)
-
-
-def as_reflection(p: Perm) -> Optional[Reflection]:
-    """Return the Reflection equal to p, or None if p is not a transposition."""
-    moved = [k for k, v in enumerate(p) if v != k + 1]
-    if len(moved) != 2:
-        return None
-    a, b = moved
-    if p[a] == b + 1 and p[b] == a + 1:
-        return Reflection(a + 1, b + 1)
-    return None
 
 
 def all_reflections(n: int) -> list[Reflection]:

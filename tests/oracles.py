@@ -29,7 +29,10 @@ reads), `split_at` (the split at any rank, read off the shelling steps),
 `expand_cd` (the substitution c = A + D, d = AD + DA), `edge_reflection`
 (the label of a Bruhat-graph edge) and `tail_from` (the sub-path from a
 vertex on).  So did `restricted_consistent`, the verdict of one
-`RestrictedCountReport`, which the scan reads off the counts instead.
+`RestrictedCountReport`, which the scan reads off the counts instead, and
+`inverse` and `as_reflection` (the permutation inverse and the
+transposition test that `edge_reflection` reads), once reflection orders
+were read off the values of each reduced-word prefix.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from cdindex.errors import FlipUndefinedError
 from cdindex.flips import FlipWitness, path_contribution, position_factor
 from cdindex.intervals import BruhatPath, iter_paths, rank_word
 from cdindex.ncpoly import ADPolynomial, CDPolynomial, ad_form, ad_to_cd, cd_degree
-from cdindex.perms import as_reflection, bruhat_leq, compose, inverse, length
+from cdindex.perms import Reflection, bruhat_leq, compose, length
 from cdindex.verify import RestrictedCountReport
 
 
@@ -92,6 +95,24 @@ def bruhat_leq_closure(u, v):
 
 def moved_points(p):
     return [k + 1 for k, val in enumerate(p) if val != k + 1]
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for k, v in enumerate(p):
+        inv[v - 1] = k + 1
+    return tuple(inv)
+
+
+def as_reflection(p):
+    """Return the Reflection equal to p, or None if p is not a transposition."""
+    moved = [k for k, v in enumerate(p) if v != k + 1]
+    if len(moved) != 2:
+        return None
+    a, b = moved
+    if p[a] == b + 1 and p[b] == a + 1:
+        return Reflection(a + 1, b + 1)
+    return None
 
 
 def edge_reflection(x, y):

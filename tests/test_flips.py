@@ -642,6 +642,21 @@ def test_collapsed_flip_checks_equal_the_path_walks(monkeypatch):
         sum_contributions(u, "ddd", table)
 
 
+def replay_collapsed_cases():
+    """`sum_contributions` and `check_flip_condition` on every monomial of
+    every collapsed case under lex; returns the outcome kinds seen."""
+    kinds = set()
+    for u, v in COLLAPSED_CASES:
+        u, v = parse_perm(u), parse_perm(v)
+        table = TSetTable(v, lex_order(5))
+        for k in degree_range(table.gaps[u]):
+            for monomial in cd_monomials(k):
+                kinds.add(outcome(sum_contributions, u, monomial, table)[0])
+                witness = check_flip_condition(u, monomial, table)
+                kinds.add(witness and witness.kind)
+    return kinds
+
+
 def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
     """The witness replay reads each flip image's first-label rank off the
     image counts by the tail's position in T, which `index` ranks from the
@@ -650,18 +665,45 @@ def test_collapsed_replays_build_no_flip_dicts(monkeypatch):
     collapse_flips(monkeypatch)
     flip_calls = record_flip_calls(monkeypatch)
     t_set_calls = record_t_set_calls(monkeypatch)
-    order = lex_order(5)
-    kinds = set()
-    for u, v in COLLAPSED_CASES:
-        u, v = parse_perm(u), parse_perm(v)
+    assert {"raise", "minus-one-at-m", "size-mismatch"} <= replay_collapsed_cases()
+    assert flip_calls == [] and t_set_calls == []
+
+
+def record_ranges_calls(monkeypatch):
+    """Wrap `TSetTable._ranges` to record, for each call, its table, its
+    (w, gamma, bar) key and the name of the calling function; returns the
+    list of records."""
+    calls = []
+    inner = TSetTable._ranges
+
+    def recorded(self, w, gamma, bar=False):
+        calls.append((self, (w, gamma, bar), sys._getframe(1).f_code.co_name))
+        return inner(self, w, gamma, bar)
+
+    monkeypatch.setattr(TSetTable, "_ranges", recorded)
+    return calls
+
+
+def test_each_sub_problem_runs_its_ranges_once(monkeypatch):
+    """`counts` is the one caller of `_ranges`, and no (w, gamma, bar) runs
+    it twice on one table: not in a clean scan of every interval under the
+    S_4 sink w0, under lex and rev; not in the flip that `tset` builds on
+    the S_5 sink w0; and not in the replays of the collapsed cases, whose
+    `index` calls rank tails along the kept edges the counts stored."""
+    calls = record_ranges_calls(monkeypatch)
+    v = parse_perm("4321")
+    for order_id, order in (("lex", lex_order(4)), ("rev", lex_order(4).reversed())):
         table = TSetTable(v, order)
-        for k in degree_range(table.gaps[u]):
-            for monomial in cd_monomials(k):
-                kinds.add(outcome(sum_contributions, u, monomial, table)[0])
-                witness = check_flip_condition(u, monomial, table)
-                kinds.add(witness and witness.kind)
-        assert flip_calls == [] and t_set_calls == [], (u, v)
-    assert {"raise", "minus-one-at-m", "size-mismatch"} <= kinds
+        for u in table.gaps:
+            if u != v:
+                assert scan_interval(u, order_id, table)["clean"], (order_id, u)
+    seed1 = order_from_reduced_word(5, [2, 1, 3, 4, 3, 2, 3, 1, 4, 2])
+    assert TSetTable(parse_perm("54321"), seed1).flip(identity(5), ad_form("ddddc"))
+    collapse_flips(monkeypatch)
+    assert {"raise", "minus-one-at-m", "size-mismatch"} <= replay_collapsed_cases()
+    assert calls and {caller for _, _, caller in calls} == {"counts"}
+    keys = [(id(table), key) for table, key, _ in calls]
+    assert len(set(keys)) == len(keys)
 
 
 def test_a_violating_replay_walks_the_paths_lazily_up_to_its_witness(monkeypatch):

@@ -237,7 +237,7 @@ def test_values_are_immutable(example_interval):
     first, second = lex_order(4), lex_order(4)
     assert first is not second and first == second and hash(first) == hash(second)
     assert len({first: 1, second: 2}) == 1
-    assert first != first.reversed() and first.reversed().reversed() is first
+    assert first != first.reversed() and first.reversed().reversed() == first
     assert pickle.loads(pickle.dumps(first)) == first
     assert pickle.loads(pickle.dumps(path)) == path
 

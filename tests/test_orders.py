@@ -35,21 +35,6 @@ def test_reversed_is_an_involution_and_valid():
     assert dihedral_violation(r) is None
 
 
-def test_reversed_is_built_and_validated_once(monkeypatch):
-    import cdindex.orders
-
-    o = lex_order(4)
-    calls = []
-    real = cdindex.orders.dihedral_violation
-    monkeypatch.setattr(
-        cdindex.orders, "dihedral_violation", lambda order: calls.append(1) or real(order)
-    )
-    r = o.reversed()
-    assert o.reversed() is r
-    assert r.reversed() is o
-    assert len(calls) == 1
-
-
 def test_reduced_word_constructions():
     assert [tuple(t) for t in order_from_reduced_word(2, [1]).sequence] == [(1, 2)]
     assert [tuple(t) for t in order_from_reduced_word(3, [1, 2, 1]).sequence] == [

@@ -8,18 +8,23 @@ from hypothesis import strategies as st
 from cdindex.perms import (
     Reflection,
     all_reflections,
-    as_reflection,
     bruhat_leq,
     compose,
     format_perm,
     identity,
-    inverse,
     length,
     longest_element,
     parse_perm,
     reflection_perm,
 )
-from .oracles import bruhat_leq_closure, edge_reflection, inversions, moved_points
+from .oracles import (
+    as_reflection,
+    bruhat_leq_closure,
+    edge_reflection,
+    inverse,
+    inversions,
+    moved_points,
+)
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 
