@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 mathematical violation found by a scan, 2 user
 error or a request that ran out of memory (or a scan whose `--workers`
 process died, as an out-of-memory kill leaves it), 3 internal
-inconsistency, 4 flip undefined, 5 I/O error.  All output except `dot` is
-JSON; scan writes JSON-lines, one record per interval.
+inconsistency, 4 flip undefined, 5 I/O error: any failed read or write,
+on every command, stdout included.  `main` alone turns an error into its
+exit code and its one stderr line.  All output except `dot` is JSON; scan
+writes JSON-lines, one record per interval.
 
 scan holds no record in memory.  Each sink job's lines go to a spool file
 as the job ends, one flush per job, and the scan keeps only where each
@@ -48,6 +50,13 @@ MAX_N = 7
 
 class UserError(Exception):
     pass
+
+
+class ResumeError(OSError):
+    """A `--resume` file that cannot be read, or a line of it that does not parse."""
+
+
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError)  # what reading a resume file raises
 
 
 def parse_perm_arg(text: str):
@@ -150,12 +159,8 @@ def cmd_dot(args) -> int:
     u, v, order = interval_args(args)
     text = export_dot(build_interval(u, v), order)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -217,32 +222,25 @@ def cmd_scan(args) -> int:
         resumed = []  # a resumed --out, indexed before the spool is opened: a bad line creates no spool
         spool_path = args.out + ".spool" if args.out else None
         if args.out and os.path.isdir(args.out):  # checked before the sweep, not at os.replace
-            print(f"error: --out {args.out} is a directory", file=sys.stderr)
-            return EXIT_IO
+            raise IsADirectoryError(f"--out {args.out} is a directory")
         if args.resume and os.path.exists(args.out):
             try:
                 resumed.append(stack.enter_context(open(args.out, "rb")))
                 _index_resumed(resumed[0], 1, old)
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                print(f"error reading resume file: {exc}", file=sys.stderr)
-                return EXIT_IO
+            except _UNREADABLE as exc:
+                raise ResumeError(exc)
         # the spool takes each sink job's lines as the job ends
-        try:
-            if not args.out:
-                spool = stack.enter_context(tempfile.TemporaryFile())
-            else:
-                mode = "r+b" if args.resume and os.path.exists(spool_path) else "w+b"
-                spool = stack.enter_context(open(spool_path, mode))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        if not args.out:
+            spool = stack.enter_context(tempfile.TemporaryFile())
+        else:
+            mode = "r+b" if args.resume and os.path.exists(spool_path) else "w+b"
+            spool = stack.enter_context(open(spool_path, mode))
         files = [spool, *resumed]  # what the byte ranges of the index point into
         if args.resume:
             try:
                 spool.truncate(_index_resumed(spool, 0, old))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                print(f"error reading resume file: {exc}", file=sys.stderr)
-                return EXIT_IO
+            except _UNREADABLE as exc:
+                raise ResumeError(exc)
 
         # the index, by position in iter_intervals order: old records fill
         # their slots now, and each sink's sources wait for its job
@@ -275,8 +273,8 @@ def cmd_scan(args) -> int:
         else:
             results = map(_scan_sink, jobs)
         ended = 0  # sink jobs whose lines are in the spool
+        end = spool.seek(0, os.SEEK_END)
         try:
-            end = spool.seek(0, os.SEEK_END)
             for group, lines in zip(groups.values(), results):
                 chunk = []
                 for i, (line, ok) in zip(group, lines):
@@ -287,35 +285,29 @@ def cmd_scan(args) -> int:
                 spool.write(b"\n".join(chunk) + b"\n")
                 spool.flush()
                 ended += 1
-
-            fds = [f.fileno() for f in files]
-            violations = sum(not ok for *_, ok in outside) + clean.count(0)
-            records = itertools.chain(
-                (os.pread(fds[src], size, offset) for src, offset, size, _ in outside),
-                (os.pread(fds[where[i]], sizes[i], offsets[i]) for i in range(len(where))),
-            )
-            if args.out:
-                tmp = args.out + ".tmp"
-                with open(tmp, "wb") as out:
-                    for data in records:
-                        out.write(data + b"\n")
-                os.replace(tmp, args.out)
-                os.remove(spool_path)
-            else:
-                for data in records:
-                    sys.stdout.write(data.decode() + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
         except dead_worker:
             # most likely killed for memory: exit as a MemoryError does
             # the pool names no process, so name the first sink not written
             sink = format_perm(jobs[ended][0])
-            line = f"error: a --workers process died before sink {sink} was written"
-            if args.out:
-                line += f"; {spool_path} keeps the sinks written before it for --resume"
-            print(line, file=sys.stderr)
-            return EXIT_USER
+            kept = f"; {spool_path} keeps the sinks written before it for --resume" if args.out else ""
+            raise UserError(f"a --workers process died before sink {sink} was written{kept}")
+
+        fds = [f.fileno() for f in files]
+        violations = sum(not ok for *_, ok in outside) + clean.count(0)
+        records = itertools.chain(
+            (os.pread(fds[src], size, offset) for src, offset, size, _ in outside),
+            (os.pread(fds[where[i]], sizes[i], offsets[i]) for i in range(len(where))),
+        )
+        if args.out:
+            tmp = args.out + ".tmp"
+            with open(tmp, "wb") as out:
+                for data in records:
+                    out.write(data + b"\n")
+            os.replace(tmp, args.out)
+            os.remove(spool_path)
+        else:
+            for data in records:
+                sys.stdout.write(data.decode() + "\n")
     if violations:
         print(f"scan found {violations} inconsistent interval(s)", file=sys.stderr)
         return EXIT_VIOLATION
@@ -378,6 +370,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
+        if sys.stdout is not None:  # None when the process starts with stdout closed
+            sys.stdout.flush()  # a failed stdout write surfaces here, not at the interpreter's exit
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USER
@@ -390,7 +384,17 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: {args.command} ran out of memory", file=sys.stderr)
         code = EXIT_USER
+    except ResumeError as exc:
+        print(f"error reading resume file: {exc}", file=sys.stderr)
+        code = EXIT_IO
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_IO
     if argv is None:
+        if code == EXIT_IO:
+            # stdout keeps what it failed to write, and the interpreter's
+            # exit would flush it again: point fd 1 at /dev/null first
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         sys.exit(code)
     return code
 

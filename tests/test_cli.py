@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -251,6 +252,14 @@ def test_dot_output_and_determinism(capsys, tmp_path):
     assert '"1234" -> "2134" [label="1"];' in target.read_text()
 
 
+def test_dot_to_a_directory_exits_5_in_one_line(capsys, tmp_path):
+    code, out, err = run(capsys, "dot", "1234", "2134", "-o", str(tmp_path))
+    assert code == cli.EXIT_IO and out == ""
+    expected = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp_path))
+    assert err.splitlines() == [f"error: {expected}"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_scan_s2_trivial(capsys):
     code, out, _ = run(capsys, "scan", "--n", "2")
     assert code == 0
@@ -414,9 +423,16 @@ def test_resume_rejects_an_unparsable_line_before_the_last(capsys, tmp_path):
     out_file.write_text(before)
     code, _, err = run(capsys, "scan", "--n", "3", "--out", str(out_file), "--resume")
     assert code == cli.EXIT_IO
-    assert "resume file" in err
+    assert err.splitlines() == [f"error reading resume file: {json_error(lines[0][:-1])}"]
     assert out_file.read_text() == before
     assert not (tmp_path / "s3.jsonl.spool").exists()
+
+
+def json_error(line):
+    """The message of the error `json.loads` raises on `line`."""
+    with pytest.raises(ValueError) as info:
+        json.loads(line)
+    return str(info.value)
 
 
 @pytest.mark.parametrize("suffix", ["", ".spool"], ids=["out", "spool"])
@@ -430,11 +446,12 @@ def test_resume_rejects_a_complete_last_line_that_does_not_parse(capsys, tmp_pat
     lines = out_file.read_text().splitlines()
     out_file.unlink()
     resumed = tmp_path / ("s3.jsonl" + suffix)
-    before = "".join(line + "\n" for line in lines[:5]) + '{"u": "12\n'
+    bad = '{"u": "12'
+    before = "".join(line + "\n" for line in lines[:5]) + bad + "\n"
     resumed.write_text(before)
     code, _, err = run(capsys, "scan", "--n", "3", "--out", str(out_file), "--resume")
     assert code == cli.EXIT_IO
-    assert "resume file" in err
+    assert err.splitlines() == [f"error reading resume file: {json_error(bad)}"]
     assert resumed.read_text() == before
 
 
@@ -498,7 +515,7 @@ def test_scan_unwritable_output_is_io_error(capsys, tmp_path):
     `.tmp` copy and no spool left beside it."""
     code, _, err = run(capsys, "scan", "--n", "2", "--out", str(tmp_path))
     assert code == cli.EXIT_IO
-    assert "error" in err
+    assert err.splitlines() == [f"error: --out {tmp_path} is a directory"]
     assert not list(tmp_path.parent.glob(tmp_path.name + ".*"))
 
 
@@ -555,9 +572,16 @@ def test_a_dead_worker_exits_2_and_its_scan_resumes(capsys, monkeypatch, tmp_pat
         patch.setattr(cli, "_scan_sink", killed_at_w0)
         code, out, err = run(capsys, "scan", "--n", "4", "--workers", "2", "--out", str(out_file))
     assert code == cli.EXIT_USER and out == ""
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert "process died" in err and str(spool) in err
-    assert "was written" in err
+    # the pool says only that a process died, so the line names the first
+    # sink whose records are not in the spool
+    [line] = err.splitlines()
+    sink = line.partition(" before sink ")[2].partition(" ")[0]
+    assert line == (
+        f"error: a --workers process died before sink {sink} was written; "
+        f"{spool} keeps the sinks written before it for --resume"
+    )
+    assert sorted(sink) == list("1234")
+    assert sink not in {json.loads(kept)["v"] for kept in spool.read_text().splitlines()}
     assert spool.exists() and not out_file.exists()
     code, _, _ = run(capsys, "scan", "--n", "4", "--out", str(out_file), "--resume")
     assert code == 0
@@ -682,3 +706,48 @@ def test_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+
+
+STDOUT_ERRORS = {"closed-pipe": errno.EPIPE, "dev-full": errno.ENOSPC}
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", list(STDOUT_ERRORS))
+def test_a_failed_stdout_write_exits_5_in_one_line(target, buffering):
+    """Every command that writes to stdout exits 5 with one error line and
+    no traceback when the write fails: on a pipe whose read end is closed
+    before the child starts, so that the first write fails, and on
+    /dev/full.  A block-buffered stdout fails at the flush in `main`, and
+    its unwritten bytes do not fail a second time at the interpreter's
+    exit."""
+    if target == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    number = STDOUT_ERRORS[target]
+    expected = [f"error: {OSError(number, os.strerror(number))}"]
+    for argv in (
+        ["compute", "1234", "4321"],
+        ["tset", "1234", "4321", "ddc"],
+        ["dot", "1234", "4321"],
+        ["scan", "--n", "3"],
+    ):
+        if target == "closed-pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        else:
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cdindex", *argv],
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(stdout)
+        assert (proc.returncode, proc.stderr.splitlines()) == (cli.EXIT_IO, expected), argv
