@@ -4,9 +4,13 @@ Exit codes: 0 success, 1 mathematical violation found by a scan, 2 user
 error or a request that ran out of memory (or a scan whose `--workers`
 process died, as an out-of-memory kill leaves it), 3 internal
 inconsistency, 4 flip undefined, 5 I/O error: any failed read or write,
-on every command, stdout included.  `main` alone turns an error into its
-exit code and its one stderr line.  All output except `dot` is JSON; scan
-writes JSON-lines, one record per interval.
+on every command, stdout included, and a process started without stdout.
+`main` alone turns an error, or a scan's violations, into its exit code
+and its one stderr line, which it writes best effort: a failed stderr
+write keeps the exit code.  All output except `dot` is JSON; scan writes
+JSON-lines, one record per interval.  Every output leaves through
+`_write`: to stdout, or to a file that `<file>.tmp` replaces whole once
+it is complete (`dot -o` and `scan --out`).
 
 scan holds no record in memory.  Each sink job's lines go to a spool file
 as the job ends, one flush per job, and the scan keeps only where each
@@ -24,6 +28,7 @@ On stdout the spool is an anonymous temporary file.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -56,7 +61,29 @@ class ResumeError(OSError):
     """A `--resume` file that cannot be read, or a line of it that does not parse."""
 
 
+class Violations(Exception):
+    """Raised by a scan once it has written every record, some of them not clean."""
+
+
 _UNREADABLE = (OSError, ValueError, KeyError, TypeError)  # what reading a resume file raises
+
+
+def _write(path, chunks) -> None:
+    """Write the byte chunks to stdout, or with a path to `<path>.tmp`,
+    which replaces `path` once complete: a failed write never leaves a
+    partial `path`."""
+    if path is None:
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("stdout is closed")
+        out = getattr(sys.stdout, "buffer", sys.stdout)  # an io.StringIO has no bytes layer
+        out.writelines(chunk.decode() if out is sys.stdout else chunk for chunk in chunks)
+        out.flush()  # a failed write surfaces here, not at the interpreter's exit
+    elif os.path.isdir(path):  # checked before the `.tmp` is made, with `open(path)`'s error
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    else:
+        with open(path + ".tmp", "wb") as out:
+            out.writelines(chunks)
+        os.replace(path + ".tmp", path)
 
 
 def parse_perm_arg(text: str):
@@ -112,7 +139,7 @@ def cmd_compute(args) -> int:
     payload = index.to_json()
     payload["order"] = args.order
     payload["all_orders_checked"] = bool(args.all_orders)
-    print(json.dumps(payload, sort_keys=True))
+    _write(None, [json.dumps(payload, sort_keys=True).encode(), b"\n"])
     return 0
 
 
@@ -151,24 +178,19 @@ def cmd_tset(args) -> int:
             label_string(p, order): path_json(p, order) for p in t_paths
         },
     }
-    print(json.dumps(payload, sort_keys=True))
+    _write(None, [json.dumps(payload, sort_keys=True).encode(), b"\n"])
     return 0
 
 
 def cmd_dot(args) -> int:
     u, v, order = interval_args(args)
-    text = export_dot(build_interval(u, v), order)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, [export_dot(build_interval(u, v), order).encode()])
     return 0
 
 
-def _scan_sink(job) -> list[tuple[str, bool]]:
-    """Worker: the intervals of one sink -> their JSON lines, each with
-    whether its record is clean, in the order of `sources`.
+def _scan_sink(job) -> list[tuple[bytes, bool]]:
+    """Worker: the intervals of one sink -> their encoded JSON lines, each
+    with whether its record is clean, in the order of `sources`.
 
     A job holds every source of its sink, so the sink's memoized table is
     built once, read by all of them, and dropped with the job.  Every table
@@ -180,7 +202,7 @@ def _scan_sink(job) -> list[tuple[str, bool]]:
     lines = []
     for u in sources:
         record = scan_interval(u, order_spec, table)
-        lines.append((json.dumps(record, sort_keys=True), record["clean"]))
+        lines.append((json.dumps(record, sort_keys=True).encode(), record["clean"]))
     return lines
 
 
@@ -235,7 +257,6 @@ def cmd_scan(args) -> int:
         else:
             mode = "r+b" if args.resume and os.path.exists(spool_path) else "w+b"
             spool = stack.enter_context(open(spool_path, mode))
-        files = [spool, *resumed]  # what the byte ranges of the index point into
         if args.resume:
             try:
                 spool.truncate(_index_resumed(spool, 0, old))
@@ -276,13 +297,10 @@ def cmd_scan(args) -> int:
         end = spool.seek(0, os.SEEK_END)
         try:
             for group, lines in zip(groups.values(), results):
-                chunk = []
-                for i, (line, ok) in zip(group, lines):
-                    data = line.encode()
+                for i, (data, ok) in zip(group, lines):
                     offsets[i], sizes[i], clean[i] = end, len(data), ok
                     end += len(data) + 1
-                    chunk.append(data)
-                spool.write(b"\n".join(chunk) + b"\n")
+                spool.write(b"".join(data + b"\n" for data, _ in lines))
                 spool.flush()
                 ended += 1
         except dead_worker:
@@ -292,25 +310,16 @@ def cmd_scan(args) -> int:
             kept = f"; {spool_path} keeps the sinks written before it for --resume" if args.out else ""
             raise UserError(f"a --workers process died before sink {sink} was written{kept}")
 
-        fds = [f.fileno() for f in files]
+        fds = [f.fileno() for f in (spool, *resumed)]  # where the index's byte ranges lie
         violations = sum(not ok for *_, ok in outside) + clean.count(0)
-        records = itertools.chain(
-            (os.pread(fds[src], size, offset) for src, offset, size, _ in outside),
-            (os.pread(fds[where[i]], sizes[i], offsets[i]) for i in range(len(where))),
-        )
+        _write(args.out, itertools.chain(
+            (os.pread(fds[src], size, offset) + b"\n" for src, offset, size, _ in outside),
+            (os.pread(fds[where[i]], sizes[i], offsets[i]) + b"\n" for i in range(len(where))),
+        ))
         if args.out:
-            tmp = args.out + ".tmp"
-            with open(tmp, "wb") as out:
-                for data in records:
-                    out.write(data + b"\n")
-            os.replace(tmp, args.out)
             os.remove(spool_path)
-        else:
-            for data in records:
-                sys.stdout.write(data.decode() + "\n")
     if violations:
-        print(f"scan found {violations} inconsistent interval(s)", file=sys.stderr)
-        return EXIT_VIOLATION
+        raise Violations(f"scan found {violations} inconsistent interval(s)")
     return 0
 
 
@@ -369,27 +378,29 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        if sys.stdout is not None:  # None when the process starts with stdout closed
-            sys.stdout.flush()  # a failed stdout write surfaces here, not at the interpreter's exit
+        code, line = args.func(args), None
+    except Violations as exc:
+        code, line = EXIT_VIOLATION, str(exc)
     except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_USER
+        code, line = EXIT_USER, f"error: {exc}"
     except FlipUndefinedError as exc:
-        print(f"flip undefined: {exc}", file=sys.stderr)
-        code = EXIT_FLIP_UNDEFINED
+        code, line = EXIT_FLIP_UNDEFINED, f"flip undefined: {exc}"
     except CdIndexError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        code = EXIT_INTERNAL
+        code, line = EXIT_INTERNAL, f"internal inconsistency: {exc}"
     except MemoryError:
-        print(f"error: {args.command} ran out of memory", file=sys.stderr)
-        code = EXIT_USER
+        code, line = EXIT_USER, f"error: {args.command} ran out of memory"
     except ResumeError as exc:
-        print(f"error reading resume file: {exc}", file=sys.stderr)
-        code = EXIT_IO
+        code, line = EXIT_IO, f"error reading resume file: {exc}"
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_IO
+        code, line = EXIT_IO, f"error: {exc}"
+    if line is not None:
+        try:
+            sys.stderr.write(line + "\n")
+            sys.stderr.flush()
+        except (AttributeError, OSError):  # no stderr, or a broken one: the code stands
+            # and the interpreter's exit must not flush what it kept, which
+            # would fail again and exit 120
+            sys.stderr = None
     if argv is None:
         if code == EXIT_IO:
             # stdout keeps what it failed to write, and the interpreter's

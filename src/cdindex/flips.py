@@ -191,11 +191,13 @@ class TSetTable:
         start at a rank <= rank(t): `images_upto` above `counts` at r.
         Raises FlipUndefinedError when a flip it reads is undefined.
         """
+        if "D" not in gamma:  # a -1 sits only at a D: no walk and no entry
+            return False
         key = (w, gamma)
         hit = self._minus_one.get(key)
         if hit is None:
             hit = False
-            if gamma and self._reaches(w, len(gamma) + 1):
+            if self._reaches(w, len(gamma) + 1):
                 rank = self.order.rank
                 rest = gamma[1:]
                 for t, x in self._adjacency[w]:

@@ -388,7 +388,7 @@ def test_the_spool_holds_the_ended_jobs_and_a_stale_one_is_not_read(capsys, monk
     ended = []
 
     def checked(job):
-        assert spool.read_text() == "".join(line + "\n" for line in ended)
+        assert spool.read_bytes() == b"".join(line + b"\n" for line in ended)
         lines = real(job)
         ended.extend(line for line, _ in lines)
         return lines
@@ -397,7 +397,7 @@ def test_the_spool_holds_the_ended_jobs_and_a_stale_one_is_not_read(capsys, monk
     code, _, _ = run(capsys, "scan", "--n", "4", "--out", str(out_file))
     assert code == 0
     assert len(ended) == 189
-    assert sorted(out_file.read_text().splitlines()) == sorted(ended)
+    assert sorted(out_file.read_bytes().splitlines()) == sorted(ended)
     assert not spool.exists()
 
 
@@ -708,6 +708,16 @@ def test_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
 
 
+def child_env(buffering):
+    """The environment of a `python -m cdindex` child: this checkout's
+    package, with block-buffered or unbuffered standard streams."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 STDOUT_ERRORS = {"closed-pipe": errno.EPIPE, "dev-full": errno.ENOSPC}
 
 
@@ -722,10 +732,7 @@ def test_a_failed_stdout_write_exits_5_in_one_line(target, buffering):
     exit."""
     if target == "dev-full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-    env.pop("PYTHONUNBUFFERED", None)
-    if buffering == "unbuffered":
-        env["PYTHONUNBUFFERED"] = "1"
+    env = child_env(buffering)
     number = STDOUT_ERRORS[target]
     expected = [f"error: {OSError(number, os.strerror(number))}"]
     for argv in (
@@ -751,3 +758,88 @@ def test_a_failed_stdout_write_exits_5_in_one_line(target, buffering):
         finally:
             os.close(stdout)
         assert (proc.returncode, proc.stderr.splitlines()) == (cli.EXIT_IO, expected), argv
+
+
+def run_without_stdout(argv, **kwargs):
+    """`python -m cdindex` started with fd 1 closed, as `>&-` starts it."""
+    close_stdout = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "cdindex"]
+    return subprocess.run(
+        [*close_stdout, *argv], stderr=subprocess.PIPE, text=True, timeout=120, **kwargs
+    )
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_a_process_started_without_stdout_exits_5_in_one_line(buffering):
+    """Python sets `sys.stdout` to None when fd 1 is closed at start; every
+    command that writes to stdout exits 5 with one line instead of
+    dropping its output (exit 0) or failing on None (exit 1)."""
+    for argv in (
+        ["compute", "1234", "4321"],
+        ["tset", "1234", "4321", "ddc"],
+        ["dot", "1234", "4321"],
+        ["scan", "--n", "3"],
+    ):
+        proc = run_without_stdout(argv, env=child_env(buffering))
+        assert (proc.returncode, proc.stderr.splitlines()) == (
+            cli.EXIT_IO, ["error: stdout is closed"]
+        ), argv
+
+
+def test_an_output_file_is_written_without_stdout(capsys, tmp_path):
+    """`scan --out` and `dot -o` never touch stdout, so a process started
+    without one exits 0 and writes the same file as one with it."""
+    env = child_env("buffered")
+    for argv in (["scan", "--n", "3"], ["dot", "2134", "4321"]):
+        with_stdout, without = tmp_path / "with", tmp_path / "without"
+        flag = "--out" if argv[0] == "scan" else "-o"
+        assert run(capsys, *argv, flag, str(with_stdout))[0] == 0
+        proc = run_without_stdout([*argv, flag, str(without)], env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        lines = [with_stdout.read_text().splitlines(), without.read_text().splitlines()]
+        if argv[0] == "scan":
+            lines = [list(map(strip_elapsed, each)) for each in lines]
+        assert lines[0] == lines[1] and lines[0], argv
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["with", "without"]
+        with_stdout.unlink()
+        without.unlink()
+
+
+def run_with_broken_stderr(argv, buffering):
+    """`python -m cdindex` with stderr a pipe whose read end is closed, so
+    that its error line cannot be written."""
+    read_end, stderr = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "cdindex", *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+            env=child_env(buffering),
+            timeout=120,
+        )
+    finally:
+        os.close(stderr)
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_a_user_error_exits_2_with_a_broken_stderr(buffering):
+    """A user error whose line cannot be written still exits 2, not 1 by a
+    traceback or 120 by the interpreter's failed flush at exit."""
+    for argv in (["scan", "--n", "9"], ["compute", "1234", "12"], ["tset", "1234", "4321", "x"]):
+        assert run_with_broken_stderr(argv, buffering).returncode == cli.EXIT_USER, argv
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_a_violation_exits_1_with_a_broken_stderr(buffering, capsys, tmp_path):
+    """A scan that finds a violation, here an unclean record kept by
+    `--resume`, writes its output and exits 1 when its line cannot be
+    written."""
+    out_file = tmp_path / "s3.jsonl"
+    run(capsys, "scan", "--n", "3", "--out", str(out_file))
+    lines = out_file.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "clean": False}, sort_keys=True)
+    out_file.write_text("\n".join(lines[:7]) + "\n")
+    argv = ["scan", "--n", "3", "--out", str(out_file), "--resume"]
+    assert run_with_broken_stderr(argv, buffering).returncode == cli.EXIT_VIOLATION
+    resumed = out_file.read_text().splitlines()
+    assert len(resumed) == 13 and resumed[:7] == lines[:7]

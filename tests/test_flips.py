@@ -859,6 +859,22 @@ def test_every_empty_count_is_one_shared_tuple(s4_lex):
     assert len(zeros) > 1 and len({id(c) for c in zeros}) == 1
 
 
+def test_the_flip_dp_keeps_no_word_without_a_d(s4_lex):
+    """A -1 factor sits only at a D, so `has_minus_one` answers a word
+    with no D at once: after a scan of every interval of S_4, every word
+    of the flip DP's memo holds a D."""
+    sinks = {}
+    for u, v in iter_intervals(4):
+        sinks.setdefault(v, []).append(u)
+    words = set()
+    for v, sources in sinks.items():
+        table = TSetTable(v, s4_lex)
+        for u in sources:
+            assert scan_interval(u, "lex", table)["clean"], (u, v)
+        words |= {gamma for _, gamma in table._minus_one}
+    assert words and all("D" in gamma for gamma in words), sorted(words)
+
+
 def test_a_clean_scan_builds_t_sets_only_for_the_strong_check(s4_lex, monkeypatch):
     """|T|, |T-bar|, the flip DP and the restricted counts read counts, so
     scanning [2134, 4321] builds the T-set and T-bar set at its source only
