@@ -5,9 +5,11 @@ error or a request that ran out of memory (or a scan whose `--workers`
 process died, as an out-of-memory kill leaves it), 3 internal
 inconsistency, 4 flip undefined, 5 I/O error: any failed read or write,
 on every command, stdout included, and a process started without stdout.
-`main` alone turns an error, or a scan's violations, into its exit code
-and its one stderr line, which it writes best effort: a failed stderr
-write keeps the exit code.  All output except `dot` is JSON; scan writes
+`main` alone turns an error, a scan's violations or argparse's own exit
+(2 for a usage error, 0 for help) into its exit code and its one stderr
+line, which it writes and flushes best effort: a failed stderr write
+keeps the exit code.  A scan to stdout checks that the process has one
+before its sweep.  All output except `dot` is JSON; scan writes
 JSON-lines, one record per interval.  Every output leaves through
 `_write`: to stdout, or to a file that `<file>.tmp` replaces whole once
 it is complete (`dot -o` and `scan --out`).
@@ -68,14 +70,19 @@ class Violations(Exception):
 _UNREADABLE = (OSError, ValueError, KeyError, TypeError)  # what reading a resume file raises
 
 
+def _stdout():
+    """`sys.stdout`, or OSError when the process started with fd 1 closed."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    return sys.stdout
+
+
 def _write(path, chunks) -> None:
     """Write the byte chunks to stdout, or with a path to `<path>.tmp`,
     which replaces `path` once complete: a failed write never leaves a
     partial `path`."""
     if path is None:
-        if sys.stdout is None:  # the process started with fd 1 closed
-            raise OSError("stdout is closed")
-        out = getattr(sys.stdout, "buffer", sys.stdout)  # an io.StringIO has no bytes layer
+        out = getattr(_stdout(), "buffer", sys.stdout)  # an io.StringIO has no bytes layer
         out.writelines(chunk.decode() if out is sys.stdout else chunk for chunk in chunks)
         out.flush()  # a failed write surfaces here, not at the interpreter's exit
     elif os.path.isdir(path):  # checked before the `.tmp` is made, with `open(path)`'s error
@@ -161,22 +168,18 @@ def cmd_tset(args) -> int:
     # T in its keys and T-bar in its values, reversed; the sink's table and
     # its memos are freed before the output is built
     pairing = TSetTable(v, order).flip(u, gamma)
-    t_paths = list(pairing)
-    tbar_paths = list(reversed(pairing.values()))
+    t = [label_string(p, order) for p in pairing]
+    t_bar = [label_string(p, order) for p in reversed(pairing.values())]
     payload = {
         "u": format_perm(u),
         "v": format_perm(v),
         "monomial": monomial or "1",
         "ad_form": gamma,
         "order": args.order,
-        "t": [label_string(p, order) for p in t_paths],
-        "t_bar": [label_string(p, order) for p in tbar_paths],
-        "flip": {
-            label_string(x, order): label_string(y, order) for x, y in pairing.items()
-        },
-        "paths": {
-            label_string(p, order): path_json(p, order) for p in t_paths
-        },
+        "t": t,
+        "t_bar": t_bar,
+        "flip": dict(zip(t, reversed(t_bar))),
+        "paths": {label: path_json(p, order) for label, p in zip(t, pairing)},
     }
     _write(None, [json.dumps(payload, sort_keys=True).encode(), b"\n"])
     return 0
@@ -243,7 +246,10 @@ def cmd_scan(args) -> int:
         old: dict = {}  # (u, v, order) -> (file, offset, size, clean) of a resumed line
         resumed = []  # a resumed --out, indexed before the spool is opened: a bad line creates no spool
         spool_path = args.out + ".spool" if args.out else None
-        if args.out and os.path.isdir(args.out):  # checked before the sweep, not at os.replace
+        # both checked before the sweep, not once its work is done
+        if not args.out:
+            _stdout()
+        elif os.path.isdir(args.out):
             raise IsADirectoryError(f"--out {args.out} is a directory")
         if args.resume and os.path.exists(args.out):
             try:
@@ -324,23 +330,22 @@ def cmd_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument(
+        "--order",
+        default="lex",
+        help="reflection order: lex (default), rev, or word:1,2,1,...",
+    )
+    interval = argparse.ArgumentParser(add_help=False, parents=[order])
+    interval.add_argument("u")
+    interval.add_argument("v")
     parser = argparse.ArgumentParser(
         prog="cdindex",
         description="Complete cd-index of Bruhat intervals in symmetric groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_order(p):
-        p.add_argument(
-            "--order",
-            default="lex",
-            help="reflection order: lex (default), rev, or word:1,2,1,...",
-        )
-
-    p = sub.add_parser("compute", help="complete cd-index of [u, v]")
-    p.add_argument("u")
-    p.add_argument("v")
-    add_order(p)
+    p = sub.add_parser("compute", parents=[interval], help="complete cd-index of [u, v]")
     p.add_argument(
         "--all-orders",
         action="store_true",
@@ -348,37 +353,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("tset", help="T-set, reverse-order T-set and flip pairing")
-    p.add_argument("u")
-    p.add_argument("v")
+    p = sub.add_parser(
+        "tset", parents=[interval], help="T-set, reverse-order T-set and flip pairing"
+    )
     p.add_argument("monomial", help="cd-monomial such as ccd, or 1")
-    add_order(p)
     p.set_defaults(func=cmd_tset)
 
-    p = sub.add_parser("scan", help="exhaustive verification sweep over S_n")
+    p = sub.add_parser("scan", parents=[order], help="exhaustive verification sweep over S_n")
     p.add_argument("--n", type=int, required=True, help="symmetric group size (2..6)")
     p.add_argument("--max-length", type=int, default=None, help="cap on l(v) - l(u)")
     p.add_argument("--out", default=None, help="JSON-lines output file (default stdout)")
     p.add_argument("--resume", action="store_true", help="skip records already in --out")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    add_order(p)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("dot", help="Graphviz DOT export of the interval")
-    p.add_argument("u")
-    p.add_argument("v")
+    p = sub.add_parser("dot", parents=[interval], help="Graphviz DOT export of the interval")
     p.add_argument("-o", "--out", default=None, help="write to file instead of stdout")
-    add_order(p)
     p.set_defaults(func=cmd_dot)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, line = args.func(args), None
+    except SystemExit as exc:  # argparse's usage error (2) or help (0), its text written
+        code, line = exc.code, None
     except Violations as exc:
         code, line = EXIT_VIOLATION, str(exc)
     except UserError as exc:
@@ -393,14 +394,14 @@ def main(argv=None) -> int:
         code, line = EXIT_IO, f"error reading resume file: {exc}"
     except OSError as exc:
         code, line = EXIT_IO, f"error: {exc}"
-    if line is not None:
-        try:
+    try:
+        if line is not None:
             sys.stderr.write(line + "\n")
-            sys.stderr.flush()
-        except (AttributeError, OSError):  # no stderr, or a broken one: the code stands
-            # and the interpreter's exit must not flush what it kept, which
-            # would fail again and exit 120
-            sys.stderr = None
+        sys.stderr.flush()  # argparse's own line too
+    except (AttributeError, OSError):  # no stderr, or a broken one: the code stands
+        # and the interpreter's exit must not flush what it kept, which
+        # would fail again and exit 120
+        sys.stderr = None
     if argv is None:
         if code == EXIT_IO:
             # stdout keeps what it failed to write, and the interpreter's

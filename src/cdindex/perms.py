@@ -53,6 +53,7 @@ def parse_perm(text: str) -> Perm:
     return image
 
 
+@functools.cache
 def format_perm(p: Perm) -> str:
     """One-line string form, inverse of parse_perm for n <= 9."""
     if len(p) > 9:

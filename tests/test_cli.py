@@ -824,8 +824,14 @@ def run_with_broken_stderr(argv, buffering):
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 def test_a_user_error_exits_2_with_a_broken_stderr(buffering):
     """A user error whose line cannot be written still exits 2, not 1 by a
-    traceback or 120 by the interpreter's failed flush at exit."""
-    for argv in (["scan", "--n", "9"], ["compute", "1234", "12"], ["tset", "1234", "4321", "x"]):
+    traceback or 120 by the interpreter's failed flush at exit; argparse's
+    own usage error (`--n x`) too."""
+    for argv in (
+        ["scan", "--n", "9"],
+        ["compute", "1234", "12"],
+        ["tset", "1234", "4321", "x"],
+        ["scan", "--n", "x"],
+    ):
         assert run_with_broken_stderr(argv, buffering).returncode == cli.EXIT_USER, argv
 
 
@@ -843,3 +849,28 @@ def test_a_violation_exits_1_with_a_broken_stderr(buffering, capsys, tmp_path):
     assert run_with_broken_stderr(argv, buffering).returncode == cli.EXIT_VIOLATION
     resumed = out_file.read_text().splitlines()
     assert len(resumed) == 13 and resumed[:7] == lines[:7]
+
+
+def test_a_scan_without_stdout_exits_5_before_its_sweep(capsys, monkeypatch):
+    """A scan to stdout checks that the process has one before any sink
+    job runs, not once the whole sweep is done."""
+
+    def no_sink(job):
+        raise AssertionError("ran a sink job with no stdout to write to")
+
+    monkeypatch.setattr(cli, "_scan_sink", no_sink)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(["scan", "--n", "4"]) == cli.EXIT_IO
+    assert capsys.readouterr().err == "error: stdout is closed\n"
+
+
+def test_main_returns_argparse_exit_codes(capsys):
+    """In process, `main` returns argparse's exit code instead of raising
+    SystemExit: 2 with the usage line on stderr, 0 with help on stdout."""
+    code, out, err = run(capsys, "scan", "--n", "x")
+    assert (code, out) == (cli.EXIT_USER, "")
+    assert err.startswith("usage: cdindex scan ")
+    assert err.splitlines()[-1] == "cdindex scan: error: argument --n: invalid int value: 'x'"
+    code, out, err = run(capsys, "scan", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: cdindex scan ") and "--order ORDER" in out
