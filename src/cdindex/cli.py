@@ -35,7 +35,7 @@ import itertools
 import json
 import os
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 
 from .complete import complete_cd_index
 from .errors import CdIndexError, FlipUndefinedError, NotInSubringError
@@ -152,10 +152,7 @@ def cmd_compute(args) -> int:
 
 def _staircase_word(n: int) -> list[int]:
     """The reduced word 1, 21, 321, ... for the longest element of S_n."""
-    word = []
-    for k in range(1, n):
-        word.extend(range(k, 0, -1))
-    return word
+    return [i for k in range(1, n) for i in range(k, 0, -1)]
 
 
 def cmd_tset(args) -> int:
@@ -169,7 +166,7 @@ def cmd_tset(args) -> int:
     # its memos are freed before the output is built
     pairing = TSetTable(v, order).flip(u, gamma)
     t = [label_string(p, order) for p in pairing]
-    t_bar = [label_string(p, order) for p in reversed(pairing.values())]
+    bar = [label_string(p, order) for p in pairing.values()]
     payload = {
         "u": format_perm(u),
         "v": format_perm(v),
@@ -177,8 +174,8 @@ def cmd_tset(args) -> int:
         "ad_form": gamma,
         "order": args.order,
         "t": t,
-        "t_bar": t_bar,
-        "flip": dict(zip(t, reversed(t_bar))),
+        "t_bar": bar[::-1],
+        "flip": dict(zip(t, bar)),
         "paths": {label: path_json(p, order) for label, p in zip(t, pairing)},
     }
     _write(None, [json.dumps(payload, sort_keys=True).encode(), b"\n"])
@@ -246,9 +243,11 @@ def cmd_scan(args) -> int:
         old: dict = {}  # (u, v, order) -> (file, offset, size, clean) of a resumed line
         resumed = []  # a resumed --out, indexed before the spool is opened: a bad line creates no spool
         spool_path = args.out + ".spool" if args.out else None
-        # both checked before the sweep, not once its work is done
+        # stdout and --out both checked before the sweep, not once its work is
+        # done; the spool takes each sink job's lines as the job ends
         if not args.out:
             _stdout()
+            spool = stack.enter_context(tempfile.TemporaryFile())
         elif os.path.isdir(args.out):
             raise IsADirectoryError(f"--out {args.out} is a directory")
         if args.resume and os.path.exists(args.out):
@@ -257,10 +256,7 @@ def cmd_scan(args) -> int:
                 _index_resumed(resumed[0], 1, old)
             except _UNREADABLE as exc:
                 raise ResumeError(exc)
-        # the spool takes each sink job's lines as the job ends
-        if not args.out:
-            spool = stack.enter_context(tempfile.TemporaryFile())
-        else:
+        if args.out:  # opened after a resumed --out is indexed
             mode = "r+b" if args.resume and os.path.exists(spool_path) else "w+b"
             spool = stack.enter_context(open(spool_path, mode))
         if args.resume:
@@ -329,6 +325,20 @@ def cmd_scan(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its output under `main`'s exit-code map on
+    every supported Python.  argparse writes help to stdout and its usage
+    error to stderr, both through `_print_message`."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout and file is not sys.stderr:  # help: a failed write exits 5
+            _write(None, [message.encode()])
+        else:  # a usage line that cannot be written is dropped, as Python 3.11.7+
+            # drops it (3.10's argparse raises), so a usage error still exits 2
+            with suppress(AttributeError, OSError):
+                (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     order = argparse.ArgumentParser(add_help=False)
     order.add_argument(
@@ -339,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     interval = argparse.ArgumentParser(add_help=False, parents=[order])
     interval.add_argument("u")
     interval.add_argument("v")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdindex",
         description="Complete cd-index of Bruhat intervals in symmetric groups.",
     )

@@ -724,8 +724,8 @@ STDOUT_ERRORS = {"closed-pipe": errno.EPIPE, "dev-full": errno.ENOSPC}
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 @pytest.mark.parametrize("target", list(STDOUT_ERRORS))
 def test_a_failed_stdout_write_exits_5_in_one_line(target, buffering):
-    """Every command that writes to stdout exits 5 with one error line and
-    no traceback when the write fails: on a pipe whose read end is closed
+    """Every command that writes to stdout, and help, exits 5 with one
+    error line and no traceback when the write fails: on a pipe whose read end is closed
     before the child starts, so that the first write fails, and on
     /dev/full.  A block-buffered stdout fails at the flush in `main`, and
     its unwritten bytes do not fail a second time at the interpreter's
@@ -740,6 +740,8 @@ def test_a_failed_stdout_write_exits_5_in_one_line(target, buffering):
         ["tset", "1234", "4321", "ddc"],
         ["dot", "1234", "4321"],
         ["scan", "--n", "3"],
+        ["--help"],
+        ["scan", "--help"],
     ):
         if target == "closed-pipe":
             read_end, stdout = os.pipe()
@@ -771,13 +773,15 @@ def run_without_stdout(argv, **kwargs):
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 def test_a_process_started_without_stdout_exits_5_in_one_line(buffering):
     """Python sets `sys.stdout` to None when fd 1 is closed at start; every
-    command that writes to stdout exits 5 with one line instead of
+    command that writes to stdout, and help, exits 5 with one line instead of
     dropping its output (exit 0) or failing on None (exit 1)."""
     for argv in (
         ["compute", "1234", "4321"],
         ["tset", "1234", "4321", "ddc"],
         ["dot", "1234", "4321"],
         ["scan", "--n", "3"],
+        ["--help"],
+        ["scan", "--help"],
     ):
         proc = run_without_stdout(argv, env=child_env(buffering))
         assert (proc.returncode, proc.stderr.splitlines()) == (
@@ -825,7 +829,9 @@ def run_with_broken_stderr(argv, buffering):
 def test_a_user_error_exits_2_with_a_broken_stderr(buffering):
     """A user error whose line cannot be written still exits 2, not 1 by a
     traceback or 120 by the interpreter's failed flush at exit; argparse's
-    own usage error (`--n x`) too."""
+    own usage error (`--n x`) too, on every supported Python (3.10's
+    argparse does not catch a failed write itself).  Help, written to
+    stdout, exits 0."""
     for argv in (
         ["scan", "--n", "9"],
         ["compute", "1234", "12"],
@@ -833,6 +839,8 @@ def test_a_user_error_exits_2_with_a_broken_stderr(buffering):
         ["scan", "--n", "x"],
     ):
         assert run_with_broken_stderr(argv, buffering).returncode == cli.EXIT_USER, argv
+    for argv in (["--help"], ["scan", "--help"]):
+        assert run_with_broken_stderr(argv, buffering).returncode == 0, argv
 
 
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
