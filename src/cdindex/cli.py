@@ -188,21 +188,30 @@ def cmd_dot(args) -> int:
     return 0
 
 
+# what json.dumps(record, sort_keys=True) writes, with one encoder for
+# every record instead of a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _scan_sink(job) -> list[tuple[bytes, bool]]:
     """Worker: the intervals of one sink -> their encoded JSON lines, each
     with whether its record is clean, in the order of `sources`.
 
     A job holds every source of its sink, so the sink's memoized table is
-    built once, read by all of them, and dropped with the job.  Every table
-    of a process reads its cone off that process's one Bruhat graph.  The
-    order is resolved once by the caller and travels in the job.
+    built once, filled bottom up to the largest gap among the sources
+    (`TSetTable.fill_levels`, which may decline and leave the checks to
+    the lazy route), read by all of them, and dropped with the job.
+    Every table of a process reads its cone off that process's one Bruhat
+    graph.  The order is resolved once by the caller and travels in the
+    job.
     """
     v, sources, order, order_spec = job
     table = TSetTable(v, order)
+    table.fill_levels(max(table.gaps[u] for u in sources))
     lines = []
     for u in sources:
         record = scan_interval(u, order_spec, table)
-        lines.append((json.dumps(record, sort_keys=True).encode(), record["clean"]))
+        lines.append((_ENCODER.encode(record).encode(), record["clean"]))
     return lines
 
 

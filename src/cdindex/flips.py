@@ -45,6 +45,16 @@ the sub-problems evaluated, and any FlipUndefinedError raised, are those
 of filtering the paths with word gamma by suffix membership and
 `position_factor`.
 
+A scan's sink job fills its table bottom up first, one word length at a
+time (`fill_levels`): for every AD-form and every vertex within the
+job's largest gap, on both sides, it stores what `counts` and
+`has_minus_one` would store, with no `_word_span` filter, which changes
+no count and no kept edge while every flip it reads is defined.  Where a
+flip image it reads is undefined, or shows a -1, it declines: it removes
+what it wrote, and the lazy route above evaluates, and raises, exactly
+as it does without the pass.  `tset`, and any caller that asks the table
+directly, use the lazy route alone.
+
 The scan reads no paths on a clean interval.  Its graded first-label sums
 come from a DP over (vertex, length): `sums(w, n)` extends every bucket of
 each upper neighbour by the letter read across the edge.  The flip
@@ -73,7 +83,7 @@ The cone is the down-closure of v in the process's one Bruhat graph
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterator, NamedTuple, Optional
 
 from .complete import GradedSums, degree_range
@@ -108,12 +118,18 @@ class TSetTable:
     - ``index(path, m, gamma)``: the index of the path's tail from x_m in
       T(x_m, gamma), or None, read off the counts without building T;
     - ``flip(w, gamma)``: the pairing dict T -> T-bar, built on each call,
-      for ``tset`` and the strong flip condition; no memo keeps it.
+      for ``tset`` and the strong flip condition; no memo keeps it;
+    - ``fill_levels(window)``: the counts, kept edges and -1 flags of every
+      AD-form at every vertex of gap <= window, filled bottom up, level
+      by level, before the checks ask; it declines, and removes what it
+      wrote, where a flip it reads is undefined or shows a -1.
 
     The witness replay of the checks walks `iter_paths` over
-    ``_adjacency``, lazily and in lex order.  Evaluation is demand-driven
-    recursion over strictly smaller sub-problems, so preconditions on
-    sub-interval flips hold by construction.  After a call completes, all
+    ``_adjacency``, lazily and in lex order.  Without `fill_levels`,
+    evaluation is demand-driven recursion over strictly smaller
+    sub-problems, so preconditions on sub-interval flips hold by
+    construction; a filled entry equals what that recursion stores, so it
+    is read the same way.  After a call completes, all
     entries it touched are cached, and no cached entry holds a path;
     instances are cheap to share but not thread-safe while growing.
     """
@@ -266,6 +282,76 @@ class TSetTable:
                     continue
             if lo < hi:
                 yield t, x, r, lo, hi
+
+    def fill_levels(self, window: int) -> bool:
+        """Store, bottom up, what `counts` stores for every AD-form gamma of
+        length L < window, on both sides, and what `has_minus_one` stores
+        where gamma holds a D, at every vertex w with gap <= window from
+        which L + 1 edges reach the sink.  Returns whether it filled.
+
+        The AD-forms of length L are A + those of length L - 1 and DA +
+        those of length L - 2 (c -> A, d -> DA), and each reads only the
+        level below.  An edge leads the ranges of `_ranges`, with no
+        `_word_span` filter: a kept edge leads only tails whose word is the
+        suffix, so the filter drops only edges that lead none, and the
+        counts and kept edges are the filtered route's wherever no flip is
+        undefined.  Flip images are read through `images_upto` alone, at
+        every edge that starts with a D on the primal side, as
+        `has_minus_one` reads them.  When that raises, or shows a -1, the
+        pass declines: it removes every entry it wrote, and the lazy route
+        evaluates, and raises, exactly as it does without the pass.
+        """
+        rank, top, zero = self.order.rank, len(self.order.sequence), self._zero
+        counts, kept_memo = self._counts, self._kept
+        sides = {}
+        for w, gap in self.gaps.items():
+            if 0 < gap <= window:
+                edges = tuple((t, x, rank(t)) for t, x in self._adjacency[w])
+                sides[w] = (edges, tuple((t, x, top + 1 - r) for t, x, r in reversed(edges)))
+        forms, written, minus_one = [("",), ("A",)], [], False
+        try:
+            for length in range(window):
+                if length > 1:
+                    forms.append(tuple("A" + g for g in forms[-1]) + tuple("DA" + g for g in forms[-2]))
+                level = [w for w in sides if self._reaches(w, length + 1)]
+                for gamma, bar in product(forms[length], (False, True)):
+                    rest = gamma[1:]
+                    for w in level:
+                        kept = []
+                        buckets = [0] * (top + 1)
+                        for t, x, r in sides[w][bar]:
+                            if not gamma:
+                                lo, hi = 0, int(x == self.sink)
+                            elif self.gaps[x] < length:  # no tail, no image
+                                continue
+                            else:
+                                p = counts[x, rest, bar]
+                                if gamma[0] == "A":
+                                    lo, hi = p[r], p[top]
+                                elif not bar:
+                                    lo, hi = self.images_upto(x, rest, r), p[r]
+                                    minus_one = minus_one or lo > hi
+                                elif p[r]:
+                                    lo, hi = self.images_upto(x, rest, r, True), p[r]
+                                else:
+                                    continue
+                            if lo < hi:
+                                kept.append((t, x, r, lo, hi))
+                                buckets[r] += hi - lo
+                        key = (w, gamma, bar)
+                        written.append(key)
+                        kept_memo[key] = tuple(kept)
+                        counts[key] = tuple(accumulate(buckets)) if kept else zero
+                        if not bar and "D" in gamma:
+                            self._minus_one[w, gamma] = False
+            if not minus_one:
+                return True
+        except FlipUndefinedError:
+            pass
+        for key in written:
+            del counts[key], kept_memo[key]
+            self._minus_one.pop(key[:2], None)
+        return False
 
     def images_upto(self, w: Perm, gamma: str, r: int, bar: bool = False) -> int:
         """The number of flip images of T(w, gamma), or of T-bar(w, gamma)

@@ -157,24 +157,29 @@ def parse_cd_monomial(text: str) -> str:
     return text
 
 
-def cd_monomials(n: int) -> list[str]:
+# A scan asks for the monomials of each degree, and the AD-form of each,
+# once per interval.  Both are kept: one entry per degree and one per
+# monomial asked for, which the degrees of S_n bound.
+@lru_cache(maxsize=None)
+def cd_monomials(n: int) -> tuple[str, ...]:
     """All cd-monomials of graded degree n, lexicographically (c before d).
 
     >>> cd_monomials(3)
-    ['ccc', 'cd', 'dc']
+    ('ccc', 'cd', 'dc')
     >>> [len(cd_monomials(k)) for k in range(7)]
     [1, 1, 2, 3, 5, 8, 13]
     """
     if n < 0:
-        return []
+        return ()
     if n == 0:
-        return [""]
+        return ("",)
     out = ["c" + m for m in cd_monomials(n - 1)]
     if n >= 2:
         out += ["d" + m for m in cd_monomials(n - 2)]
-    return sorted(out)
+    return tuple(sorted(out))
 
 
+@lru_cache(maxsize=None)
 def ad_form(monomial: str) -> str:
     """AD-word of a cd-monomial under c -> A, d -> DA.
 

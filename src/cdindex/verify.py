@@ -29,7 +29,13 @@ violation or an undefined flip, lazily, to name the witness.  So a scan
 builds no interval, and on clean intervals enumerates no paths; |T_M|,
 |T-bar_M| and the restricted counts are read off the table's cumulative
 first-label counts, and only the strong flip condition builds the T-sets
-as paths.
+as paths.  A scan's sink job fills those counts and the flip DP's -1
+flags bottom up, one level pass over the cone up to its largest gap
+(`TSetTable.fill_levels`), before the first record.  The pass declines
+where a flip it reads is undefined or shows a -1, and then every check
+reads the demand-driven route, so witnesses and FlipUndefinedError
+messages keep their text; the checks read the table the same way
+either way.
 `iter_intervals` reads every pair off the down-closures in the group's one
 Bruhat graph, which the tables share.  The CLI streams the records to
 JSON-lines.

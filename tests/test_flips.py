@@ -1,12 +1,13 @@
 import gc
 import itertools
+import json
 import sys
 import types
 import weakref
 
 import pytest
 
-from cdindex import flips
+from cdindex import cli, flips
 from cdindex.complete import degree_range
 from cdindex.errors import FlipUndefinedError
 from cdindex.flips import (
@@ -27,7 +28,7 @@ from cdindex.intervals import (
 )
 from cdindex.ncpoly import ad_form, cd_monomials
 from cdindex.orders import lex_order, order_from_reduced_word
-from cdindex.perms import identity, length, parse_perm
+from cdindex.perms import format_perm, identity, length, parse_perm
 from cdindex.verify import iter_intervals, scan_interval
 
 from . import oracles
@@ -766,6 +767,92 @@ def test_t_sets_equal_the_word_path_route(n, spec, paused_gc):
     order = order_of(n, spec)
     for v in case_sinks(n):
         assert "raise" not in assert_t_sets_equal_the_word_path_route(v, order)
+
+
+def lazy_table(sink, order):
+    """A table asked, by the lazy route, for the counts of both sides and
+    the -1 flag of every (w, gamma) that a scan of every interval under
+    `sink` asks for."""
+    table = TSetTable(sink, order)
+    for w, gap in table.gaps.items():
+        for k in degree_range(gap):
+            for monomial in cd_monomials(k):
+                gamma = ad_form(monomial)
+                table.counts(w, gamma)
+                table.counts(w, gamma, True)
+                table.has_minus_one(w, gamma)
+    return table
+
+
+@pytest.mark.parametrize("n, spec", SINK_CASES)
+def test_the_level_pass_stores_what_the_lazy_route_stores(n, spec, paused_gc):
+    """Every S_4 sink, or the S_5 sink w0: the level pass over the whole
+    cone fills, declining nowhere.  On every (w, gamma, side) that both
+    routes hold, its counts, kept edges and -1 flags are the lazy route's,
+    and it holds every entry of the lazy route at a vertex from which a
+    path with that word leaves.  On S_4 a pass with a smaller window
+    fills the entries of the vertices within it, and no other."""
+    order = order_of(n, spec)
+    for v in case_sinks(n):
+        filled = TSetTable(v, order)
+        top = max(filled.gaps.values())
+        assert filled.fill_levels(top), v
+        lazy = lazy_table(v, order)
+        for memo in ("_counts", "_kept", "_minus_one"):
+            got, expected = getattr(filled, memo), getattr(lazy, memo)
+            assert {key for key in expected if lazy._reaches(key[0], len(key[1]) + 1)} <= got.keys()
+            for key in got.keys() & expected.keys():
+                assert got[key] == expected[key], (v, memo, key)
+        for window in range(top) if n == 4 else ():
+            part = TSetTable(v, order)
+            assert part.fill_levels(window), (v, window)
+            within = {key: c for key, c in filled._counts.items() if filled.gaps[key[0]] <= window}
+            assert part._counts == within, (v, window)
+
+
+def scan_sink_outcome(v, sources, order):
+    """`_scan_sink`'s records, each with elapsed_ms removed, or the message
+    of the FlipUndefinedError it raises."""
+    try:
+        lines = cli._scan_sink((v, sources, order, "lex"))
+    except FlipUndefinedError as exc:
+        return "raise", str(exc)
+    records = [json.loads(line) for line, _ in lines]
+    for record in records:
+        del record["elapsed_ms"]
+    return "value", records
+
+
+def test_collapsed_sink_jobs_equal_the_lazy_route(monkeypatch):
+    """Under the collapsed flip, `_scan_sink` on each collapsed case's sink,
+    with every source of its cone and with the case's source alone, returns
+    the same records, or raises the same FlipUndefinedError message, as
+    with the level pass switched off.  The pass fills only on the sink
+    23451, where no -1 and no undefined flip shows; on the others it
+    declines, removes what it wrote, and the lazy route runs alone."""
+    collapse_flips(monkeypatch)
+    order = lex_order(5)
+    jobs = [(parse_perm(v), [parse_perm(u)]) for u, v in COLLAPSED_CASES]
+    for v in sorted({parse_perm(v) for _, v in COLLAPSED_CASES}):
+        jobs.append((v, sorted(u for u in TSetTable(v, order).gaps if u != v)))
+    real = TSetTable.fill_levels
+    filled = {}
+
+    def recorded(self, window):
+        done = real(self, window)
+        filled.setdefault(format_perm(self.sink), set()).add(done)
+        # a declined pass leaves the fresh table as it found it
+        assert done or not (self._counts or self._kept or self._minus_one)
+        return done
+
+    monkeypatch.setattr(TSetTable, "fill_levels", recorded)
+    with_pass = [scan_sink_outcome(v, sources, order) for v, sources in jobs]
+    monkeypatch.setattr(TSetTable, "fill_levels", lambda self, window: False)
+    assert [scan_sink_outcome(v, sources, order) for v, sources in jobs] == with_pass
+    assert filled == {"23451": {True}, "45231": {False}, "45321": {False}, "54312": {False}}
+    kinds = {kind for kind, _ in with_pass}
+    unclean = [r for kind, records in with_pass if kind == "value" for r in records if not r["clean"]]
+    assert kinds == {"value", "raise"} and unclean
 
 
 @pytest.mark.parametrize("n, spec", SINK_CASES)
