@@ -36,12 +36,13 @@ import json
 import os
 import sys
 from contextlib import ExitStack, suppress
+from functools import lru_cache
 
 from .complete import complete_cd_index
 from .errors import CdIndexError, FlipUndefinedError, NotInSubringError
 from .flips import TSetTable
 from .intervals import build_interval, export_dot, label_string, path_json
-from .ncpoly import ad_form, parse_cd_monomial
+from .ncpoly import _MEMO_SIZE, ad_form, parse_cd_monomial
 from .orders import ReflectionOrder, lex_order, order_from_reduced_word
 from .perms import bruhat_leq, format_perm, parse_perm
 from .verify import iter_intervals, scan_interval
@@ -192,6 +193,50 @@ def cmd_dot(args) -> int:
 # every record instead of a new one per call
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
+# The fields of a scan record that vary with u, in the order `sort_keys`
+# writes them.  The rest, the record body, recurs across a scan
+# (scan-s5-gap3: 5 distinct bodies among 2,096 records), so `_record_body`
+# encodes each body once, around an empty slot for each of these fields,
+# and keeps the recent ones, as ncpoly keeps its conversions.
+_PER_INTERVAL = ("elapsed_ms", "u", "v", "witnesses")
+# encoded "\u0000", which a record's text holds only where a string is NUL
+# alone: here, at the slots only
+_SLOT = "\0"
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _record_body(
+    cd_index: tuple, monomials: tuple, clean: bool, length_diff: int, order: str
+) -> tuple[str, ...]:
+    """The encoded pieces of a record body between its per-interval slots:
+    `_ENCODER`'s text of the record whose `cd_index` and `monomials` are
+    the dicts of these (key, items) pairs, split at each slot."""
+    record = dict.fromkeys(_PER_INTERVAL, _SLOT)
+    record.update(
+        cd_index={n: dict(part) for n, part in cd_index},
+        monomials={m: dict(entry) for m, entry in monomials},
+        clean=clean,
+        length_diff=length_diff,
+        order=order,
+    )
+    return tuple(_ENCODER.encode(record).split(_ENCODER.encode(_SLOT)))
+
+
+def _encode_record(record: dict) -> bytes:
+    """`_ENCODER.encode(record)` as bytes, byte for byte: the class's body
+    from `_record_body`, with the per-interval fields encoded into it."""
+    pieces = _record_body(
+        tuple((n, tuple(part.items())) for n, part in record["cd_index"].items()),
+        tuple((m, tuple(entry.items())) for m, entry in record["monomials"].items()),
+        record["clean"],
+        record["length_diff"],
+        record["order"],
+    )
+    line = [pieces[0]]
+    for field, piece in zip(_PER_INTERVAL, pieces[1:]):
+        line += (_ENCODER.encode(record[field]), piece)
+    return "".join(line).encode()
+
 
 def _scan_sink(job) -> list[tuple[bytes, bool]]:
     """Worker: the intervals of one sink -> their encoded JSON lines, each
@@ -203,7 +248,10 @@ def _scan_sink(job) -> list[tuple[bytes, bool]]:
     the lazy route), read by all of them, and dropped with the job.
     Every table of a process reads its cone off that process's one Bruhat
     graph.  The order is resolved once by the caller and travels in the
-    job.
+    job.  Per interval, `scan_interval` runs every check on the table; the
+    cd side it reads, and the encoded record body, are computed once per
+    class of intervals and kept by the process's memos, so only u, v,
+    elapsed_ms and the witnesses are encoded per interval.
     """
     v, sources, order, order_spec = job
     table = TSetTable(v, order)
@@ -211,7 +259,7 @@ def _scan_sink(job) -> list[tuple[bytes, bool]]:
     lines = []
     for u in sources:
         record = scan_interval(u, order_spec, table)
-        lines.append((_ENCODER.encode(record).encode(), record["clean"]))
+        lines.append((_encode_record(record), record["clean"]))
     return lines
 
 

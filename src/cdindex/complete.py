@@ -22,7 +22,10 @@ which bucket the length-n paths u -> v by the rank r of their first label;
 the full sum adds every bucket, the restricted sum at t those up to rank(t).
 The sink's `TSetTable` fills them (`graded_sums(u)`) by a DP over the
 upper neighbours of each vertex, with no path enumerated; `compute` and
-`scan` both read them there.
+`scan` both read them there.  `compute` runs both readers on its one
+interval.  A scan runs them once per class of intervals with equal graded
+sums, on the first interval of the class it meets: `scan_interval` keeps
+the parts and splits in a bounded memo keyed by the sums' value.
 """
 
 from __future__ import annotations

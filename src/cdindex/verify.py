@@ -21,9 +21,12 @@ count fails.
 
 Every check takes the source u and reads the sink from its `TSetTable`.
 `scan_interval` bundles everything into one JSON-ready record per interval.
-Its graded first-label sums, and with them the cd-index and every shelling
-split, come from the sink table's sums DP and its length gaps; the
-contribution sums and flip conditions come from the table's flip DP.  A
+Its graded first-label sums come from the sink table's sums DP and its
+length gaps.  The cd-index and every shelling split are functions of
+those sums alone, so they are computed once per class of intervals with
+equal sums and kept in a bounded memo; every check that reads u's T-sets
+runs per interval.  The contribution sums and flip conditions come from
+the table's flip DP.  A
 depth-first walk (`iter_paths` over the table's out-edges) runs only on a
 violation or an undefined flip, lazily, to name the witness.  So a scan
 builds no interval, and on clean intervals enumerates no paths; |T_M|,
@@ -44,10 +47,12 @@ JSON-lines.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from .complete import (
     CompleteCdIndex,
+    GradedSums,
     ShellingSplits,
     complete_cd_index,
     shelling_decomposition,
@@ -61,7 +66,7 @@ from .flips import (
     sum_contributions,
 )
 from .intervals import bruhat_graph
-from .ncpoly import ad_form, cd_degree, cd_monomials
+from .ncpoly import _MEMO_SIZE, CDPolynomial, ad_form, cd_degree, cd_monomials
 from .perms import Perm, Reflection, format_perm
 
 
@@ -71,11 +76,12 @@ class CoefficientReport(NamedTuple):
     u: Perm
     v: Perm
     monomial: str
-    t_size: int
-    tbar_size: int
+    t_size: Optional[int]
+    tbar_size: Optional[int]
     coefficient: int
     contribution_sum: Optional[int]
     flip_undefined: bool = False
+    detail: str = ""  # the undefined flip's message, with flip_undefined
 
     @property
     def consistent(self) -> bool:
@@ -92,16 +98,20 @@ def verify_coefficient(
     cd_index: CompleteCdIndex,
 ) -> CoefficientReport:
     """Compare |T_M|, |T-bar_M|, the cd-index coefficient and the signed sum,
-    which is |T_M| itself wherever the flip DP finds no -1 factor."""
+    which is |T_M| itself wherever the flip DP finds no -1 factor.
+
+    An undefined flip met on the way is reported, not raised: the values
+    not read by then are None, `flip_undefined` is set and `detail` holds
+    its message.  So the sizes are None when counting T or T-bar met one."""
     gamma = ad_form(monomial)
-    t_size = table.counts(u, gamma)[-1]
-    tbar_size = table.counts(u, gamma, bar=True)[-1]
+    t_size = tbar_size = contribution = None
+    detail = ""
     try:
+        t_size = table.counts(u, gamma)[-1]
+        tbar_size = table.counts(u, gamma, bar=True)[-1]
         contribution = sum_contributions(u, monomial, table)
-        undefined = False
-    except FlipUndefinedError:
-        contribution = None
-        undefined = True
+    except FlipUndefinedError as exc:
+        detail = str(exc)
     return CoefficientReport(
         u,
         table.sink,
@@ -110,7 +120,8 @@ def verify_coefficient(
         tbar_size,
         cd_index.coefficient(monomial),
         contribution,
-        undefined,
+        bool(detail),
+        detail,
     )
 
 
@@ -189,23 +200,51 @@ def iter_intervals(n: int, max_length: int | None = None) -> Iterator[tuple[Perm
         yield u, v
 
 
+class CdSide(NamedTuple):
+    """What the graded first-label sums of an interval alone determine."""
+
+    parts: dict[int, CDPolynomial]  # the complete cd-index, by degree
+    splits: ShellingSplits
+    parts_json: dict[str, dict[str, int]]  # `CompleteCdIndex.parts_json` of the parts
+
+
+# The cd side of an interval is a function of its graded sums, and a scan
+# meets few distinct ones (scan-s5-gap3: 180 among 2,096 intervals;
+# `scan --n 6 --max-length 3`: 590 among 27,915), so `scan_interval` keeps
+# the recent ones, by the value of the sums, as ncpoly keeps its
+# conversions.  A raised NotInSubringError or NotDecomposableError is not
+# kept.  Every interval of a class shares the kept parts and JSON form.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _cd_side(key: tuple) -> CdSide:
+    """The cd side of the graded sums {n: dict(buckets) for n, buckets in
+    key}, for key ((n, ((r, ADPolynomial), ...)), ...)."""
+    sums: GradedSums = {n: dict(buckets) for n, buckets in key}
+    index = complete_cd_index((), (), sums)  # the parts alone: each caller names its interval
+    return CdSide(index.by_degree, shelling_decomposition(sums, index), index.parts_json())
+
+
 def scan_interval(u: Perm, order_id: str, table: TSetTable) -> dict:
     """One JSON-ready scan record for the interval [u, v], v the table's
     sink, under the table's order, which `order_id` names in the record.
 
     The table's sums DP gives the graded first-label sums and its gap map
-    the length gap.  Runs, for every monomial of matching parity: the
-    coefficient verification, the flip condition, the strong flip
-    condition (monomials starting with c), and the restricted-count check
-    at every reflection t.  All numeric fields are deterministic;
-    elapsed_ms is informational only.
+    the length gap.  The cd-index, its shelling splits and their JSON form
+    are computed once per class of intervals with equal graded sums (the
+    `_cd_side` memo); the record's `cd_index` is that shared form, to be
+    read only.  Per interval it runs, for every monomial of matching
+    parity: the coefficient verification, the flip condition, the strong
+    flip condition (monomials starting with c), and the restricted-count
+    check at every reflection t.  Where counting T or T-bar meets an
+    undefined flip, the monomial is inconsistent, its restricted counts
+    too, and a size-mismatch witness names the flip.  All numeric fields
+    are deterministic; elapsed_ms is informational only.
     """
     started = time.perf_counter()
     v, order = table.sink, table.order
     length_diff = table.gaps[u]
     sums = table.graded_sums(u)
-    cd_index = complete_cd_index(u, v, sums)
-    splits = shelling_decomposition(sums, cd_index)
+    side = _cd_side(tuple((n, tuple(buckets.items())) for n, buckets in sums.items()))
+    cd_index = CompleteCdIndex(u, v, side.parts)
     monomial_results = {}
     witnesses: list[FlipWitness] = []
     consistent = True
@@ -222,7 +261,13 @@ def scan_interval(u: Perm, order_id: str, table: TSetTable) -> dict:
                 strong_status = "holds" if strong is None else "violated"
                 if strong is not None:
                     witnesses.append(strong)
-            restricted_ok = check_restricted_counts(u, monomial, table, splits) is None
+            if report.tbar_size is None:  # counting T or T-bar met an undefined flip
+                restricted_ok = False
+                undefined = FlipWitness(kind="size-mismatch", monomial=monomial, detail=report.detail)
+                if undefined not in witnesses:  # the flip condition's walk may have met it
+                    witnesses.append(undefined)
+            else:
+                restricted_ok = check_restricted_counts(u, monomial, table, side.splits) is None
             entry = {
                 "degree": n,
                 "coefficient": report.coefficient,
@@ -247,7 +292,7 @@ def scan_interval(u: Perm, order_id: str, table: TSetTable) -> dict:
         "v": format_perm(v),
         "length_diff": length_diff,
         "order": order_id,
-        "cd_index": cd_index.parts_json(),
+        "cd_index": side.parts_json,
         "monomials": monomial_results,
         "witnesses": witness_json,
         "clean": consistent,

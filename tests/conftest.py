@@ -37,3 +37,20 @@ def paused_gc():
     yield
     if was:
         gc.enable()
+
+
+@pytest.fixture
+def cold_memos():
+    """The scan's memos of the cd side and of the record bodies, and
+    ncpoly's conversion memos behind them, empty before and after one test.
+    A test that patches the cd side uses it, so that no result the patch
+    made or hid is kept for another test; it yields the clearing function."""
+    from cdindex import cli, ncpoly, verify
+
+    def clear():
+        for memo in (verify._cd_side, cli._record_body, ncpoly.ad_to_cd, ncpoly.decompose_left_a):
+            memo.cache_clear()
+
+    clear()
+    yield clear
+    clear()

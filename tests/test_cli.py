@@ -13,7 +13,8 @@ import pytest
 from cdindex import cli, intervals
 from cdindex.errors import FlipUndefinedError, NotDecomposableError
 from cdindex.flips import TSetTable
-from cdindex.perms import format_perm
+from cdindex.orders import lex_order
+from cdindex.perms import format_perm, parse_perm
 
 
 def run(capsys, *argv):
@@ -673,6 +674,95 @@ def test_scan_n4_records_match_golden_digest(capsys, n, spec, workers, records):
     lines = out.splitlines()
     assert len(lines) == records
     assert records_digest(lines) == SCAN_DIGESTS[n, spec]
+
+
+def assert_canonical(lines):
+    """Each scan line is its record dumped with sorted keys and json's
+    default separators, byte for byte."""
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True), line
+
+
+def without_elapsed(lines):
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        del record["elapsed_ms"]
+    return records
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--n", "4", "--order", "lex"], id="s4-lex"),
+        pytest.param(["--n", "4", "--order", "rev"], id="s4-rev"),
+        pytest.param(["--n", "4", "--order", "word:1,2,1,3,2,1"], id="s4-word"),
+        pytest.param(
+            ["--n", "5", "--max-length", "3", "--order", "word:2,1,3,4,3,2,3,1,4,2"],
+            id="scan-s5-gap3-seed1",
+        ),
+    ],
+)
+def test_the_memos_change_no_record(capsys, monkeypatch, cold_memos, argv):
+    """A scan computes the cd side and encodes the record body once per
+    class of intervals, and keeps both in memos: one warm sweep writes
+    the same records, and every line canonically, as a sweep that clears
+    every memo before each interval."""
+    code, warm, _ = run(capsys, "scan", *argv)
+    assert code == 0
+    real = cli.scan_interval
+
+    def cold(u, order_id, table):
+        cold_memos()
+        return real(u, order_id, table)
+
+    monkeypatch.setattr(cli, "scan_interval", cold)
+    code, out, _ = run(capsys, "scan", *argv)
+    assert code == 0
+    warm, out = warm.splitlines(), out.splitlines()
+    assert_canonical(warm)
+    assert_canonical(out)
+    assert without_elapsed(out) == without_elapsed(warm)
+
+
+def test_an_undefined_flip_met_while_counting_is_an_unclean_record(
+    capsys, monkeypatch, cold_memos
+):
+    """Under the collapsed flip, counting T(12435, ddd) on the sink 45231
+    meets an undefined flip.  The interval's record is written, unclean,
+    with a size-mismatch witness, its line canonical; the sweep goes on to
+    the next interval and exits 1.  On the sink's whole cone, where clean
+    and unclean records share cd sides, the memos change no record."""
+    from .test_flips import collapse_flips
+
+    collapse_flips(monkeypatch)
+    v = parse_perm("45231")
+    sources = sorted(u for u in TSetTable(v, lex_order(5)).gaps if u != v)
+    warm = [line.decode() for line, _ in cli._scan_sink((v, sources, lex_order(5), "lex"))]
+    cold = []
+    for u in sources:
+        cold_memos()
+        cold += [line.decode() for line, _ in cli._scan_sink((v, [u], lex_order(5), "lex"))]
+    assert_canonical(warm)
+    assert without_elapsed(cold) == without_elapsed(warm)
+    assert {json.loads(line)["clean"] for line in warm} == {False, True}
+    u, v, clean_u, clean_v = map(parse_perm, ("12435", "45231", "12345", "23451"))
+    [(line, ok)] = cli._scan_sink((v, [u], lex_order(5), "lex"))
+    assert not ok
+    assert_canonical([line.decode()])
+    record = json.loads(line)
+    assert record["monomials"]["ddd"]["t_size"] is None
+    assert not record["monomials"]["ddd"]["restricted_counts_consistent"]
+    assert any(
+        w["kind"] == "size-mismatch" and w["monomial"] == "ddd" and "flip undefined" in w["detail"]
+        for w in record["witnesses"]
+    )
+    monkeypatch.setattr(cli, "iter_intervals", lambda n, cap: iter([(u, v), (clean_u, clean_v)]))
+    code, out, err = run(capsys, "scan", "--n", "5")
+    assert code == cli.EXIT_VIOLATION and "1 inconsistent" in err
+    lines = out.splitlines()
+    assert_canonical(lines)
+    assert [json.loads(line)["clean"] for line in lines] == [False, True]
+    assert without_elapsed(lines[:1]) == without_elapsed([line.decode()])
 
 
 FOOTPRINT = """

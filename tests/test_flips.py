@@ -829,7 +829,9 @@ def test_collapsed_sink_jobs_equal_the_lazy_route(monkeypatch):
     the same records, or raises the same FlipUndefinedError message, as
     with the level pass switched off.  The pass fills only on the sink
     23451, where no -1 and no undefined flip shows; on the others it
-    declines, removes what it wrote, and the lazy route runs alone."""
+    declines, removes what it wrote, and the lazy route runs alone.  No
+    job raises: an undefined flip met while counting a T-set is a
+    size-mismatch witness of an unclean record."""
     collapse_flips(monkeypatch)
     order = lex_order(5)
     jobs = [(parse_perm(v), [parse_perm(u)]) for u, v in COLLAPSED_CASES]
@@ -852,7 +854,12 @@ def test_collapsed_sink_jobs_equal_the_lazy_route(monkeypatch):
     assert filled == {"23451": {True}, "45231": {False}, "45321": {False}, "54312": {False}}
     kinds = {kind for kind, _ in with_pass}
     unclean = [r for kind, records in with_pass if kind == "value" for r in records if not r["clean"]]
-    assert kinds == {"value", "raise"} and unclean
+    assert kinds == {"value"} and unclean
+    assert any(
+        w["kind"] == "size-mismatch" and r["monomials"][w["monomial"]]["t_size"] is None
+        for r in unclean
+        for w in r["witnesses"]
+    )
 
 
 @pytest.mark.parametrize("n, spec", SINK_CASES)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from cdindex import intervals
+from cdindex import intervals, verify
 from cdindex.complete import complete_cd_index, degree_range
+from cdindex.errors import NotDecomposableError, NotInSubringError
 from cdindex.flips import TSetTable, check_strong_flip_condition
 from cdindex.intervals import build_interval
 from cdindex.ncpoly import CDPolynomial, cd_monomials
@@ -281,3 +282,25 @@ def test_scan_interval_builds_no_interval_and_enumerates_only_in_the_table(monke
     for u, v in pairs:
         assert scan_interval(u, "lex", tables[v])["clean"], (u, v)
     assert builds == [] and enumerations == []
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [("complete_cd_index", NotInSubringError), ("shelling_decomposition", NotDecomposableError)],
+)
+def test_a_split_error_is_raised_again_on_the_next_call(monkeypatch, cold_memos, name, error):
+    """The cd-side memo keeps no raised NotInSubringError or
+    NotDecomposableError: the next interval with the same graded sums
+    computes its cd side again, and raises again."""
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise error("injected")
+
+    monkeypatch.setattr(verify, name, failing)
+    table = TSetTable(parse_perm("4321"), lex_order(4))
+    for _ in range(2):
+        with pytest.raises(error, match="injected"):
+            scan_interval(parse_perm("2134"), "lex", table)
+    assert len(calls) == 2
