@@ -154,29 +154,29 @@ def check_restricted_counts(
     At the bound r, T holds p[r] such paths, for p the table's counts of
     T.  T-bar's counts q are in the reversed order's ranks, where the
     bound reads N + 1 - r, so T-bar holds q[N] - q[N - r].  The split's
-    coefficients change only at its steps, each read once, in turn.
+    coefficients change only at its steps, each read once, in turn, and
+    each rank compares the two counts with them, building no tuple.
     """
     gamma = ad_form(monomial)
-    order = table.order
     p = table.counts(u, gamma)
     q = table.counts(u, gamma, bar=True)
     top = len(p) - 1
-    steps = splits.get(cd_degree(monomial), [])
-    k = 0
-    coeffs = (0, 0)
+    steps = iter(splits.get(cd_degree(monomial), []))
+    step = next(steps, None)
+    coeff_f = coeff_f_plus_cg = 0
     for r in range(1, top + 1):
-        if k < len(steps) and steps[k][0] == r:
-            f, g = steps[k][1]
-            k += 1
+        if step is not None and step[0] == r:
+            f, g = step[1]
+            step = next(steps, None)
             coeff_f = f.coefficient(monomial)
-            coeff_cg = g.coefficient(monomial[1:]) if monomial.startswith("c") else 0
-            coeffs = (coeff_f, coeff_f + coeff_cg)
-        t_restricted = p[r]
-        tbar_restricted = q[top] - q[top - r]
-        if (tbar_restricted, t_restricted) != coeffs:
-            t = order.sequence[r - 1]
+            coeff_f_plus_cg = coeff_f
+            if monomial.startswith("c"):
+                coeff_f_plus_cg += g.coefficient(monomial[1:])
+        t_restricted, tbar_restricted = p[r], q[top] - q[top - r]
+        if t_restricted != coeff_f_plus_cg or tbar_restricted != coeff_f:
             return RestrictedCountReport(
-                u, table.sink, monomial, t, t_restricted, tbar_restricted, *coeffs
+                u, table.sink, monomial, table.order.sequence[r - 1],
+                t_restricted, tbar_restricted, coeff_f, coeff_f_plus_cg,
             )
     return None
 
