@@ -25,7 +25,8 @@ upper neighbours of each vertex, with no path enumerated; `compute` and
 `scan` both read them there.  `compute` runs both readers on its one
 interval.  A scan runs them once per class of intervals with equal graded
 sums, on the first interval of the class it meets: `scan_interval` keeps
-the parts and splits in a bounded memo keyed by the sums' value.
+the parts and splits in a bounded memo keyed by the sums' value, for
+intervals of small length gap; a larger interval runs them every time.
 """
 
 from __future__ import annotations

@@ -26,10 +26,11 @@ _BAR = str.maketrans("AD", "DA")
 # Many word sums recur, so both conversions keep their recent results; the
 # polynomials are immutable and hashable, and a raised error is not kept.
 # A scan reaches them only for the first interval of each class of equal
-# graded sums (verify's cd-side memo, of the same size, sits in front), and
-# its distinct sums recur across classes: a scan of S_5 up to gap 3, under
-# lex or the benchmark's seed-1 order, makes 196 `ad_to_cd` calls on 7
-# distinct sums and 295 `decompose_left_a` calls on 4.
+# graded sums (verify's cd-side memo, of the same size, sits in front, and
+# admits only intervals of small gap; a larger one reaches them every
+# time), and its distinct sums recur across classes: a scan of S_5 up to
+# gap 3, under lex or the benchmark's seed-1 order, makes 196 `ad_to_cd`
+# calls on 7 distinct sums and 295 `decompose_left_a` calls on 4.
 _MEMO_SIZE = 512
 
 

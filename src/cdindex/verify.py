@@ -24,21 +24,25 @@ Every check takes the source u and reads the sink from its `TSetTable`.
 Its graded first-label sums come from the sink table's sums DP and its
 length gaps.  The cd-index and every shelling split are functions of
 those sums alone, so they are computed once per class of intervals with
-equal sums and kept in a bounded memo; every check that reads u's T-sets
-runs per interval.  The contribution sums and flip conditions come from
-the table's flip DP.  A
+equal sums and kept in a bounded memo.  Where the flip DP finds no -1,
+every verdict of a monomial is a function of that class and of u's
+cumulative counts of T and T-bar, so a clean record's body is kept with
+its class, by those counts, and every check runs once per cause: on the
+first interval of each, and on every interval the memo does not admit
+(a -1, an undefined flip, an unclean record, a large gap).  The
+contribution sums and flip conditions come from the table's flip DP.  A
 depth-first walk (`iter_paths` over the table's out-edges) runs only on a
 violation or an undefined flip, lazily, to name the witness.  So a scan
 builds no interval, and on clean intervals enumerates no paths; |T_M|,
 |T-bar_M| and the restricted counts are read off the table's cumulative
 first-label counts, and only the strong flip condition builds the T-sets
-as paths.  A scan's sink job fills those counts and the flip DP's -1
-flags bottom up, one level pass over the cone up to its largest gap
-(`TSetTable.fill_levels`), before the first record.  The pass declines
-where a flip it reads is undefined or shows a -1, and then every check
-reads the demand-driven route, so witnesses and FlipUndefinedError
-messages keep their text; the checks read the table the same way
-either way.
+as paths, on the intervals that run every check.  A scan's sink job
+fills those counts and the flip DP's -1 flags bottom up, one level pass
+over the cone up to its largest gap (`TSetTable.fill_levels`), before
+the first record.  The pass declines where a flip it reads is undefined
+or shows a -1, and then every check reads the demand-driven route, so
+witnesses and FlipUndefinedError messages keep their text; the checks
+read the table the same way either way.
 `iter_intervals` reads every pair off the down-closures in the group's one
 Bruhat graph, which the tables share.  The CLI streams the records to
 JSON-lines.
@@ -46,6 +50,7 @@ JSON-lines.
 
 from __future__ import annotations
 
+import json
 import time
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
@@ -200,39 +205,103 @@ def iter_intervals(n: int, max_length: int | None = None) -> Iterator[tuple[Perm
         yield u, v
 
 
+# what json.dumps(record, sort_keys=True) writes, with one encoder for
+# every record instead of a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+# The fields of a clean record that vary with the interval, in the order
+# `sort_keys` writes them, and what each holds while a record body is
+# encoded: encoded "\u0000", which a body's text holds nowhere else.
+_PER_INTERVAL = ("elapsed_ms", "u", "v")
+_SLOT = "\0"
+
+# The memos admit only intervals of length gap at most this.  Small
+# intervals often share graded sums, and their classes are small; large
+# ones seldom do, and each of their classes holds many monomials, splits
+# and a long body: on scan --n 5, 1,916 of the 2,096 intervals of gap <= 3
+# repeat an earlier interval's sums, and 12 of the 145 of gap >= 7; on the
+# S_6 sink w0 a class takes about 14 KiB at gap 5, 49 KiB at gap 7 and
+# 590 KiB at gap 10.
+_MEMO_GAP = 5
+
+
+class ScanRecord(dict):
+    """A JSON-ready scan record, to be read only.  `pieces` holds the
+    encoded text of its body, every field but those in `_PER_INTERVAL`,
+    split at a slot for each of those: encoded once per kept body."""
+
+    pieces: tuple[str, ...] = ()
+
+    def line(self) -> bytes:
+        """`json.dumps(self, sort_keys=True)` as bytes, byte for byte: the
+        body's text with the per-interval fields written into its slots,
+        elapsed_ms a finite float, which json writes as its repr, and u and
+        v strings of digits, which json writes quoted."""
+        head, after_elapsed, after_u, tail = self.pieces
+        return f'{head}{self["elapsed_ms"]!r}{after_elapsed}"{self["u"]}"{after_u}"{self["v"]}"{tail}'.encode()
+
+
 class CdSide(NamedTuple):
-    """What the graded first-label sums of an interval alone determine."""
+    """What the graded first-label sums of an interval alone determine, and
+    the clean record bodies of the class's intervals, by their cause."""
 
     parts: dict[int, CDPolynomial]  # the complete cd-index, by degree
     splits: ShellingSplits
     parts_json: dict[str, dict[str, int]]  # `CompleteCdIndex.parts_json` of the parts
+    # (order id, length gap, count profile) -> (record body, its `ScanRecord.pieces`)
+    records: dict[tuple, tuple[dict, tuple[str, ...]]]
 
 
 # The cd side of an interval is a function of its graded sums, and a scan
 # meets few distinct ones (scan-s5-gap3: 180 among 2,096 intervals;
 # `scan --n 6 --max-length 3`: 590 among 27,915), so `scan_interval` keeps
 # the recent ones, by the value of the sums, as ncpoly keeps its
-# conversions.  A raised NotInSubringError or NotDecomposableError is not
-# kept.  Every interval of a class shares the kept parts and JSON form.
+# conversions, and with each the record bodies of its class.  A raised
+# NotInSubringError or NotDecomposableError is not kept.  Every interval
+# of a class shares the kept parts and JSON form.
 @lru_cache(maxsize=_MEMO_SIZE)
 def _cd_side(key: tuple) -> CdSide:
     """The cd side of the graded sums {n: dict(buckets) for n, buckets in
     key}, for key ((n, ((r, ADPolynomial), ...)), ...)."""
     sums: GradedSums = {n: dict(buckets) for n, buckets in key}
     index = complete_cd_index((), (), sums)  # the parts alone: each caller names its interval
-    return CdSide(index.by_degree, shelling_decomposition(sums, index), index.parts_json())
+    return CdSide(index.by_degree, shelling_decomposition(sums, index), index.parts_json(), {})
 
 
-def scan_interval(u: Perm, order_id: str, table: TSetTable) -> dict:
+def _count_profile(u: Perm, sums: GradedSums, table: TSetTable) -> Optional[tuple]:
+    """The counts of T and of T-bar at u of every monomial of the degrees
+    of `sums`, in the order `scan_interval` checks them; None where the
+    flip DP finds a -1 or meets an undefined flip."""
+    profile = []
+    try:
+        for gamma in [ad_form(monomial) for n in sums for monomial in cd_monomials(n)]:
+            if table.has_minus_one(u, gamma):
+                return None
+            profile += (table.counts(u, gamma), table.counts(u, gamma, bar=True))
+    except FlipUndefinedError:
+        return None
+    return tuple(profile)
+
+
+def scan_interval(u: Perm, order_id: str, table: TSetTable) -> ScanRecord:
     """One JSON-ready scan record for the interval [u, v], v the table's
     sink, under the table's order, which `order_id` names in the record.
 
     The table's sums DP gives the graded first-label sums and its gap map
     the length gap.  The cd-index, its shelling splits and their JSON form
     are computed once per class of intervals with equal graded sums (the
-    `_cd_side` memo); the record's `cd_index` is that shared form, to be
-    read only.  Per interval it runs, for every monomial of matching
-    parity: the coefficient verification, the flip condition, the strong
+    `_cd_side` memo).  Where the flip DP finds no -1 and no undefined flip
+    at u, every verdict below is a function of that class and of u's
+    counts of T and T-bar, the count profile: the coefficient and the
+    restricted counts read the class, the sizes, the contribution sum
+    (|T|) and the strong condition (p[r] >= q[r] at every rank r) the
+    counts.  So a clean record's body is kept with its class, by
+    (order id, length gap, count profile), and an interval with a kept
+    body takes it, with u, v and elapsed_ms its own.  Intervals of gap
+    above `_MEMO_GAP` are kept by neither memo.  The record's body, its
+    `cd_index` and `monomials`, may be shared: read them only.
+
+    Every other interval runs every check: for every monomial of matching
+    parity, the coefficient verification, the flip condition, the strong
     flip condition (monomials starting with c), and the restricted-count
     check at every reflection t.  Where counting T or T-bar meets an
     undefined flip, the monomial is inconsistent, its restricted counts
@@ -240,10 +309,31 @@ def scan_interval(u: Perm, order_id: str, table: TSetTable) -> dict:
     are deterministic; elapsed_ms is informational only.
     """
     started = time.perf_counter()
-    v, order = table.sink, table.order
-    length_diff = table.gaps[u]
+    gap = table.gaps[u]
     sums = table.graded_sums(u)
-    side = _cd_side(tuple((n, tuple(buckets.items())) for n, buckets in sums.items()))
+    key = tuple((n, tuple(buckets.items())) for n, buckets in sums.items())
+    memo = gap <= _MEMO_GAP
+    side = (_cd_side if memo else _cd_side.__wrapped__)(key)
+    cause = (order_id, gap, _count_profile(u, sums, table) if memo else None)
+    kept = side.records.get(cause)
+    if kept is None:
+        body = _check_interval(u, order_id, table, side, sums)
+        template = dict(body, **dict.fromkeys(_PER_INTERVAL, _SLOT))
+        kept = (body, tuple(_ENCODER.encode(template).split(_ENCODER.encode(_SLOT))))
+        if cause[2] is not None and body["clean"]:
+            side.records[cause] = kept
+    record = ScanRecord(u=format_perm(u), v=format_perm(table.sink), **kept[0])
+    record.pieces = kept[1]
+    record["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+    return record
+
+
+def _check_interval(
+    u: Perm, order_id: str, table: TSetTable, side: CdSide, sums: GradedSums
+) -> dict:
+    """The record body of [u, table.sink]: every field of its scan record
+    but u, v and elapsed_ms, from every check run on the interval."""
+    v, order = table.sink, table.order
     cd_index = CompleteCdIndex(u, v, side.parts)
     monomial_results = {}
     witnesses: list[FlipWitness] = []
@@ -282,20 +372,9 @@ def scan_interval(u: Perm, order_id: str, table: TSetTable) -> dict:
             monomial_results[monomial or "1"] = entry
             consistent = consistent and report.consistent and restricted_ok
             consistent = consistent and flip_witness is None and strong is None
-    witness_json = []
-    for w in witnesses:
-        entry = w.to_json(order)
-        entry["interval"] = [format_perm(u), format_perm(v)]
-        witness_json.append(entry)
-    record = {
-        "u": format_perm(u),
-        "v": format_perm(v),
-        "length_diff": length_diff,
-        "order": order_id,
-        "cd_index": side.parts_json,
-        "monomials": monomial_results,
-        "witnesses": witness_json,
-        "clean": consistent,
-        "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
-    }
-    return record
+    interval = [format_perm(u), format_perm(v)]
+    witness_json = [dict(w.to_json(order), interval=interval) for w in witnesses]
+    return dict(
+        length_diff=table.gaps[u], order=order_id, cd_index=side.parts_json,
+        monomials=monomial_results, witnesses=witness_json, clean=consistent,
+    )

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from cdindex import cli, flips
+from cdindex import cli, flips, verify
 from cdindex.complete import degree_range
 from cdindex.errors import FlipUndefinedError
 from cdindex.flips import (
@@ -593,13 +593,13 @@ def record_t_set_calls(monkeypatch):
 
 
 def record_flip_calls(monkeypatch):
-    """Wrap `TSetTable.flip`, as patched so far, to record the (w, gamma)
-    of each call; returns the list of records."""
+    """Wrap `TSetTable.flip`, as patched so far, to record the
+    (sink, w, gamma) of each call; returns the list of records."""
     calls = []
     inner = TSetTable.flip
 
     def recorded(self, w, gamma):
-        calls.append((w, gamma))
+        calls.append((self.sink, w, gamma))
         return inner(self, w, gamma)
 
     monkeypatch.setattr(TSetTable, "flip", recorded)
@@ -923,20 +923,45 @@ def test_a_reverse_order_table_is_the_t_bar_side(n, spec):
             assert table.t_set(w, gamma, bar=True) == fresh.t_set(w, gamma)
 
 
-def test_a_clean_scan_builds_flip_dicts_only_for_the_strong_check(s4_lex, monkeypatch):
-    """T-sets and the flip DP read counts, so a clean scan of every
-    interval under the S_4 sink w0 builds only the strong flip condition's
-    flip dicts: one call per (u, M) with M starting with c."""
+def record_scan_misses(monkeypatch):
+    """Wrap `verify.verify_coefficient`, which `scan_interval` runs only
+    for an interval that takes no kept record body, to record the
+    (sink, u, monomial) of each call; returns the list of records."""
+    calls = []
+    inner = verify.verify_coefficient
+
+    def recorded(u, monomial, table, cd_index):
+        calls.append((table.sink, u, monomial))
+        return inner(u, monomial, table, cd_index)
+
+    monkeypatch.setattr(verify, "verify_coefficient", recorded)
+    return calls
+
+
+def test_a_clean_scan_builds_flip_dicts_only_for_the_strong_check(
+    s4_lex, monkeypatch, cold_memos
+):
+    """T-sets and the flip DP read counts, and a clean record's body is
+    kept by its cause, so a clean scan of every interval under the S_4
+    S_4 builds only the strong flip condition's flip dicts, and only for
+    the intervals that run every check: the first of each class of equal
+    graded sums and count profile.  One call per (u, M) of those, with M
+    starting with c."""
     flip_calls = record_flip_calls(monkeypatch)
-    v = parse_perm("4321")
-    table = TSetTable(v, s4_lex)
-    strong = set()
-    for u in table.gaps:
-        if u == v:
-            continue
+    misses = record_scan_misses(monkeypatch)
+    tables, causes = {}, {}
+    pairs = list(iter_intervals(4))
+    for u, v in pairs:
+        table = tables.setdefault(v, TSetTable(v, s4_lex))
         record = scan_interval(u, "lex", table)
-        assert record["clean"], u
-        strong |= {(u, ad_form(m)) for m in record["monomials"] if m.startswith("c")}
+        assert record["clean"], (u, v)
+        profile = tuple(
+            table.counts(u, ad_form(m), bar) for m in record["monomials"] for bar in (False, True)
+        )
+        causes.setdefault((repr(table.graded_sums(u)), profile), (v, u))
+    assert {(v, u) for v, u, _ in misses} == set(causes.values())
+    assert 0 < len(causes) < len(pairs)
+    strong = {(v, u, ad_form(m)) for v, u, m in misses if m.startswith("c")}
     assert strong and set(flip_calls) == strong and len(flip_calls) == len(strong)
 
 
@@ -969,11 +994,14 @@ def test_the_flip_dp_keeps_no_word_without_a_d(s4_lex):
     assert words and all("D" in gamma for gamma in words), sorted(words)
 
 
-def test_a_clean_scan_builds_t_sets_only_for_the_strong_check(s4_lex, monkeypatch):
+def test_a_clean_scan_builds_t_sets_only_for_the_strong_check(
+    s4_lex, monkeypatch, cold_memos
+):
     """|T|, |T-bar|, the flip DP and the restricted counts read counts, so
     scanning [2134, 4321] builds the T-set and T-bar set at its source only
     for the strong flip condition: one call on each side for each M
-    starting with c, and none elsewhere."""
+    starting with c, and none elsewhere.  Scanned again, it takes its kept
+    record body and builds none."""
     t_set_calls = record_t_set_calls(monkeypatch)
     u, v = parse_perm("2134"), parse_perm("4321")
     table = TSetTable(v, s4_lex)
@@ -982,6 +1010,8 @@ def test_a_clean_scan_builds_t_sets_only_for_the_strong_check(s4_lex, monkeypatc
     strong = [ad_form(m) for m in record["monomials"] if m.startswith("c")]
     expected = [(u, gamma, bar) for gamma in strong for bar in (False, True)]
     assert strong and t_set_calls == expected
+    assert scan_interval(u, "lex", table)["monomials"] == record["monomials"]
+    assert t_set_calls == expected
 
 
 def test_collapsed_t_sets_equal_the_word_path_route(monkeypatch, paused_gc):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cdindex import intervals, verify
+from cdindex import cli, intervals, verify
 from cdindex.complete import complete_cd_index, degree_range
 from cdindex.errors import NotDecomposableError, NotInSubringError
 from cdindex.flips import TSetTable, check_strong_flip_condition
@@ -13,6 +13,7 @@ from cdindex.perms import (
     Reflection,
     all_reflections,
     compose,
+    format_perm,
     length,
     parse_perm,
     reflection_perm,
@@ -304,3 +305,175 @@ def test_a_split_error_is_raised_again_on_the_next_call(monkeypatch, cold_memos,
         with pytest.raises(error, match="injected"):
             scan_interval(parse_perm("2134"), "lex", table)
     assert len(calls) == 2
+
+
+def scan_sinks(n, spec, sinks=None):
+    """{sink: its sources} of S_n, for every sink or those in `sinks`, with
+    the order `spec` names."""
+    jobs = {}
+    for u, v in iter_intervals(n):
+        if sinks is None or v in sinks:
+            jobs.setdefault(v, []).append(u)
+    return jobs, cli.resolve_order(spec, n)
+
+
+def without_elapsed(record):
+    return {field: value for field, value in record.items() if field != "elapsed_ms"}
+
+
+def count_full_checks(monkeypatch):
+    """Wrap `verify._check_interval`, which runs every check of an interval
+    that takes no kept record body; returns the list of its (u, sink)."""
+    calls = []
+    inner = verify._check_interval
+
+    def counted(u, order_id, table, *args):
+        calls.append((u, table.sink))
+        return inner(u, order_id, table, *args)
+
+    monkeypatch.setattr(verify, "_check_interval", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, spec, sinks",
+    [
+        pytest.param(4, "lex", None, id="s4-lex"),
+        pytest.param(4, "rev", None, id="s4-rev"),
+        pytest.param(4, "word:1,2,1,3,2,1", None, id="s4-word"),
+        pytest.param(5, "word:2,1,3,4,3,2,3,1,4,2", {(5, 4, 3, 2, 1)}, id="s5-w0-seed1"),
+    ],
+)
+def test_kept_record_bodies_equal_the_full_route(monkeypatch, cold_memos, n, spec, sinks):
+    """Every line of a memoized scan, as the CLI's sink jobs write it,
+    holds the record `scan_interval` writes with every memo cleared
+    before the interval, apart from elapsed_ms, and is that record dumped
+    with sorted keys.  The scan runs twice, so that every interval the
+    memos admit, the S_5 sink's too, takes a kept body at least once: the
+    second pass runs every check only above the memos' gap bound."""
+    jobs, order = scan_sinks(n, spec, sinks)
+    full_checks = count_full_checks(monkeypatch)
+    lines = []
+    for _ in range(2):
+        full_checks.clear()
+        for v, sources in jobs.items():
+            lines += [line for line, _ in cli._scan_sink((v, sources, order, spec))]
+    gaps = [json.loads(line)["length_diff"] for line in lines]
+    assert len(full_checks) == sum(gap > verify._MEMO_GAP for gap in gaps) // 2
+    cold = []
+    for v, sources in jobs.items():
+        table = TSetTable(v, order)
+        table.fill_levels(max(table.gaps[u] for u in sources))
+        for u in sources:
+            cold_memos()
+            cold.append(without_elapsed(scan_interval(u, spec, table)))
+    warm = [json.loads(line) for line in lines]
+    cold *= 2
+    assert [line.decode() for line in lines] == [json.dumps(r, sort_keys=True) for r in warm]
+    assert [without_elapsed(r) for r in warm] == cold
+
+
+def test_kept_record_bodies_equal_the_full_route_under_collapsed_flips(monkeypatch, cold_memos):
+    """Under the collapsed flip some flips are undefined and some records
+    unclean; those run every check on every scan, and a memoized scan of
+    S_4 and of the S_5 sink 45231 (lex), where counting T(12435, ddd)
+    meets an undefined flip, still writes the full route's records."""
+    from .test_flips import collapse_flips
+
+    collapse_flips(monkeypatch)
+    jobs, order = scan_sinks(4, "lex")
+    s5_jobs, s5_order = scan_sinks(5, "lex", {parse_perm("45231")})
+    jobs = [(v, sources, order) for v, sources in jobs.items()]
+    jobs += [(v, sources, s5_order) for v, sources in s5_jobs.items()]
+    full_checks = count_full_checks(monkeypatch)
+    warm = []
+    for v, sources, order in jobs:
+        table = TSetTable(v, order)
+        warm += [scan_interval(u, "lex", table) for u in sources]
+    assert 0 < len(full_checks) < len(warm)
+    unclean = {(r["u"], r["v"]) for r in warm if not r["clean"]}
+    assert unclean
+    rescanned = []
+    for v, sources, order in jobs:
+        table = TSetTable(v, order)
+        for u in sources:
+            full_checks.clear()
+            record = warm.pop(0)
+            again = scan_interval(u, "lex", table)
+            rescanned += full_checks
+            cold_memos()
+            assert without_elapsed(scan_interval(u, "lex", table)) == without_elapsed(record)
+            assert without_elapsed(again) == without_elapsed(record)
+            assert record.line() == json.dumps(record, sort_keys=True).encode()
+    assert unclean <= {(format_perm(u), format_perm(v)) for u, v in rescanned}
+
+
+def kept_pair(monkeypatch, cold_memos):
+    """Two intervals (u1, v1), (u2, v2) of S_4 (lex) of gap >= 3 with equal
+    graded sums and count profile, and the record of the first, kept: so
+    the second would take the kept body.  Returns the two, the record and
+    the list `count_full_checks` fills, emptied."""
+    jobs, order = scan_sinks(4, "lex")
+    first = {}
+    for v, sources in jobs.items():
+        table = TSetTable(v, order)
+        for u in sources:
+            if table.gaps[u] >= 3:
+                first.setdefault(repr(table.graded_sums(u)), []).append((u, v))
+    (u1, v1), (u2, v2) = next(pair for pair in first.values() if len(pair) > 1)[:2]
+    full_checks = count_full_checks(monkeypatch)
+    scan_interval(u1, "lex", TSetTable(v1, order))
+    assert scan_interval(u2, "lex", TSetTable(v2, order))["clean"]
+    assert full_checks == [(u1, v1)]
+    cold_memos()
+    kept = scan_interval(u1, "lex", TSetTable(v1, order))
+    assert kept["clean"]
+    full_checks.clear()
+    return (u1, v1), (u2, v2), kept, full_checks
+
+
+def test_a_changed_count_profile_misses_the_kept_body(monkeypatch, cold_memos):
+    """With one T count of the second interval of a kept pair changed
+    after the first's body is kept, the second runs every check and comes
+    out unclean, with the report the full route writes, not the kept body;
+    its unclean body is not kept, so it runs every check again."""
+    _, (u2, v2), kept, full_checks = kept_pair(monkeypatch, cold_memos)
+    monomial = next(iter(kept["monomials"]))
+    gamma = "" if monomial == "1" else verify.ad_form(monomial)
+    real = TSetTable.counts
+
+    def changed(self, w, word, bar=False):
+        p = real(self, w, word, bar)
+        if (self.sink, w, word, bar) == (v2, u2, gamma, False):
+            return p[:-1] + (p[-1] + 1,)
+        return p
+
+    monkeypatch.setattr(TSetTable, "counts", changed)
+    table = TSetTable(v2, lex_order(4))
+    record = scan_interval(u2, "lex", table)
+    assert full_checks == [(u2, v2)] and not record["clean"]
+    assert record["monomials"][monomial]["t_size"] == kept["monomials"][monomial]["t_size"] + 1
+    assert without_elapsed(scan_interval(u2, "lex", table)) == without_elapsed(record)
+    assert full_checks == [(u2, v2)] * 2
+    cold_memos()
+    assert without_elapsed(scan_interval(u2, "lex", TSetTable(v2, lex_order(4)))) == without_elapsed(record)
+    assert record.line() == json.dumps(record, sort_keys=True).encode()
+
+
+def test_a_minus_one_misses_the_kept_body(monkeypatch, cold_memos):
+    """Where the flip DP reports a -1 at the second interval of a kept
+    pair, the contribution sum is walked, not read off the counts, so the
+    interval runs every check, and its record, clean, is not kept."""
+    _, (u2, v2), kept, full_checks = kept_pair(monkeypatch, cold_memos)
+    monomial = next(m for m in kept["monomials"] if "d" in m)
+    real = TSetTable.has_minus_one
+
+    def reported(self, w, gamma):
+        return (self.sink, w, gamma) == (v2, u2, verify.ad_form(monomial)) or real(self, w, gamma)
+
+    monkeypatch.setattr(TSetTable, "has_minus_one", reported)
+    table = TSetTable(v2, lex_order(4))
+    for _ in range(2):
+        record = scan_interval(u2, "lex", table)
+        assert record["clean"] and record["monomials"] == kept["monomials"]
+    assert full_checks == [(u2, v2)] * 2
