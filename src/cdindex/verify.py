@@ -205,13 +205,9 @@ def iter_intervals(n: int, max_length: int | None = None) -> Iterator[tuple[Perm
         yield u, v
 
 
-# what json.dumps(record, sort_keys=True) writes, with one encoder for
-# every record instead of a new one per call
-_ENCODER = json.JSONEncoder(sort_keys=True)
-# The fields of a clean record that vary with the interval, in the order
-# `sort_keys` writes them, and what each holds while a record body is
-# encoded: encoded "\u0000", which a body's text holds nowhere else.
-_PER_INTERVAL = ("elapsed_ms", "u", "v")
+# What elapsed_ms, u and v, the fields of a record that vary with the
+# interval, hold while its body is encoded: encoded "\u0000", which a
+# body's text holds nowhere else.
 _SLOT = "\0"
 
 # The memos admit only intervals of length gap at most this.  Small
@@ -226,8 +222,8 @@ _MEMO_GAP = 5
 
 class ScanRecord(dict):
     """A JSON-ready scan record, to be read only.  `pieces` holds the
-    encoded text of its body, every field but those in `_PER_INTERVAL`,
-    split at a slot for each of those: encoded once per kept body."""
+    encoded text of its body, every field but elapsed_ms, u and v, split
+    at a slot for each of those: encoded once per kept body."""
 
     pieces: tuple[str, ...] = ()
 
@@ -318,8 +314,8 @@ def scan_interval(u: Perm, order_id: str, table: TSetTable) -> ScanRecord:
     kept = side.records.get(cause)
     if kept is None:
         body = _check_interval(u, order_id, table, side, sums)
-        template = dict(body, **dict.fromkeys(_PER_INTERVAL, _SLOT))
-        kept = (body, tuple(_ENCODER.encode(template).split(_ENCODER.encode(_SLOT))))
+        text = json.dumps(dict(body, elapsed_ms=_SLOT, u=_SLOT, v=_SLOT), sort_keys=True)
+        kept = (body, tuple(text.split(json.dumps(_SLOT))))
         if cause[2] is not None and body["clean"]:
             side.records[cause] = kept
     record = ScanRecord(u=format_perm(u), v=format_perm(table.sink), **kept[0])
