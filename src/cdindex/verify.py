@@ -310,14 +310,14 @@ def scan_interval(u: Perm, order_id: str, table: TSetTable) -> ScanRecord:
     key = tuple((n, tuple(buckets.items())) for n, buckets in sums.items())
     memo = gap <= _MEMO_GAP
     side = (_cd_side if memo else _cd_side.__wrapped__)(key)
-    cause = (order_id, gap, _count_profile(u, sums, table) if memo else None)
-    kept = side.records.get(cause)
+    profile = _count_profile(u, sums, table) if memo else None
+    kept = side.records.get((order_id, gap, profile))
     if kept is None:
         body = _check_interval(u, order_id, table, side, sums)
         text = json.dumps(dict(body, elapsed_ms=_SLOT, u=_SLOT, v=_SLOT), sort_keys=True)
         kept = (body, tuple(text.split(json.dumps(_SLOT))))
-        if cause[2] is not None and body["clean"]:
-            side.records[cause] = kept
+        if profile is not None and body["clean"]:
+            side.records[order_id, gap, profile] = kept
     record = ScanRecord(u=format_perm(u), v=format_perm(table.sink), **kept[0])
     record.pieces = kept[1]
     record["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)

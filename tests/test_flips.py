@@ -923,32 +923,17 @@ def test_a_reverse_order_table_is_the_t_bar_side(n, spec):
             assert table.t_set(w, gamma, bar=True) == fresh.t_set(w, gamma)
 
 
-def record_scan_misses(monkeypatch):
-    """Wrap `verify.verify_coefficient`, which `scan_interval` runs only
-    for an interval that takes no kept record body, to record the
-    (sink, u, monomial) of each call; returns the list of records."""
-    calls = []
-    inner = verify.verify_coefficient
-
-    def recorded(u, monomial, table, cd_index):
-        calls.append((table.sink, u, monomial))
-        return inner(u, monomial, table, cd_index)
-
-    monkeypatch.setattr(verify, "verify_coefficient", recorded)
-    return calls
-
-
 def test_a_clean_scan_builds_flip_dicts_only_for_the_strong_check(
     s4_lex, monkeypatch, cold_memos
 ):
     """T-sets and the flip DP read counts, and a clean record's body is
-    kept by its cause, so a clean scan of every interval under the S_4
-    S_4 builds only the strong flip condition's flip dicts, and only for
-    the intervals that run every check: the first of each class of equal
-    graded sums and count profile.  One call per (u, M) of those, with M
-    starting with c."""
+    kept by its cause, so a clean scan of every interval of S_4 builds
+    only the strong flip condition's flip dicts, and only for the
+    intervals that run every check (`verify_coefficient` runs only
+    there): the first of each class of equal graded sums and count
+    profile.  One call per (u, M) of those, with M starting with c."""
     flip_calls = record_flip_calls(monkeypatch)
-    misses = record_scan_misses(monkeypatch)
+    coefficient_calls = count_calls(monkeypatch, verify.verify_coefficient)
     tables, causes = {}, {}
     pairs = list(iter_intervals(4))
     for u, v in pairs:
@@ -959,6 +944,7 @@ def test_a_clean_scan_builds_flip_dicts_only_for_the_strong_check(
             table.counts(u, ad_form(m), bar) for m in record["monomials"] for bar in (False, True)
         )
         causes.setdefault((repr(table.graded_sums(u)), profile), (v, u))
+    misses = [(table.sink, u, m) for u, m, table, _ in coefficient_calls]
     assert {(v, u) for v, u, _ in misses} == set(causes.values())
     assert 0 < len(causes) < len(pairs)
     strong = {(v, u, ad_form(m)) for v, u, m in misses if m.startswith("c")}
